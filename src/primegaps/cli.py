@@ -2,8 +2,9 @@
 coefficients, with json, csv, and text output.
 
 Exit codes: 0 everything held (or informational command completed),
-1 a violation or counterexample was found, 2 usage or domain error,
-3 incomplete or undecidable at strict precision.
+1 a violation or counterexample was found, 2 usage or domain error
+(including a range too large to fit in memory), 3 incomplete or
+undecidable at strict precision.
 """
 
 from __future__ import annotations
@@ -214,6 +215,11 @@ def main(argv=None) -> int:
         raise AssertionError(f"unhandled command {args.command}")
     except (ValueError, KeyError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # e.g. numpy refusing an array for an oversized range: no verdict
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_USAGE
 
 

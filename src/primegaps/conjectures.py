@@ -7,10 +7,11 @@ results associatively, so the report is identical for any partition count.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import mpmath as mp
 import numpy as np
@@ -63,6 +64,16 @@ def _chunks(lo: int, hi: int, partitions: int):
 def _timed(report: ConjectureReport, t0: float) -> ConjectureReport:
     report.duration = time.perf_counter() - t0
     return report.finalize()
+
+
+def _capture(out: list, blk: gaps.PairBlock, idx: np.ndarray, *lead) -> None:
+    """Append the witness (*lead, n, p, q) of each pair of `blk` at `idx`,
+    with n, p and q as Python ints."""
+    if idx.size:
+        out.extend(zip(
+            *(itertools.repeat(x, idx.size) for x in lead),
+            (blk.n0 + idx).tolist(), blk.p[idx].tolist(), blk.q[idx].tolist(),
+        ))
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +283,8 @@ def check_gap_bounds(
                 if near.any():
                     _settle_near(report, bound, blk, np.flatnonzero(near),
                                  margins, scale)
-                bad = mask & (margins <= 0.0)
-                for i in np.flatnonzero(bad):
-                    report.violations.append(
-                        (bound, blk.n0 + int(i), int(blk.p[i]), int(blk.q[i]))
-                    )
+                _capture(report.violations, blk,
+                         np.flatnonzero(mask & (margins <= 0.0)), bound)
     report.extremes["max_cramer_ratio"] = floor_tracker.max_cramer_ratio
     report.extremes["max_andrica"] = tracker.max_andrica
     report.extremes["max_gap"] = tracker.max_gap
@@ -343,6 +351,50 @@ def check_shanks_trend(limit: int, window: int) -> list[TrendRow]:
 # Smarandache family
 
 
+# binary64 error of q^e - p^e relative to the larger term: a few ulps for
+# each pow and the subtraction (Higham, forward error of pow), with room
+POW_DIFF_REL_ERR = 8 * 2.0**-52
+
+
+def _scan_power_gap(
+    report: ConjectureReport,
+    limit: int,
+    partitions: int,
+    e: float,
+    bound: float,
+    strict_margin: Callable[[int, int], mp.mpf],
+) -> None:
+    """Check q^e - p^e < bound on every pair with p < limit.
+
+    The fast margin bound - (q^e - p^e) is re-decided by `strict_margin(p, q)`
+    at STRICT_DPS wherever it lies within the binary64 error of q^e, the
+    larger term, or within FAST_REL_TOL.
+    """
+    worst = None  # (-value, n, p, q): max of q^e - p^e
+    for lo, hi in _chunks(2, limit, partitions):
+        for blk in gaps.pair_blocks(lo, hi):
+            q_e = blk.q**e
+            vals = q_e - blk.p**e
+            margins = bound - vals
+            report.checked_count += vals.size
+            tol = np.maximum(FAST_REL_TOL, POW_DIFF_REL_ERR * q_e)
+            for i in np.flatnonzero(np.abs(margins) < tol):
+                p, q = int(blk.p[i]), int(blk.q[i])
+                with mp.workdps(STRICT_DPS):
+                    strict = float(strict_margin(p, q))
+                if abs(strict) < STRICT_REL_TOL:
+                    report.uncertain.append((blk.n0 + int(i), p, q))
+                    strict = 1.0  # undecided: neither held nor violated
+                margins[i] = strict
+            _capture(report.violations, blk, np.flatnonzero(margins <= 0.0))
+            i = int(np.argmax(vals))
+            cand = (-float(vals[i]), blk.n0 + i, int(blk.p[i]), int(blk.q[i]))
+            if worst is None or cand < worst:
+                worst = cand
+    report.extremes["max_value"] = -worst[0]
+    report.extremes["max_value_pair"] = worst[1:]
+
+
 def check_smarandache_B(
     limit: int, a: float, partitions: int = 1
 ) -> ConjectureReport:
@@ -351,33 +403,11 @@ def check_smarandache_B(
         raise ValueError(f"exponent must lie in (0, 1), got {a}")
     t0 = time.perf_counter()
     report = ConjectureReport("smarandache-b", f"pairs with p < {limit}, a={a!r}")
-    worst = None  # (-value, n, p, q): max of q^a - p^a
     a_mp = mp.mpf(repr(a))
-    for lo, hi in _chunks(2, limit, partitions):
-        for blk in gaps.pair_blocks(lo, hi):
-            vals = blk.q**a - blk.p**a
-            margins = 1.0 - vals
-            report.checked_count += vals.size
-            near = np.abs(margins) < FAST_REL_TOL
-            for i in np.flatnonzero(near):
-                n, p, q = blk.n0 + int(i), int(blk.p[i]), int(blk.q[i])
-                with mp.workdps(STRICT_DPS):
-                    strict = float(1 - (mp.power(q, a_mp) - mp.power(p, a_mp)))
-                if abs(strict) < STRICT_REL_TOL:
-                    report.uncertain.append((n, p, q))
-                elif strict <= 0:
-                    report.violations.append((n, p, q))
-                margins[i] = 1.0
-            for i in np.flatnonzero(margins <= 0.0):
-                report.violations.append(
-                    (blk.n0 + int(i), int(blk.p[i]), int(blk.q[i]))
-                )
-            i = int(np.argmax(vals))
-            cand = (-float(vals[i]), blk.n0 + i, int(blk.p[i]), int(blk.q[i]))
-            if worst is None or cand < worst:
-                worst = cand
-    report.extremes["max_value"] = -worst[0]
-    report.extremes["max_value_pair"] = worst[1:]
+    _scan_power_gap(
+        report, limit, partitions, a, 1.0,
+        lambda p, q: 1 - (mp.power(q, a_mp) - mp.power(p, a_mp)),
+    )
     return _timed(report, t0)
 
 
@@ -389,36 +419,10 @@ def check_smarandache_C(
         raise ValueError(f"k must be >= 2, got {k}")
     t0 = time.perf_counter()
     report = ConjectureReport("smarandache-c", f"pairs with p < {limit}, k={k}")
-    inv = 1.0 / k
-    bound = 2.0 / k
-    worst = None
-    for lo, hi in _chunks(2, limit, partitions):
-        for blk in gaps.pair_blocks(lo, hi):
-            vals = blk.q**inv - blk.p**inv
-            margins = bound - vals
-            report.checked_count += vals.size
-            near = np.abs(margins) < FAST_REL_TOL
-            for i in np.flatnonzero(near):
-                n, p, q = blk.n0 + int(i), int(blk.p[i]), int(blk.q[i])
-                with mp.workdps(STRICT_DPS):
-                    strict = float(
-                        mp.mpf(2) / k - (mp.root(q, k) - mp.root(p, k))
-                    )
-                if abs(strict) < STRICT_REL_TOL:
-                    report.uncertain.append((n, p, q))
-                elif strict <= 0:
-                    report.violations.append((n, p, q))
-                margins[i] = 1.0
-            for i in np.flatnonzero(margins <= 0.0):
-                report.violations.append(
-                    (blk.n0 + int(i), int(blk.p[i]), int(blk.q[i]))
-                )
-            i = int(np.argmax(vals))
-            cand = (-float(vals[i]), blk.n0 + i, int(blk.p[i]), int(blk.q[i]))
-            if worst is None or cand < worst:
-                worst = cand
-    report.extremes["max_value"] = -worst[0]
-    report.extremes["max_value_pair"] = worst[1:]
+    _scan_power_gap(
+        report, limit, partitions, 1.0 / k, 2.0 / k,
+        lambda p, q: mp.mpf(2) / k - (mp.root(q, k) - mp.root(p, k)),
+    )
     return _timed(report, t0)
 
 
@@ -481,10 +485,8 @@ def check_smarandache_ratio(limit: int, partitions: int = 1) -> ConjectureReport
     for lo, hi in _chunks(2, limit, partitions):
         for blk in gaps.pair_blocks(lo, hi):
             report.checked_count += blk.p.size
-            for i in np.flatnonzero(3 * blk.q > 5 * blk.p):
-                report.violations.append(
-                    (blk.n0 + int(i), int(blk.p[i]), int(blk.q[i]))
-                )
+            _capture(report.violations, blk,
+                     np.flatnonzero(3 * blk.q > 5 * blk.p))
             i = int(np.argmax(blk.q / blk.p))
             cand = (blk.n0 + i, int(blk.p[i]), int(blk.q[i]))
             if best is None or _ratio_beats(cand, best):

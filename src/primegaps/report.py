@@ -58,6 +58,40 @@ _CSV_VIOLATION_HEADER = [
     "conjecture_id", "range", "checked_count", "skipped_count",
     "status", "duration", "witness",
 ]
+_CSV_CHUNK_ROWS = 1 << 14
+
+
+def _write_witness_rows(buf: io.StringIO, base: list, witnesses: list) -> bool:
+    """Write the CSV rows `base + [" ".join(witness)]`: the summary fields
+    are encoded once and each witness is rendered by one string format, in
+    chunks of _CSV_CHUNK_ROWS rows.
+
+    Leaves `buf` as it was and returns False when the witnesses differ in
+    arity or a rendered witness holds a character csv would quote.
+    """
+    if set(map(type, witnesses)) != {tuple}:
+        return False
+    arities = set(map(len, witnesses))
+    if len(arities) != 1:
+        return False
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow(base + [""])
+    prefix = line.getvalue()[:-1]  # the summary fields and a comma
+    witness = " ".join(["%s"] * arities.pop()).__mod__
+    start = buf.tell()
+    for i in range(0, len(witnesses), _CSV_CHUNK_ROWS):
+        chunk = witnesses[i:i + _CSV_CHUNK_ROWS]
+        body = "\n".join(map(witness, chunk))
+        # a superset of what csv.writer quotes on any Python version
+        if (body.count("\n") != len(chunk) - 1
+                or "," in body or '"' in body or "\r" in body):
+            buf.seek(start)
+            buf.truncate()
+            return False
+        buf.write(prefix)
+        buf.write(body.replace("\n", "\n" + prefix))
+        buf.write("\n")
+    return True
 
 
 def to_csv(payload: Any) -> str:
@@ -70,11 +104,11 @@ def to_csv(payload: Any) -> str:
             payload.skipped_count, payload.status.value,
             _round15(payload.duration),
         ]
-        if payload.violations:
+        if not payload.violations:
+            w.writerow(base + [""])
+        elif not _write_witness_rows(buf, base, payload.violations):
             for v in payload.violations:
                 w.writerow(base + [" ".join(str(x) for x in v)])
-        else:
-            w.writerow(base + [""])
     elif isinstance(payload, list) and payload and isinstance(payload[0], PiApproxResult):
         w.writerow(["x", "terms", "approx", "exact", "rel_error"])
         for r in payload:

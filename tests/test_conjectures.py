@@ -2,10 +2,11 @@ import dataclasses
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from primegaps import conjectures as cj
-from primegaps import sieve
+from primegaps import gaps, sieve
 from primegaps.conjectures import ReportStatus
 from conftest import primes_trial
 
@@ -164,6 +165,26 @@ class TestSmarandacheB:
         a = cj.check_gap_bounds(10**5, which=("andrica",))
         assert b.status == a.status == ReportStatus.ALL_HOLD
         assert b.checked_count == a.checked_count
+
+    def test_fast_margin_inside_float_error_is_escalated(self, monkeypatch):
+        # binary64 gives this pair a margin of +1.5e-8; at 50 digits it is
+        # -2.5e-10, so only a window scaled by q^a catches the violation
+        p, q, n = 1000000021, 1000000033, 50847537
+        a = 0.8859351997862503
+        with mp.workdps(50):
+            exact = 1 - (mp.power(q, mp.mpf(repr(a)))
+                         - mp.power(p, mp.mpf(repr(a))))
+        assert -3e-10 < exact < -2e-10
+        blk = gaps.PairBlock(n, np.array([p]), np.array([q]))
+        assert 1.0 - (blk.q**a - blk.p**a)[0] > 1e-8
+
+        def one_pair(lo, hi):
+            yield blk
+
+        monkeypatch.setattr(gaps, "pair_blocks", one_pair)
+        r = cj.check_smarandache_B(p + 1, a)
+        assert r.violations == [(n, p, q)]
+        assert r.status is ReportStatus.VIOLATION_FOUND
 
 
 class TestSmarandacheC:

@@ -1,9 +1,13 @@
+import csv
+import io
+import itertools
 import json
 
+import numpy as np
 import pytest
 
 from primegaps import cli, report
-from primegaps import bounds, conjectures, exponent_solver, panaitopol
+from primegaps import bounds, conjectures, exponent_solver, gaps, panaitopol
 
 
 class TestSerialization:
@@ -64,6 +68,95 @@ class TestSerialization:
             report.serialize(panaitopol.coefficients(2), "xml")
 
 
+def per_row_csv(rep):
+    """The conjecture-report CSV built one csv.writer row per witness."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["conjecture_id", "range", "checked_count", "skipped_count",
+                "status", "duration", "witness"])
+    base = [rep.conjecture_id, rep.range, rep.checked_count,
+            rep.skipped_count, rep.status.value, float(f"{rep.duration:.15g}")]
+    for v in rep.violations or [()]:
+        w.writerow(base + [" ".join(str(x) for x in v)])
+    return buf.getvalue()
+
+
+def first_difference(got, want):
+    """(line index, got line, wanted line) where two texts first differ, or
+    None; keeps a failure on a long CSV short and quick to report."""
+    pairs = itertools.zip_longest(got.splitlines(True), want.splitlines(True))
+    for i, (a, b) in enumerate(pairs):
+        if a != b:
+            return i, a, b
+    return None
+
+
+def fake_pairs(n0, ps, qs):
+    def pair_blocks(lo, hi):
+        yield gaps.PairBlock(n0, np.array(ps, dtype=np.int64),
+                             np.array(qs, dtype=np.int64))
+    return pair_blocks
+
+
+class TestCsvRows:
+    def test_reports_match_per_row_writer(self):
+        gap_report = conjectures.ConjectureReport(
+            "gap-bounds:andrica,cramer", "pairs with 2 <= p < 100",
+            checked_count=44, violations=[("andrica", 4, 7, 11),
+                                          ("cramer", 30, 113, 127)],
+        ).finalize()
+        payloads = [
+            conjectures.check_smarandache_B(10**5, 0.85),
+            gap_report,
+            conjectures.check_smarandache_ratio(1000),
+        ]
+        assert len(payloads[0].violations) > 1000
+        assert payloads[2].violations == []
+        for rep in payloads:
+            assert first_difference(report.to_csv(rep),
+                                    per_row_csv(rep)) is None
+
+    def test_summary_fields_with_quotes_commas_and_percent(self):
+        rep = conjectures.ConjectureReport(
+            'odd"id', 'p < 10, "a" = 100% %s %d', checked_count=3,
+            violations=[(1, 2, 3), (2, 3, 5)], duration=0.25,
+        ).finalize()
+        text = report.to_csv(rep)
+        assert first_difference(text, per_row_csv(rep)) is None
+        assert '"p < 10, ""a"" = 100% %s %d"' in text
+
+    @pytest.mark.parametrize("violations", [
+        [(1, 2, 3), (4, 5)],                   # arities differ
+        [("a,b", 1, 2)],                       # delimiter
+        [('say "x"', 1, 2)],                   # quote
+        [("line\nbreak", 1, 2)],               # line break
+        [(n, n, n) for n in range(20000)] + [("late,comma", 0, 0)],
+        [[1, 2, 3], [4, 5, 6]],                # lists, not tuples
+    ])
+    def test_witnesses_needing_quotes_fall_back(self, violations):
+        rep = conjectures.ConjectureReport("x", "r", violations=violations)
+        assert first_difference(report.to_csv(rep),
+                                per_row_csv(rep)) is None
+
+    def test_captured_witnesses_are_plain_and_round_trip(self, monkeypatch):
+        reports = [conjectures.check_smarandache_B(10**4, 0.85)]
+        # one real pair and one pair far out of bounds for every checker
+        monkeypatch.setattr(gaps, "pair_blocks",
+                            fake_pairs(4, [7, 31], [11, 200]))
+        reports.append(conjectures.check_smarandache_C(100, 2))
+        reports.append(conjectures.check_smarandache_ratio(100))
+        reports.append(conjectures.check_gap_bounds(100))
+        assert reports[1].violations == [(5, 31, 200)]
+        assert reports[2].violations == [(5, 31, 200)]
+        assert ("andrica", 5, 31, 200) in reports[3].violations
+        for rep in reports:
+            for v in rep.violations:
+                assert type(v) is tuple
+                assert {type(x) for x in v} <= {int, str}
+            data = json.loads(report.to_json(rep))
+            assert data["violations"] == [list(v) for v in rep.violations]
+
+
 class TestCliExitCodes:
     def test_verify_all_hold(self, capsys):
         assert cli.main(["verify", "andrica", "--limit", "10000"]) == 0
@@ -84,6 +177,15 @@ class TestCliExitCodes:
     def test_domain_error(self, capsys):
         assert cli.main(["verify", "smarandache-c", "--k", "1"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_out_of_memory_is_not_a_verdict(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(bounds, "crossover_scan", refuse)
+        code = cli.main(["crossover", "sqrt-vs-2log", "--hi", str(10**12)])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: out of memory")
 
     def test_crossover_threshold(self, capsys):
         code = cli.main(
