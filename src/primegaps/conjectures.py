@@ -77,13 +77,17 @@ def _capture(out: list, blk: gaps.PairBlock, idx: np.ndarray, *lead) -> None:
 
 
 # ---------------------------------------------------------------------------
-# interval conjectures (Legendre / Oppermann / Brocard)
+# interval conjectures (Legendre / Oppermann / Brocard); each checker refuses,
+# before allocating, an n_max whose interval ends would wrap in int64
 
 
 def check_legendre(n_max: int, partitions: int = 1) -> ConjectureReport:
     """At least one prime strictly between n^2 and (n+1)^2 for n in [1, n_max]."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if (n_max + 1) ** 2 > sieve.MAX_VALUE:
+        raise sieve.CapacityError(
+            f"(n_max + 1)^2 exceeds 2^63-1 at n_max = {n_max}")
     t0 = time.perf_counter()
     report = ConjectureReport("legendre", f"n in [1, {n_max}]")
     best = None  # (count, n) minimizing interval prime count
@@ -107,6 +111,9 @@ def check_oppermann(n_max: int, partitions: int = 1) -> ConjectureReport:
     """Primes in both (n^2 - n, n^2) and (n^2, n^2 + n) for n in [2, n_max]."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
+    if n_max * n_max + n_max > sieve.MAX_VALUE:
+        raise sieve.CapacityError(
+            f"n_max^2 + n_max exceeds 2^63-1 at n_max = {n_max}")
     t0 = time.perf_counter()
     report = ConjectureReport("oppermann", f"n in [2, {n_max}]")
     best_lo = best_hi = None
@@ -145,10 +152,13 @@ def check_brocard(n_max: int, partitions: int = 1) -> ConjectureReport:
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
+    if sieve._nth_prime_bound(n_max + 1) ** 2 > sieve.MAX_VALUE:
+        raise sieve.CapacityError(
+            f"p_(n_max+1)^2 may exceed 2^63-1 at n_max = {n_max}")
     t0 = time.perf_counter()
     report = ConjectureReport("brocard", f"prime index n in [2, {n_max}]")
     top = sieve.nth_prime(n_max + 1).value
-    primes = np.fromiter(sieve.primes_in(2, top + 1), dtype=np.int64)
+    primes = np.concatenate(list(sieve.prime_blocks(2, top + 1)))
     best = None
     seg_min = [None] * 4
     decompose_all = True

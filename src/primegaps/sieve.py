@@ -1,8 +1,10 @@
-"""Segmented sieve of Eratosthenes: prime streams, exact counting, n-th prime.
+"""Exact prime oracle: a segmented sieve for prime streams and dense batch
+counts, a Legendre-sum count for single values of pi(x), and the n-th prime.
 
 Everything downstream (gap metrics, conjecture scans, the pi(x) comparison)
 uses this module as its exact prime oracle.  The sieve is odd-only and
-segmented so that scans near 10^8..10^9 run in bounded memory.
+segmented so that scans near 10^8..10^9 run in bounded memory; prime_count
+touches only O(sqrt x) values, so a single pi(x) never sieves up to x.
 """
 
 from __future__ import annotations
@@ -121,30 +123,70 @@ def primes_in(lo: int, hi: int) -> Iterator[int]:
 
 
 def prime_count(x: int) -> int:
-    """Exact pi(x): the number of primes <= x."""
+    """Exact pi(x): the number of primes <= x, in O(x^(3/4)) time and
+    O(sqrt x) memory.
+
+    Legendre-sum recurrence (Lucy_Hedgehog's form of the Meissel-Lehmer
+    base case): S(v) counts the integers in [2, v] that are prime or have
+    no prime factor below the current p.  Sifting by p turns S(v) into
+    S(v) - (S(v // p) - S(p - 1)) for every v >= p^2, and after every
+    prime p <= sqrt x, S(x) = pi(x).  Only the values v = x // k are ever
+    needed: `small[v]` holds S(v) for v <= r = isqrt(x) and `large[k]`
+    holds S(x // k) for k <= r.  Integer arithmetic throughout; no product
+    exceeds x, so int64 is exact.
+    """
     if x < 2:
         return 0
-    return sum(block.size for block in prime_blocks(2, x + 1))
+    if x > MAX_VALUE:
+        raise CapacityError(f"pi({x}) exceeds the supported range 2^63-1")
+    r = math.isqrt(x)
+    small = np.arange(-1, r, dtype=np.int64)
+    quot = np.int64(x) // np.arange(1, r + 1, dtype=np.int64)
+    quot = np.concatenate(([0], quot))  # quot[k] = x // k; index 0 unused
+    large = quot - 1
+    for p in base_sieve(r).tolist():
+        sp = int(small[p - 1])  # pi(p - 1)
+        p2 = p * p
+        kmax = min(r, x // p2)  # the k with x // k >= p^2
+        k1 = min(kmax, r // p)  # of those, the k with k * p <= r
+        # each right-hand side is built before its update, so every read
+        # sees S as it was before sifting by p
+        large[1 : k1 + 1] -= large[p : k1 * p + 1 : p] - sp
+        if kmax > k1:
+            sub = small[quot[k1 + 1 : kmax + 1] // p]
+            large[k1 + 1 : kmax + 1] -= sub - sp
+        if p2 <= r:
+            # small[v // p] for v = p^2 .. r: each small[q] repeated p times
+            sub = np.repeat(small[p : r // p + 1], p)[: r + 1 - p2]
+            small[p2:] -= sub - sp
+    return int(large[1])
 
 
 def prime_counts_at(values) -> np.ndarray:
-    """pi(v) for every v in `values` (any order), in one sieve pass.
+    """pi(v) for every v in `values` (a sequence or array, any order), in
+    one sieve pass up to the largest value.
 
     Cheaper than repeated prime_count calls when many counts near the same
-    magnitude are needed (interval checkers rely on this).
+    magnitude are needed (interval checkers rely on this).  Values and
+    blocks are both ascending, so each block searches only the values up
+    to its last prime.
     """
-    vals = np.asarray(list(values), dtype=np.int64)
+    vals = np.asarray(values, dtype=np.int64)
     if vals.size == 0:
         return np.zeros(0, dtype=np.int64)
     order = np.argsort(vals, kind="stable")
     sorted_vals = vals[order]
     counts = np.zeros(vals.size, dtype=np.int64)
     top = int(sorted_vals[-1])
-    running = 0
+    running = i = 0
     if top >= 2:
         for block in prime_blocks(2, top + 1):
-            counts += np.searchsorted(block, sorted_vals, side="right")
+            j = int(np.searchsorted(sorted_vals, block[-1], side="right"))
+            counts[i:j] = running + np.searchsorted(
+                block, sorted_vals[i:j], side="right")
             running += block.size
+            i = j
+    counts[i:] = running
     out = np.zeros(vals.size, dtype=np.int64)
     out[order] = counts
     return out

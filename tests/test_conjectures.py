@@ -86,6 +86,34 @@ class TestBrocard:
         assert r.extremes["min_interval_count"] >= 4
 
 
+class TestInt64Guard:
+    """Interval ends past 2^63-1 are refused before any array exists."""
+
+    @pytest.fixture(autouse=True)
+    def no_sieving(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sieved before the capacity check")
+        monkeypatch.setattr(sieve, "prime_blocks", refuse)
+        monkeypatch.setattr(sieve, "prime_counts_at", refuse)
+
+    def test_legendre(self):
+        n = math.isqrt(sieve.MAX_VALUE)  # (n + 1)^2 is the first to wrap
+        with pytest.raises(sieve.CapacityError, match="2\\^63-1"):
+            cj.check_legendre(n)
+
+    def test_oppermann(self):
+        n = math.isqrt(sieve.MAX_VALUE) + 1  # the first n^2 + n to wrap
+        assert (n - 1) ** 2 + (n - 1) <= sieve.MAX_VALUE < n * n + n
+        with pytest.raises(sieve.CapacityError):
+            cj.check_oppermann(n)
+
+    def test_brocard(self):
+        n = 2 * 10**8  # bound on p_(n+1) is about 4.7e9
+        assert sieve._nth_prime_bound(n + 1) ** 2 > sieve.MAX_VALUE
+        with pytest.raises(sieve.CapacityError):
+            cj.check_brocard(n)
+
+
 class TestGapBounds:
     def test_tiny_range_andrica_only(self):
         r = cj.check_gap_bounds(5, which=("andrica",))

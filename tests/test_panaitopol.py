@@ -108,3 +108,16 @@ class TestErrorTable:
         assert [(r.x, r.terms) for r in rows] == [
             (10**4, 0), (10**4, 1), (10**5, 0), (10**5, 1)
         ]
+
+    def test_repeated_x_is_counted_once(self, monkeypatch):
+        calls = []
+        count = pt.sieve.prime_count
+        monkeypatch.setattr(pt.sieve, "prime_count",
+                            lambda x: calls.append(x) or count(x))
+        rows = pt.error_table([10**5, 10**4, 10**5], [1, 2])
+        assert calls == [10**5, 10**4]
+        assert [(r.x, r.terms) for r in rows] == [
+            (10**5, 1), (10**5, 2), (10**4, 1), (10**4, 2),
+            (10**5, 1), (10**5, 2)]
+        assert rows[:2] == rows[4:]
+        assert rows == [pt.pi_approx(r.x, r.terms) for r in rows]

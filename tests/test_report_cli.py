@@ -1,7 +1,10 @@
 import csv
+import dataclasses
+import enum
 import io
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +160,37 @@ class TestCsvRows:
             assert data["violations"] == [list(v) for v in rep.violations]
 
 
+def ladder_to_jsonable(obj):
+    """to_jsonable as it was before its exact-type fast path."""
+    if isinstance(obj, float):
+        return report._round15(obj)
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: ladder_to_jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): ladder_to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [ladder_to_jsonable(v) for v in obj]
+    return obj
+
+
+class TestJsonFastPath:
+    @pytest.mark.parametrize("payload", [
+        lambda: conjectures.check_smarandache_B(10**5, 0.85),
+        lambda: conjectures.check_gap_bounds(10**5),
+        lambda: panaitopol.error_table([10**4, 10**6], [0, 1, 4]),
+        lambda: exponent_solver.solve_exponent(113, 127),
+        lambda: [(1, "a", True, None), (2, 2.5, (3, 4)), (bounds.Status.HOLDS,),
+                 np.float64(1 / 3), {"k": (5, "x", 0.1 + 0.2)}],
+    ])
+    def test_json_identical_to_ladder(self, payload):
+        payload = report.strip_timing(payload())
+        want = json.dumps(ladder_to_jsonable(payload), indent=2) + "\n"
+        assert report.to_json(payload) == want
+
+
 class TestCliExitCodes:
     def test_verify_all_hold(self, capsys):
         assert cli.main(["verify", "andrica", "--limit", "10000"]) == 0
@@ -186,6 +220,18 @@ class TestCliExitCodes:
         code = cli.main(["crossover", "sqrt-vs-2log", "--hi", str(10**12)])
         assert code == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: out of memory")
+
+    def test_legendre_past_int64_refused_without_allocating(self, capsys):
+        tracemalloc.start()
+        try:
+            code = cli.main(["verify", "legendre", "--limit", "4000000000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "2^63-1" in err
+        assert peak < 1 << 20  # the squares alone would take 32 GB
 
     def test_crossover_threshold(self, capsys):
         code = cli.main(

@@ -102,3 +102,76 @@ def test_prime_counts_at_matches_prime_count():
 def test_base_sieve_is_trial_division_exact():
     assert sieve.base_sieve(500).tolist() == primes_trial(2, 501)
     assert all(is_prime_trial(int(p)) for p in sieve.base_sieve(10_000))
+
+
+# ---------------------------------------------------------------------------
+# prime_count is the Legendre-sum recurrence; sympy and the segmented sieve
+# are its oracles
+
+
+def sieve_prime_count(x):
+    """The former body of prime_count: one full segmented-sieve pass."""
+    if x < 2:
+        return 0
+    return sum(block.size for block in sieve.prime_blocks(2, x + 1))
+
+
+def test_prime_count_every_x_below_2000():
+    sympy = pytest.importorskip("sympy")
+    assert [sieve.prime_count(x) for x in range(2000)] == [
+        int(sympy.primepi(x)) for x in range(2000)]
+
+
+@pytest.mark.parametrize("n", [31, 97, 1000, 31622, 31623])
+def test_prime_count_around_squares(n):
+    sympy = pytest.importorskip("sympy")
+    for x in (n * n - 1, n * n, n * n + 1):
+        assert sieve.prime_count(x) == sympy.primepi(x), x
+
+
+def test_prime_count_powers_of_ten_and_2_31():
+    sympy = pytest.importorskip("sympy")
+    # pi(10^k), k = 0..10 (OEIS A006880)
+    known = [0, 4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534,
+             455052511]
+    assert [sieve.prime_count(10**k) for k in range(11)] == known
+    for x in (2**31 - 1, 2**31 + 1):
+        assert sieve.prime_count(x) == sympy.primepi(x), x
+
+
+def test_prime_count_random_below_1e10():
+    sympy = pytest.importorskip("sympy")
+    rng = np.random.default_rng(20161)
+    for x in rng.integers(0, 10**10, size=20).tolist():
+        assert sieve.prime_count(x) == sympy.primepi(x), x
+
+
+@given(st.integers(min_value=0, max_value=10**6 - 1))
+@settings(max_examples=40, deadline=None)
+def test_prime_count_agrees_with_the_sieve(x):
+    assert sieve.prime_count(x) == sieve_prime_count(x)
+
+
+def test_prime_count_beyond_int64_is_a_capacity_error():
+    with pytest.raises(sieve.CapacityError):
+        sieve.prime_count(sieve.MAX_VALUE + 1)
+
+
+def test_prime_counts_at_unsorted_duplicates_and_segment_ends(monkeypatch):
+    monkeypatch.setenv("PRIMEGAP_SEGMENT_BYTES", "1024")  # 2048-wide blocks
+    last_primes = [int(b[-1]) for b in sieve.prime_blocks(2, 20_000)]
+    assert len(last_primes) > 5
+    values = ([-3, 0, 1, 2, 19_999, 7, 7, 2048, 2047, 2049]
+              + last_primes[::-1] + [p + 1 for p in last_primes]
+              + [last_primes[2]] * 3)
+    want = [pi_trial(max(v, 0)) for v in values]
+    assert sieve.prime_counts_at(values).tolist() == want
+
+
+def test_pair_blocks_start_index_far_from_two():
+    sympy = pytest.importorskip("sympy")
+    from primegaps import gaps
+
+    first = next(gaps.pair_blocks(10**9, 10**9 + 1000))
+    assert first.n0 == sympy.primepi(10**9 - 1) + 1
+    assert first.p[0] == sympy.nextprime(10**9 - 1)
