@@ -273,6 +273,18 @@ def _resolve_predicate(predicate) -> Predicate:
         ) from None
 
 
+# largest n up to which every integer is exact in binary64
+MAX_EXACT_FLOAT_INT = 2**53
+
+
+def _check_window(lo: int, hi: int) -> None:
+    if lo < 2 or hi <= lo:
+        raise ValueError(f"need 2 <= lo < hi, got [{lo}, {hi}]")
+    if hi > MAX_EXACT_FLOAT_INT:
+        raise ValueError(
+            f"hi = {hi} exceeds 2^53, past which float64 misses integers")
+
+
 def crossover_scan(predicate, lo: int, hi: int) -> CrossoverResult:
     """Find the least t in [lo, hi] with the predicate true on all of [t, hi].
 
@@ -280,8 +292,7 @@ def crossover_scan(predicate, lo: int, hi: int) -> CrossoverResult:
     strict precision point by point.
     """
     pred = _resolve_predicate(predicate)
-    if lo < 2 or hi <= lo:
-        raise ValueError(f"need 2 <= lo < hi, got [{lo}, {hi}]")
+    _check_window(lo, hi)
     ns = np.arange(lo, hi + 1, dtype=np.float64)
     margins = pred.fast(ns)
     holds = margins > 0.0
@@ -322,8 +333,7 @@ def monotone_scan(sequence, lo: int, hi: int) -> Verdict:
             raise KeyError(
                 f"unknown sequence {sequence!r}; known: {sorted(SEQUENCES)}"
             ) from None
-    if lo < 2 or hi <= lo:
-        raise ValueError(f"need 2 <= lo < hi, got [{lo}, {hi}]")
+    _check_window(lo, hi)
     ns = np.arange(lo, hi + 1, dtype=np.float64)
     vals = sequence.fast(ns)
     diffs = np.diff(vals)

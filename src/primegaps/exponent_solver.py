@@ -70,56 +70,81 @@ class ScanSummary:
     limit: int
 
 
-def _pair_roots(limit: int):
-    """Vectorized bisection over every pair with p < limit.
+# pairs per bisection batch in the min/max scans; after the first batch
+# most pairs are dropped before bisection, so a small batch keeps the
+# unpruned first one cheap
+SCAN_BATCH = 4096
+# a pair whose root lies beyond the current best by more than this cannot
+# come within the 1e-9 tie window of _argmin_beats: the binary64 error of
+# q^t - p^t, divided by f'(t) >= ln q, moves a root by far less
+PRUNE_MARGIN = 1e-6
 
-    Yields (n0, p, q, x) arrays per block; 60 halvings of [0, 1] reach
-    ~1e-18 interval width, beyond float64 resolution.
+
+def _roots(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Vectorized bisection of q^x - p^x = 1 for the pairs (p[i], q[i]).
+
+    60 halvings of [0, 1] reach ~1e-18 interval width, beyond float64
+    resolution.
     """
+    pf = p.astype(np.float64)
+    qf = q.astype(np.float64)
+    lo = np.zeros(pf.size)
+    hi = np.ones(pf.size)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        neg = qf**mid - pf**mid < 1.0
+        lo = np.where(neg, mid, lo)
+        hi = np.where(neg, hi, mid)
+    x = 0.5 * (lo + hi)
+    # gap-1 pairs sit exactly at x = 1
+    x[q - p == 1] = 1.0
+    return x
+
+
+def _extreme_root(limit: int, sign: float) -> Tuple[tuple, int]:
+    """The pair with p < limit whose root x minimizes sign * x, as
+    (sign * x, p, q), and the number of pairs scanned.
+
+    f(x) = q^x - p^x - 1 increases in x, so a root lies at or below t
+    exactly when q^t - p^t >= 1.  Once a best root exists, only the pairs
+    whose root can still come within PRUNE_MARGIN of it are bisected.
+    """
+    best: Optional[tuple] = None  # (sign * x, p, q)
+    count = 0
     for blk in gaps.pair_blocks(2, limit):
-        p = blk.p.astype(np.float64)
-        q = blk.q.astype(np.float64)
-        lo = np.zeros(p.size)
-        hi = np.ones(p.size)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            neg = q**mid - p**mid < 1.0
-            lo = np.where(neg, mid, lo)
-            hi = np.where(neg, hi, mid)
-        x = 0.5 * (lo + hi)
-        # gap-1 pairs sit exactly at x = 1
-        x[blk.q - blk.p == 1] = 1.0
-        yield blk.n0, blk.p, blk.q, x
+        count += blk.p.size
+        for s in range(0, blk.p.size, SCAN_BATCH):
+            p = blk.p[s : s + SCAN_BATCH]
+            q = blk.q[s : s + SCAN_BATCH]
+            if best is not None:
+                t = sign * best[0] + sign * PRUNE_MARGIN  # x_best, widened
+                d = q.astype(np.float64) ** t - p.astype(np.float64) ** t
+                # root <= t (min scan) or root >= t (max scan)
+                keep = np.flatnonzero(d >= 1.0 if sign > 0 else d <= 1.0)
+                if not keep.size:
+                    continue
+                p, q = p[keep], q[keep]
+            key = sign * _roots(p, q)
+            top = key.min()
+            for i in np.flatnonzero(key <= top + 1e-12):
+                cand = (float(key[i]), int(p[i]), int(q[i]))
+                if best is None or _argmin_beats(cand, best, negate=sign < 0):
+                    best = cand
+    if best is None:
+        raise ValueError(f"no prime pair below limit {limit}")
+    return best, count
 
 
 def min_exponent(limit: int) -> Tuple[ExponentSolution, ScanSummary]:
     """The pair with p < limit whose exponent root is smallest."""
-    best: Optional[tuple] = None  # (x, p, q)
-    count = 0
-    for _, p, q, x in _pair_roots(limit):
-        count += p.size
-        top = x.min()
-        for i in np.flatnonzero(x <= top + 1e-12):
-            cand = (float(x[i]), int(p[i]), int(q[i]))
-            if best is None or _argmin_beats(cand, best, negate=False):
-                best = cand
-    if best is None:
-        raise ValueError(f"no prime pair below limit {limit}")
+    best, count = _extreme_root(limit, 1.0)
     sol = solve_exponent(best[1], best[2])
     return sol, ScanSummary(pairs_scanned=count, limit=limit)
 
 
 def max_exponent(limit: int) -> ExponentSolution:
     """The pair with p < limit whose exponent root is largest."""
-    best: Optional[tuple] = None  # (-x, p, q)
-    for _, p, q, x in _pair_roots(limit):
-        top = x.max()
-        for i in np.flatnonzero(x >= top - 1e-12):
-            cand = (-float(x[i]), int(p[i]), int(q[i]))
-            if best is None or _argmin_beats(cand, best, negate=True):
-                best = cand
-    if best is None:
-        raise ValueError(f"no prime pair below limit {limit}")
+    best, _ = _extreme_root(limit, -1.0)
     return solve_exponent(best[1], best[2])
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -49,11 +49,17 @@ class GapRecord:
 
 @dataclass
 class PairBlock:
-    """A vectorized run of consecutive pairs: p[i] is prime number n0 + i."""
+    """A vectorized run of consecutive pairs: p[i] is prime number n0 + i
+    and q[i] = p[i + 1]."""
 
     n0: int
     p: np.ndarray
     q: np.ndarray
+
+
+# first window sieved for the successor of a range's last prime; prime gaps
+# below 2^63 stay under 1600, so one window almost always suffices
+NEXT_PRIME_WINDOW = 2048
 
 
 def pair_blocks(lo: int, hi: int) -> Iterator[PairBlock]:
@@ -84,10 +90,17 @@ def pair_blocks(lo: int, hi: int) -> Iterator[PairBlock]:
 
 
 def _next_prime_after(p: int) -> int:
-    # Bertrand guarantees a prime below 2p; widen defensively for tiny p.
-    for block in sieve.prime_blocks(p + 1, 2 * p + 2):
-        return int(block[0])
-    raise RuntimeError(f"no prime found after {p}")
+    # sieve a small window past p and double it until a prime shows up;
+    # Bertrand guarantees one below 2p, so 2p + 2 caps the window
+    cap = 2 * p + 2
+    width = NEXT_PRIME_WINDOW
+    while True:
+        hi = min(p + 1 + width, cap)
+        for block in sieve.prime_blocks(p + 1, hi):
+            return int(block[0])
+        if hi == cap:
+            raise RuntimeError(f"no prime found after {p}")
+        width *= 2
 
 
 def gap_stream(lo: int, hi: int) -> Iterator[GapRecord]:
@@ -108,8 +121,10 @@ class ExtremeTracker:
 
     _METRICS = ("gap", "cramer_ratio", "andrica", "ratio")
 
-    def observe(self, rec: GapRecord) -> None:
-        for metric in self._METRICS:
+    def observe(
+        self, rec: GapRecord, metrics: Iterable[str] = _METRICS
+    ) -> None:
+        for metric in metrics:
             field = f"max_{metric}"
             cur = getattr(self, field)
             if cur is None or _beats(rec, cur, metric):
@@ -129,27 +144,48 @@ class ExtremeTracker:
             setattr(out, field, pick)
         return out
 
-    def observe_block(self, blk: PairBlock) -> None:
-        p = blk.p.astype(np.float64)
-        q = blk.q.astype(np.float64)
-        gap = blk.q - blk.p
-        log_p = np.log(p)
-        candidates = {
-            "gap": gap,
-            "cramer_ratio": gap / log_p**2,
-            "andrica": np.sqrt(q) - np.sqrt(p),
-            "ratio": q / p,
-        }
-        for values in candidates.values():
+    def observe_block(
+        self,
+        blk: PairBlock,
+        metrics: Optional[Mapping[str, np.ndarray]] = None,
+    ) -> None:
+        """Observe every pair of `blk`.
+
+        `metrics` maps a metric name to its values, already computed by the
+        caller, so they are not computed again.  An array shorter than the
+        block holds the values of its last pairs only, and only those pairs
+        are observed for that metric; an empty array skips the metric.
+        """
+        records: dict[int, GapRecord] = {}  # one record per observed pair
+        for metric in self._METRICS:
+            values = metrics.get(metric) if metrics is not None else None
+            if values is None:
+                values = _block_metric(blk, metric)
+            elif not values.size:
+                continue
+            offset = blk.p.size - values.size
             # observe every index tied (to float fuzz) with the block max so
             # the winner never depends on how blocks were partitioned
             top = values.max()
             for i in np.flatnonzero(values >= top - 1e-12 * abs(top)):
-                self.observe(
-                    GapRecord.from_pair(
-                        blk.n0 + int(i), int(blk.p[i]), int(blk.q[i])
-                    )
-                )
+                j = offset + int(i)
+                if j not in records:
+                    records[j] = GapRecord.from_pair(
+                        blk.n0 + j, int(blk.p[j]), int(blk.q[j]))
+                self.observe(records[j], (metric,))
+
+
+def _block_metric(blk: PairBlock, metric: str) -> np.ndarray:
+    gap = blk.q - blk.p
+    if metric == "gap":
+        return gap
+    p = blk.p.astype(np.float64)
+    if metric == "cramer_ratio":
+        return gap / np.log(p) ** 2
+    q = blk.q.astype(np.float64)
+    if metric == "andrica":
+        return np.sqrt(q) - np.sqrt(p)
+    return q / p  # ratio
 
 
 def _beats(a: GapRecord, b: GapRecord, metric: str) -> bool:

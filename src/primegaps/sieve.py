@@ -164,10 +164,11 @@ def prime_count(x: int) -> int:
 
 def prime_counts_at(values) -> np.ndarray:
     """pi(v) for every v in `values` (a sequence or array, any order), in
-    one sieve pass up to the largest value.
+    one sieve pass from the smallest value to the largest.
 
     Cheaper than repeated prime_count calls when many counts near the same
-    magnitude are needed (interval checkers rely on this).  Values and
+    magnitude are needed (interval checkers rely on this).  The count below
+    the smallest value v0 comes from one prime_count(v0 - 1).  Values and
     blocks are both ascending, so each block searches only the values up
     to its last prime.
     """
@@ -177,10 +178,12 @@ def prime_counts_at(values) -> np.ndarray:
     order = np.argsort(vals, kind="stable")
     sorted_vals = vals[order]
     counts = np.zeros(vals.size, dtype=np.int64)
-    top = int(sorted_vals[-1])
+    v0, top = int(sorted_vals[0]), int(sorted_vals[-1])
     running = i = 0
+    if v0 > 2:
+        running = prime_count(v0 - 1)
     if top >= 2:
-        for block in prime_blocks(2, top + 1):
+        for block in prime_blocks(max(v0, 2), top + 1):
             j = int(np.searchsorted(sorted_vals, block[-1], side="right"))
             counts[i:j] = running + np.searchsorted(
                 block, sorted_vals[i:j], side="right")

@@ -295,3 +295,134 @@ class TestPartitionInvarianceInterval:
         assert normalized(cj.check_brocard(200, partitions=parts)) == normalized(
             cj.check_brocard(200, partitions=1)
         )
+
+
+def _reference_observe_block(tracker, blk):
+    # ExtremeTracker.observe_block before metrics could be passed in: each
+    # candidate record is observed for all four metrics
+    p = blk.p.astype(np.float64)
+    q = blk.q.astype(np.float64)
+    gap = blk.q - blk.p
+    for values in (gap, gap / np.log(p) ** 2, np.sqrt(q) - np.sqrt(p), q / p):
+        top = values.max()
+        for i in np.flatnonzero(values >= top - 1e-12 * abs(top)):
+            tracker.observe(gaps.GapRecord.from_pair(
+                blk.n0 + int(i), int(blk.p[i]), int(blk.q[i])))
+
+
+def reference_gap_bounds(limit, which=cj.GAP_BOUNDS, partitions=1, start=2):
+    """check_gap_bounds before the single metric pass: a second tracker for
+    the pairs from p = 29 on, metrics recomputed per tracker and per bound,
+    and separate scans for near-threshold pairs and violations."""
+    which = tuple(w for w in cj.GAP_BOUNDS if w in set(which))
+    report = cj.ConjectureReport(
+        "gap-bounds:" + ",".join(which), f"pairs with {start} <= p < {limit}")
+    tracker = gaps.ExtremeTracker()
+    floor_tracker = gaps.ExtremeTracker()
+    for lo, hi in cj._chunks(start, limit, partitions):
+        for blk in gaps.pair_blocks(lo, hi):
+            _reference_observe_block(tracker, blk)
+            above = np.flatnonzero(blk.p >= cj.KOURBATOV_FLOOR)
+            if above.size:
+                i0 = int(above[0])
+                _reference_observe_block(floor_tracker, gaps.PairBlock(
+                    blk.n0 + i0, blk.p[i0:], blk.q[i0:]))
+            p = blk.p.astype(np.float64)
+            q = blk.q.astype(np.float64)
+            gap = q - p
+            log_p = np.log(p)
+            floor_ok = blk.p >= cj.KOURBATOV_FLOOR
+            for bound in which:
+                scale = None
+                if bound == "andrica":
+                    margins = 1.0 - (np.sqrt(q) - np.sqrt(p))
+                    mask = np.ones(p.size, dtype=bool)
+                elif bound == "kourbatov":
+                    margins = log_p**2 - log_p - 1.0 - gap
+                    mask = floor_ok
+                elif bound == "cramer":
+                    margins = log_p**2 - gap
+                    mask = floor_ok
+                else:
+                    ns = blk.n0 + np.arange(p.size, dtype=np.float64)
+                    margins = (ns + 1.0) * log_p - ns * np.log(q)
+                    scale = ns * np.log(q)
+                    mask = np.ones(p.size, dtype=bool)
+                report.checked_count += int(mask.sum())
+                report.skipped_count += int(p.size - mask.sum())
+                tol = cj.FAST_REL_TOL * (
+                    np.maximum(scale, 1.0) if scale is not None else 1.0)
+                for i in np.flatnonzero(mask & (np.abs(margins) < tol)):
+                    n, pi, qi = blk.n0 + int(i), int(blk.p[i]), int(blk.q[i])
+                    strict = cj._strict_margin(bound, n, pi, qi)
+                    s = max(float(scale[i]) if scale is not None else 1.0, 1.0)
+                    if abs(strict) < cj.STRICT_REL_TOL * s:
+                        report.uncertain.append((bound, n, pi, qi))
+                    elif strict <= 0:
+                        report.violations.append((bound, n, pi, qi))
+                    margins[i] = 1.0
+                for i in np.flatnonzero(mask & (margins <= 0.0)):
+                    report.violations.append(
+                        (bound, blk.n0 + int(i), int(blk.p[i]), int(blk.q[i])))
+    report.extremes["max_cramer_ratio"] = floor_tracker.max_cramer_ratio
+    report.extremes["max_andrica"] = tracker.max_andrica
+    report.extremes["max_gap"] = tracker.max_gap
+    report.extremes["max_ratio"] = tracker.max_ratio
+    return report.finalize()
+
+
+class TestGapBoundsAgainstReference:
+    """The single metric pass gives the reports of the two-tracker loop."""
+
+    SELECTIONS = [(b,) for b in cj.GAP_BOUNDS] + [cj.GAP_BOUNDS]
+
+    @pytest.mark.parametrize("limit, start", [
+        (lim, st) for lim in (5, 29, 30, 31, 10**5)
+        for st in (2, 28, 29, 30, 10**4) if st < lim])
+    def test_many_blocks(self, monkeypatch, limit, start):
+        monkeypatch.setenv("PRIMEGAP_SEGMENT_BYTES", "1024")
+        for which in self.SELECTIONS:
+            for parts in (1, 4, 16):
+                got = cj.check_gap_bounds(limit, which, parts, start=start)
+                want = reference_gap_bounds(limit, which, parts, start=start)
+                assert normalized(got) == normalized(want), (which, parts)
+                if limit <= cj.KOURBATOV_FLOOR:
+                    assert got.extremes["max_cramer_ratio"] is None
+
+    @pytest.mark.parametrize("start", [2, 29, 10**4])
+    def test_small_slices(self, monkeypatch, start):
+        monkeypatch.setattr(cj, "PAIR_SLICE", 5)
+        for parts in (1, 4):
+            got = cj.check_gap_bounds(10**5, partitions=parts, start=start)
+            want = reference_gap_bounds(10**5, partitions=parts, start=start)
+            assert normalized(got) == normalized(want)
+
+    def test_violations_and_near_threshold_pairs(self, monkeypatch):
+        # a made-up chain of "consecutive" values: 256 -> 289 has Andrica
+        # difference exactly 1 (uncertain), the wide gaps break every bound
+        chain = np.array([23, 29, 200, 225, 256, 289, 400, 401, 10**6],
+                         dtype=np.int64)
+
+        def fake_blocks(lo, hi):
+            yield gaps.PairBlock(1, chain[:3], chain[1:4])
+            yield gaps.PairBlock(4, chain[3:-1], chain[4:])
+
+        monkeypatch.setattr(gaps, "pair_blocks", fake_blocks)
+        got = cj.check_gap_bounds(10**6)
+        want = reference_gap_bounds(10**6)
+        assert normalized(got) == normalized(want)
+        assert got.uncertain and got.violations
+        assert {w[0] for w in got.violations} == set(cj.GAP_BOUNDS)
+
+
+class TestIntervalChunks:
+    """Chunks of at most INTERVAL_CHUNK values of n change no report."""
+
+    @pytest.mark.parametrize("check, n_max", [
+        (cj.check_legendre, 2000), (cj.check_oppermann, 2000),
+        (cj.check_brocard, 300)])
+    def test_tiny_chunks_give_the_same_report(self, monkeypatch, check, n_max):
+        want = normalized(check(n_max))
+        monkeypatch.setattr(cj, "INTERVAL_CHUNK", 7)
+        assert normalized(check(n_max)) == want
+        assert normalized(check(n_max, partitions=3)) == want

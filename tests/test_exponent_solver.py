@@ -1,7 +1,10 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primegaps import exponent_solver as es
 from primegaps import gaps
@@ -90,8 +93,8 @@ class TestScans:
         assert (sol.p, sol.q, sol.x) == (2, 3, 1.0)
 
     def test_all_roots_at_most_one(self):
-        for _, p, q, x in es._pair_roots(10**4):
-            assert (x <= 1.0).all()
+        for blk in gaps.pair_blocks(2, 10**4):
+            assert (es._roots(blk.p, blk.q) <= 1.0).all()
 
     def test_twin_pair_roots_below_one_and_monotone(self):
         # sampled twins up to 1e5: x < 1 always, and strictly increasing in
@@ -106,8 +109,95 @@ class TestScans:
         assert all(a < b for a, b in zip(xs, xs[1:]))
 
     def test_vectorized_roots_match_scalar(self):
-        for n0, p, q, x in es._pair_roots(200):
+        for blk in gaps.pair_blocks(2, 200):
+            p, q, x = blk.p, blk.q, es._roots(blk.p, blk.q)
             for i in range(p.size):
                 assert x[i] == pytest.approx(
                     es.solve_exponent(int(p[i]), int(q[i])).x, abs=1e-11
                 )
+
+
+def _pair_roots_reference(limit):
+    # the vectorized bisection of every pair, block by block, as the scans
+    # ran before pruning
+    for blk in gaps.pair_blocks(2, limit):
+        p = blk.p.astype(np.float64)
+        q = blk.q.astype(np.float64)
+        lo = np.zeros(p.size)
+        hi = np.ones(p.size)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            neg = q**mid - p**mid < 1.0
+            lo = np.where(neg, mid, lo)
+            hi = np.where(neg, hi, mid)
+        x = 0.5 * (lo + hi)
+        x[blk.q - blk.p == 1] = 1.0
+        yield blk.p, blk.q, x
+
+
+def unpruned_min_max(limit):
+    """(min pair, max pair, pairs scanned) with every root bisected."""
+    lo_best = hi_best = None
+    count = 0
+    for p, q, x in _pair_roots_reference(limit):
+        count += p.size
+        top = x.min()
+        for i in np.flatnonzero(x <= top + 1e-12):
+            cand = (float(x[i]), int(p[i]), int(q[i]))
+            if lo_best is None or es._argmin_beats(
+                    cand, lo_best, negate=False):
+                lo_best = cand
+        top = x.max()
+        for i in np.flatnonzero(x >= top - 1e-12):
+            cand = (-float(x[i]), int(p[i]), int(q[i]))
+            if hi_best is None or es._argmin_beats(cand, hi_best, negate=True):
+                hi_best = cand
+    return lo_best[1:], hi_best[1:], count
+
+
+class TestPrunedScans:
+    @given(st.integers(min_value=3, max_value=10**5))
+    @settings(max_examples=25, deadline=None)
+    def test_same_pairs_as_unpruned_scan(self, limit):
+        lo_pair, hi_pair, count = unpruned_min_max(limit)
+        sol, summary = es.min_exponent(limit)
+        assert (sol.p, sol.q) == lo_pair
+        assert summary.pairs_scanned == count
+        sol = es.max_exponent(limit)
+        assert (sol.p, sol.q) == hi_pair
+
+    def test_small_batches(self, monkeypatch):
+        monkeypatch.setattr(es, "SCAN_BATCH", 7)
+        lo_pair, hi_pair, _ = unpruned_min_max(10**4)
+        lo, hi = es.min_exponent(10**4)[0], es.max_exponent(10**4)
+        assert ((lo.p, lo.q), (hi.p, hi.q)) == (lo_pair, hi_pair)
+
+    # roots 1.8e-10 apart (not prime pairs; the solver only needs q > p)
+    NEAR_TIE = [(1051, 1107), (1781, 1853)]
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_near_tie_is_refined_after_pruning(self, monkeypatch, order):
+        a, b = self.NEAR_TIE[::order]
+        roots = {pq: es.solve_exponent(*pq).x for pq in self.NEAR_TIE}
+        assert 0 < abs(roots[a] - roots[b]) < 1e-9
+
+        def fake_blocks(lo, hi):
+            # (2, 3) first, so the near-tied pairs meet an existing best
+            for i, (p, q) in enumerate([(2, 3), a, b]):
+                yield gaps.PairBlock(i + 1, np.array([p]), np.array([q]))
+
+        calls = []
+        solve = es.solve_exponent
+        monkeypatch.setattr(gaps, "pair_blocks", fake_blocks)
+        monkeypatch.setattr(es, "solve_exponent",
+                            lambda p, q: calls.append((p, q)) or solve(p, q))
+        sol, summary = es.min_exponent(10)
+        assert (sol.p, sol.q) == min(roots, key=roots.get)
+        assert summary.pairs_scanned == 3
+        assert {a, b} <= set(calls)  # _argmin_beats refined the tie
+        calls.clear()
+        monkeypatch.setattr(gaps, "pair_blocks",
+                            lambda lo, hi: list(fake_blocks(lo, hi))[1:])
+        sol = es.max_exponent(10)
+        assert (sol.p, sol.q) == max(roots, key=roots.get)
+        assert {a, b} <= set(calls)

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from primegaps import gaps
 from conftest import primes_trial
@@ -92,3 +93,25 @@ def test_extreme_merge_is_partition_independent():
 def test_andrica_below_one_to_1e6():
     for blk in gaps.pair_blocks(2, 10**6):
         assert np.all(np.sqrt(blk.q) - np.sqrt(blk.p) < 1.0)
+
+
+NEXT_PRIME_CASES = (
+    [2, 3, 7, 1327, 1294268491]  # 1327 and 1294268491 start maximal gaps
+    + [(1 << 21) + d for d in (-3, -1, 0, 1, 2, 3)]  # default segment span
+    + [2049, 2051, 4099, 4101]  # ends of 2048-wide segments
+    + [10**k for k in range(1, 13)]
+)
+
+
+@pytest.mark.parametrize("p", NEXT_PRIME_CASES)
+def test_next_prime_after_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    assert gaps._next_prime_after(p) == sympy.nextprime(p)
+
+
+def test_next_prime_after_widens_its_window(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    monkeypatch.setattr(gaps, "NEXT_PRIME_WINDOW", 1)
+    monkeypatch.setenv("PRIMEGAP_SEGMENT_BYTES", "1024")
+    for p in (2, 3, 7, 23, 113, 1327, 31397, 1294268491):
+        assert gaps._next_prime_after(p) == sympy.nextprime(p)

@@ -233,6 +233,40 @@ class TestCliExitCodes:
         assert err.startswith("error: ") and "2^63-1" in err
         assert peak < 1 << 20  # the squares alone would take 32 GB
 
+    def test_oppermann_below_int64_guard_stays_bounded(self, monkeypatch):
+        # one below the guard: a single chunk of every n once asked numpy
+        # for 22.6 GiB; the scan is cut short after one sieve segment
+        from primegaps import sieve
+
+        class Stop(Exception):
+            pass
+
+        blocks = sieve.prime_blocks
+
+        def first_segment_only(lo, hi):
+            yield next(blocks(lo, hi))
+            raise Stop
+
+        monkeypatch.setattr(sieve, "prime_blocks", first_segment_only)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                cli.main(["verify", "oppermann", "--limit", "3037000499"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
+
+    def test_crossover_past_2_53_refused(self, capsys):
+        code = cli.main(
+            ["crossover", "sqrt-vs-2log", "--hi", str(2**53 + 1)])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        code = cli.main(
+            ["monotone", "sqrt-over-log-squared", "--lo", "190",
+             "--hi", str(2**53 + 1)])
+        assert code == cli.EXIT_USAGE
+
     def test_crossover_threshold(self, capsys):
         code = cli.main(
             ["crossover", "two-n-plus-one-vs-4log2", "--lo", "2",

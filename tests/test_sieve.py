@@ -175,3 +175,20 @@ def test_pair_blocks_start_index_far_from_two():
     first = next(gaps.pair_blocks(10**9, 10**9 + 1000))
     assert first.n0 == sympy.primepi(10**9 - 1) + 1
     assert first.p[0] == sympy.nextprime(10**9 - 1)
+
+
+def test_prime_counts_at_sieves_from_the_smallest_value(monkeypatch):
+    monkeypatch.setenv("PRIMEGAP_SEGMENT_BYTES", "1024")  # 2048-wide blocks
+    starts = []
+    blocks = sieve.prime_blocks
+
+    def spy(lo, hi):
+        starts.append(lo)
+        return blocks(lo, hi)
+
+    monkeypatch.setattr(sieve, "prime_blocks", spy)
+    for values in ([3, 4, 5], [10_000, 19_999, 12_289, 12_289, 10_007],
+                   [4097, 2 * 2048 + 3, 9000, 8191, 8192]):
+        want = [pi_trial(v) for v in values]
+        assert sieve.prime_counts_at(values).tolist() == want
+        assert starts[-1] == min(values)
