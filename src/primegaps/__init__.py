@@ -29,8 +29,8 @@ from .conjectures import (
     find_smarandache_D_counterexample,
 )
 from .exponent_solver import ExponentSolution, max_exponent, min_exponent, solve_exponent
-from .gaps import ExtremeTracker, GapRecord, gap_stream, track_extremes
+from .gaps import ExtremeTracker, GapRecord
 from .panaitopol import CoefficientTable, PiApproxResult, coefficients, error_table, pi_approx
-from .sieve import IndexedPrime, PrimeRange, nth_prime, prime_count, primes_in
+from .sieve import IndexedPrime, PrimeRange, nth_prime, prime_count
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -174,10 +174,6 @@ class Predicate:
     fast: Callable[[np.ndarray], np.ndarray]   # vectorized margin
     strict: Callable[[int], "mp.mpf"]          # one-point high-precision margin
 
-    def verdict_at(self, n: int) -> Verdict:
-        fast = float(self.fast(np.array([n], dtype=np.float64))[0])
-        return decide(fast, lambda: self.strict(n), witness=(n,))
-
 
 def _mk_catalog() -> dict:
     preds = [
@@ -297,12 +293,11 @@ def crossover_scan(predicate, lo: int, hi: int) -> CrossoverResult:
     margins = pred.fast(ns)
     holds = margins > 0.0
     near = np.abs(margins) < FAST_REL_TOL
-    for i in np.flatnonzero(near):
-        v = pred.verdict_at(lo + int(i))
+    for i in np.flatnonzero(near).tolist():
+        n = lo + i
+        v = decide(float(margins[i]), lambda: pred.strict(n), witness=(n,))
         if v.status is Status.UNCERTAIN:
-            raise NoCrossoverError(
-                f"{pred.id}: undecidable margin at n={lo + int(i)}"
-            )
+            raise NoCrossoverError(f"{pred.id}: undecidable margin at n={n}")
         holds[i] = v.holds
     failures = np.flatnonzero(~holds)
     if failures.size == 0:

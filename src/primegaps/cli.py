@@ -2,15 +2,16 @@
 coefficients, with json, csv, and text output.
 
 Exit codes: 0 everything held (or informational command completed),
-1 a violation or counterexample was found, 2 usage or domain error
-(including a range too large to fit in memory), 3 incomplete or
-undecidable at strict precision.
+1 a violation or counterexample was found, 2 usage or domain error or any
+other failure that is not a verdict (including a range too large to fit
+in memory), 3 incomplete or undecidable at strict precision.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from . import bounds, conjectures, exponent_solver, panaitopol, report
 from .bounds import NoCrossoverError, Status
@@ -220,6 +221,12 @@ def main(argv=None) -> int:
         # e.g. numpy refusing an array for an oversized range: no verdict
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:
+        # any other failure is no verdict either, and exit 1 would claim
+        # a violation; the traceback shows where it came from
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return EXIT_USAGE
 
 

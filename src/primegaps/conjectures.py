@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
@@ -61,19 +60,6 @@ def _chunks(lo: int, hi: int, partitions: int):
     return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if a < b]
 
 
-# most values of n per interval-checker chunk, so that the chunk's arrays
-# stay a few MB whatever n_max is
-INTERVAL_CHUNK = 1 << 16
-
-
-def _bounded_chunks(lo: int, hi: int, partitions: int):
-    """The chunks of `_chunks`, each split into pieces of at most
-    INTERVAL_CHUNK values."""
-    for a, b in _chunks(lo, hi, partitions):
-        for s in range(a, b, INTERVAL_CHUNK):
-            yield s, min(s + INTERVAL_CHUNK, b)
-
-
 def _timed(report: ConjectureReport, t0: float) -> ConjectureReport:
     report.duration = time.perf_counter() - t0
     return report.finalize()
@@ -93,6 +79,38 @@ def _capture(out: list, blk: gaps.PairBlock, idx: np.ndarray, *lead) -> None:
 # interval conjectures (Legendre / Oppermann / Brocard); each checker refuses,
 # before allocating, an n_max whose interval ends would wrap in int64
 
+# most values of n per interval-checker chunk, so that the chunk's arrays
+# stay a few MB whatever n_max is
+INTERVAL_CHUNK = 1 << 16
+
+
+def _scan_intervals(report, lo, hi, partitions, edges, sides) -> list:
+    """Count the primes between interval ends for every n in [lo, hi).
+
+    `edges(ns)` returns the ends as a sequence of int64 arrays, one per
+    end, aligned with `ns`.  Each side (i, j, least, tag) counts the
+    primes in (end i, end j]; an n whose count is below `least` is a
+    violation (n, tag), and a side whose tag is None records only its
+    minimum.  Returns each side's least (count, n), ties to the smallest n.
+    """
+    best = [None] * len(sides)
+    for a, b in _chunks(lo, hi, partitions):
+        for s in range(a, b, INTERVAL_CHUNK):
+            ns = np.arange(s, min(s + INTERVAL_CHUNK, b), dtype=np.int64)
+            pi = sieve.prime_counts_at(np.concatenate(edges(ns)))
+            pi = pi.reshape(-1, ns.size)
+            for k, (i, j, least, tag) in enumerate(sides):
+                counts = pi[j] - pi[i]
+                if tag is not None:
+                    report.checked_count += ns.size
+                    report.violations.extend(
+                        (n, tag) for n in ns[counts < least].tolist())
+                m = int(np.argmin(counts))
+                cand = (int(counts[m]), int(ns[m]))
+                if best[k] is None or cand < best[k]:
+                    best[k] = cand
+    return best
+
 
 def check_legendre(n_max: int, partitions: int = 1) -> ConjectureReport:
     """At least one prime strictly between n^2 and (n+1)^2 for n in [1, n_max]."""
@@ -103,20 +121,11 @@ def check_legendre(n_max: int, partitions: int = 1) -> ConjectureReport:
             f"(n_max + 1)^2 exceeds 2^63-1 at n_max = {n_max}")
     t0 = time.perf_counter()
     report = ConjectureReport("legendre", f"n in [1, {n_max}]")
-    best = None  # (count, n) minimizing interval prime count
-    for a, b in _bounded_chunks(1, n_max + 1, partitions):
-        ns = np.arange(a, b + 1, dtype=np.int64)
-        pi = sieve.prime_counts_at(ns * ns)
-        counts = np.diff(pi)  # primes in (n^2, (n+1)^2]; (n+1)^2 never prime
-        report.checked_count += counts.size
-        for i in np.flatnonzero(counts < 1):
-            report.violations.append((int(ns[i]), "empty-interval"))
-        i = int(np.argmin(counts))
-        cand = (int(counts[i]), int(ns[i]))
-        if best is None or cand < best:
-            best = cand
-    report.extremes["min_interval_count"] = best[0]
-    report.extremes["min_interval_n"] = best[1]
+    # (n+1)^2 is never prime, so counting (n^2, (n+1)^2] is exact
+    (best,) = _scan_intervals(
+        report, 1, n_max + 1, partitions,
+        lambda ns: (ns * ns, (ns + 1) ** 2), [(0, 1, 1, "empty-interval")])
+    report.extremes.update(min_interval_count=best[0], min_interval_n=best[1])
     return _timed(report, t0)
 
 
@@ -129,32 +138,14 @@ def check_oppermann(n_max: int, partitions: int = 1) -> ConjectureReport:
             f"n_max^2 + n_max exceeds 2^63-1 at n_max = {n_max}")
     t0 = time.perf_counter()
     report = ConjectureReport("oppermann", f"n in [2, {n_max}]")
-    best_lo = best_hi = None
-    for a, b in _bounded_chunks(2, n_max + 1, partitions):
-        ns = np.arange(a, b, dtype=np.int64)
-        pi = sieve.prime_counts_at(
-            np.concatenate([ns * ns - ns, ns * ns, ns * ns + ns])
-        ).reshape(3, ns.size)
-        # open intervals: n^2 and n^2 +- n are composite for n >= 2 except
-        # the left endpoint 2 at n = 2, which pi() correctly excludes
-        below = pi[1] - pi[0]
-        above = pi[2] - pi[1]
-        report.checked_count += 2 * ns.size
-        for i in np.flatnonzero(below < 1):
-            report.violations.append((int(ns[i]), "below-square"))
-        for i in np.flatnonzero(above < 1):
-            report.violations.append((int(ns[i]), "above-square"))
-        for counts, side in ((below, "below"), (above, "above")):
-            i = int(np.argmin(counts))
-            cand = (int(counts[i]), int(ns[i]))
-            if side == "below":
-                if best_lo is None or cand < best_lo:
-                    best_lo = cand
-            else:
-                if best_hi is None or cand < best_hi:
-                    best_hi = cand
-    report.extremes["min_below_count"], report.extremes["min_below_n"] = best_lo
-    report.extremes["min_above_count"], report.extremes["min_above_n"] = best_hi
+    # open intervals: n^2 and n^2 +- n are composite for n >= 2 except
+    # the left endpoint 2 at n = 2, which pi() correctly excludes
+    below, above = _scan_intervals(
+        report, 2, n_max + 1, partitions,
+        lambda ns: (ns * ns - ns, ns * ns, ns * ns + ns),
+        [(0, 1, 1, "below-square"), (1, 2, 1, "above-square")])
+    report.extremes["min_below_count"], report.extremes["min_below_n"] = below
+    report.extremes["min_above_count"], report.extremes["min_above_n"] = above
     return _timed(report, t0)
 
 
@@ -172,80 +163,81 @@ def check_brocard(n_max: int, partitions: int = 1) -> ConjectureReport:
     report = ConjectureReport("brocard", f"prime index n in [2, {n_max}]")
     top = sieve.nth_prime(n_max + 1).value
     primes = np.concatenate(list(sieve.prime_blocks(2, top + 1)))
-    best = None
-    seg_min = [None] * 4
-    decompose_all = True
-    for a, b in _bounded_chunks(2, n_max + 1, partitions):
-        p = primes[a - 1 : b - 1]
-        p1 = primes[a:b]  # p_{n+1}
-        ns = np.arange(a, b, dtype=np.int64)
-        bounds_flat = np.concatenate(
-            [p * p, p * (p + 1), (p + 1) ** 2, (p + 1) * (p + 2),
-             (p + 2) ** 2, p1 * p1]
-        )
-        pi = sieve.prime_counts_at(bounds_flat).reshape(6, p.size)
-        counts = pi[5] - pi[0]  # primes in (p_n^2, p_{n+1}^2), both composite
-        report.checked_count += p.size
-        for i in np.flatnonzero(counts < 4):
-            report.violations.append((int(ns[i]), "fewer-than-four"))
-        i = int(np.argmin(counts))
-        cand = (int(counts[i]), int(ns[i]))
-        if best is None or cand < best:
-            best = cand
-        # decomposition applies when p_{n+1}^2 >= (p_n + 2)^2, i.e. always
-        # for n >= 2 (gap >= 2); verify rather than assume
-        decompose_all &= bool(np.all(p1 * p1 >= (p + 2) ** 2))
-        for s in range(4):
-            seg_counts = pi[s + 1] - pi[s]
-            j = int(np.argmin(seg_counts))
-            cand_s = (int(seg_counts[j]), int(ns[j]))
-            if seg_min[s] is None or cand_s < seg_min[s]:
-                seg_min[s] = cand_s
-    report.extremes["min_interval_count"] = best[0]
-    report.extremes["min_interval_n"] = best[1]
-    report.extremes["decomposition_applies_everywhere"] = decompose_all
-    for s, (cnt, n) in enumerate(seg_min):
+
+    def edges(ns):
+        p, p1 = primes[ns - 1], primes[ns]  # p_n, p_{n+1}
+        return (p * p, p * (p + 1), (p + 1) ** 2, (p + 1) * (p + 2),
+                (p + 2) ** 2, p1 * p1)
+
+    # p_{n+1}^2 is composite, so end 0 to end 5 is the open interval
+    sides = [(0, 5, 4, "fewer-than-four")]
+    sides += [(s, s + 1, 0, None) for s in range(4)]  # the four segments
+    best, *segments = _scan_intervals(
+        report, 2, n_max + 1, partitions, edges, sides)
+    report.extremes.update(min_interval_count=best[0], min_interval_n=best[1])
+    # the decomposition applies when p_{n+1}^2 >= (p_n + 2)^2, that is when
+    # p_{n+1} - p_n >= 2: always for n >= 2, but verified, not assumed
+    report.extremes["decomposition_applies_everywhere"] = bool(
+        np.all(np.diff(primes[1:]) >= 2))
+    for s, (cnt, n) in enumerate(segments):
         report.extremes[f"segment{s + 1}_min_count"] = cnt
         report.extremes[f"segment{s + 1}_min_n"] = n
     return _timed(report, t0)
 
 
 # ---------------------------------------------------------------------------
-# gap-bound conjectures over consecutive pairs
+# pair conjectures: each pair of consecutive primes p, q against a bound
 
 GAP_BOUNDS = ("andrica", "kourbatov", "firoozbakht", "cramer")
 KOURBATOV_FLOOR = 29  # p_10; the gap bound is asserted only from here
-# pairs per metric pass of check_gap_bounds: the pass's dozen float arrays
-# then stay in the core's cache and come from reused heap memory (on a
-# 2-vCPU Xeon this halved the time of a sieve block of ~1e5 pairs)
+# pairs per slice of a pair scan: a slice's dozen float arrays then stay in
+# the core's cache and come from reused heap memory (on a 2-vCPU Xeon this
+# halved the time of gap-bounds on a sieve block of ~1e5 pairs)
 PAIR_SLICE = 1 << 14
 
-
-def _strict_margin(bound: str, n: int, p: int, q: int) -> float:
-    with mp.workdps(STRICT_DPS):
-        if bound == "andrica":
-            return float(1 - (mp.sqrt(q) - mp.sqrt(p)))
-        if bound == "kourbatov":
-            lp = mp.log(p)
-            return float(lp**2 - lp - 1 - (q - p))
-        if bound == "cramer":
-            return float(mp.log(p) ** 2 - (q - p))
-        if bound == "firoozbakht":
-            return float((n + 1) * mp.log(p) - n * mp.log(q))
-    raise KeyError(bound)
+# strict margin of each gap bound at the pair (n, p, q); positive = holds
+_STRICT_GAP_MARGIN = {
+    "andrica": lambda n, p, q: 1 - (mp.sqrt(q) - mp.sqrt(p)),
+    "kourbatov": lambda n, p, q: mp.log(p) ** 2 - mp.log(p) - 1 - (q - p),
+    "cramer": lambda n, p, q: mp.log(p) ** 2 - (q - p),
+    "firoozbakht": lambda n, p, q: (n + 1) * mp.log(p) - n * mp.log(q),
+}
 
 
-def _settle_near(report, bound, blk, idx, scale):
-    """Re-decide near-threshold pairs at strict precision."""
-    for i in idx:
-        n = blk.n0 + int(i)
-        p, q = int(blk.p[i]), int(blk.q[i])
-        strict = _strict_margin(bound, n, p, q)
-        s = max(float(scale[i]) if scale is not None else 1.0, 1.0)
-        if abs(strict) < STRICT_REL_TOL * s:
-            report.uncertain.append((bound, n, p, q))
-        elif strict <= 0:
-            report.violations.append((bound, n, p, q))
+def _pair_slices(lo: int, hi: int, partitions: int):
+    """The pairs with lo <= p < hi, in PairBlocks of at most PAIR_SLICE."""
+    for a, b in _chunks(lo, hi, partitions):
+        for blk in gaps.pair_blocks(a, b):
+            for s in range(0, blk.p.size, PAIR_SLICE):
+                e = s + PAIR_SLICE
+                yield gaps.PairBlock(blk.n0 + s, blk.p[s:e], blk.q[s:e])
+
+
+def _settle(report, blk, margins, window, strict, lead=(), first=0,
+            scale=None) -> None:
+    """Record the pairs of `blk` from index `first` on whose fast margin
+    lies below `window` (a scalar or one value per pair).
+
+    A margin at or below -window is a clear violation.  One inside the
+    window is decided once more by m = strict(n, p, q) at STRICT_DPS: it is
+    uncertain if |m| < STRICT_REL_TOL * max(scale[i], 1), else a violation
+    if m <= 0.  Witnesses are (*lead, n, p, q).
+    """
+    window = np.broadcast_to(window, margins.shape)
+    hits = np.flatnonzero(margins[first:] < window[first:]) + first
+    if not hits.size:
+        return
+    near = np.abs(margins[hits]) < window[hits]
+    _capture(report.violations, blk, hits[~near], *lead)
+    for i in hits[near].tolist():
+        n, p, q = blk.n0 + i, int(blk.p[i]), int(blk.q[i])
+        with mp.workdps(STRICT_DPS):
+            m = float(strict(n, p, q))
+        s = max(float(scale[i]), 1.0) if scale is not None else 1.0
+        if abs(m) < STRICT_REL_TOL * s:
+            report.uncertain.append((*lead, n, p, q))
+        elif m <= 0:
+            report.violations.append((*lead, n, p, q))
 
 
 def check_gap_bounds(
@@ -269,12 +261,8 @@ def check_gap_bounds(
         "gap-bounds:" + ",".join(which), f"pairs with {start} <= p < {limit}"
     )
     tracker = gaps.ExtremeTracker()
-    for lo, hi in _chunks(start, limit, partitions):
-        for blk in gaps.pair_blocks(lo, hi):
-            for s in range(0, blk.p.size, PAIR_SLICE):
-                e = s + PAIR_SLICE
-                _check_block(report, tracker, gaps.PairBlock(
-                    blk.n0 + s, blk.p[s:e], blk.q[s:e]), which)
+    for blk in _pair_slices(start, limit, partitions):
+        _check_block(report, tracker, blk, which)
     report.extremes["max_cramer_ratio"] = tracker.max_cramer_ratio
     report.extremes["max_andrica"] = tracker.max_andrica
     report.extremes["max_gap"] = tracker.max_gap
@@ -330,20 +318,12 @@ def _check_block(report, tracker, blk, which) -> None:
             ns += 1.0
             margins = np.multiply(ns, log_p, out=ns)
             margins -= scale
-        if scale is None:
-            tol = np.broadcast_to(FAST_REL_TOL, size)
-        else:
-            tol = FAST_REL_TOL * np.maximum(scale, 1.0)
+        window = (FAST_REL_TOL if scale is None
+                  else FAST_REL_TOL * np.maximum(scale, 1.0))
         report.checked_count += size - first
         report.skipped_count += first
-        # margins below tol are either near the threshold, for the strict
-        # re-decision, or clear violations
-        hits = np.flatnonzero(margins[first:] < tol[first:]) + first
-        if hits.size:
-            m = margins[hits]
-            near = np.abs(m) < tol[hits]
-            _settle_near(report, bound, blk, hits[near], scale)
-            _capture(report.violations, blk, hits[~near & (m <= 0.0)], bound)
+        _settle(report, blk, margins, window, _STRICT_GAP_MARGIN[bound],
+                (bound,), first, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -367,37 +347,24 @@ def check_shanks_trend(limit: int, window: int) -> list[TrendRow]:
     if window < 100:
         raise ValueError("window must be >= 100")
     rows: list[TrendRow] = []
-    buf: list[np.ndarray] = []
-    buffered = 0
-    first_n = 1
-    widx = 0
-
-    def flush(chunk: np.ndarray, first: int):
-        nonlocal widx
-        rows.append(
-            TrendRow(
-                window_index=widx,
-                first_n=first,
-                last_n=first + chunk.size - 1,
-                mean=float(chunk.mean()),
-                min=float(chunk.min()),
-                max=float(chunk.max()),
-            )
-        )
-        widx += 1
-
+    carry = np.empty(0)  # ratios of the pairs not yet in a full window
     for blk in gaps.pair_blocks(2, limit):
         gap = (blk.q - blk.p).astype(np.float64)
         ratios = gap / np.log(blk.p.astype(np.float64)) ** 2
-        buf.append(ratios)
-        buffered += ratios.size
-        while buffered >= window:
-            joined = np.concatenate(buf)
-            flush(joined[:window], first_n)
-            first_n += window
-            rest = joined[window:]
-            buf = [rest] if rest.size else []
-            buffered = rest.size
+        ratios = np.concatenate((carry, ratios))
+        full = ratios.size - ratios.size % window
+        for s in range(0, full, window):
+            chunk = ratios[s : s + window]
+            first_n = len(rows) * window + 1
+            rows.append(TrendRow(
+                window_index=len(rows),
+                first_n=first_n,
+                last_n=first_n + window - 1,
+                mean=float(chunk.mean()),
+                min=float(chunk.min()),
+                max=float(chunk.max()),
+            ))
+        carry = ratios[full:]
     return rows
 
 
@@ -410,41 +377,35 @@ def check_shanks_trend(limit: int, window: int) -> list[TrendRow]:
 POW_DIFF_REL_ERR = 8 * 2.0**-52
 
 
+def _pow_window(q_e: np.ndarray) -> np.ndarray:
+    """Fast-path window of a margin holding q^e - p^e: its binary64 error
+    bound, or FAST_REL_TOL where that is larger."""
+    return np.maximum(FAST_REL_TOL, POW_DIFF_REL_ERR * q_e)
+
+
 def _scan_power_gap(
     report: ConjectureReport,
     limit: int,
     partitions: int,
     e: float,
     bound: float,
-    strict_margin: Callable[[int, int], mp.mpf],
+    strict_margin: Callable[[int, int, int], mp.mpf],
 ) -> None:
     """Check q^e - p^e < bound on every pair with p < limit.
 
-    The fast margin bound - (q^e - p^e) is re-decided by `strict_margin(p, q)`
-    at STRICT_DPS wherever it lies within the binary64 error of q^e, the
-    larger term, or within FAST_REL_TOL.
+    The fast margin bound - (q^e - p^e) is re-decided by
+    `strict_margin(n, p, q)` at STRICT_DPS inside `_pow_window`.
     """
     worst = None  # (-value, n, p, q): max of q^e - p^e
-    for lo, hi in _chunks(2, limit, partitions):
-        for blk in gaps.pair_blocks(lo, hi):
-            q_e = blk.q**e
-            vals = q_e - blk.p**e
-            margins = bound - vals
-            report.checked_count += vals.size
-            tol = np.maximum(FAST_REL_TOL, POW_DIFF_REL_ERR * q_e)
-            for i in np.flatnonzero(np.abs(margins) < tol):
-                p, q = int(blk.p[i]), int(blk.q[i])
-                with mp.workdps(STRICT_DPS):
-                    strict = float(strict_margin(p, q))
-                if abs(strict) < STRICT_REL_TOL:
-                    report.uncertain.append((blk.n0 + int(i), p, q))
-                    strict = 1.0  # undecided: neither held nor violated
-                margins[i] = strict
-            _capture(report.violations, blk, np.flatnonzero(margins <= 0.0))
-            i = int(np.argmax(vals))
-            cand = (-float(vals[i]), blk.n0 + i, int(blk.p[i]), int(blk.q[i]))
-            if worst is None or cand < worst:
-                worst = cand
+    for blk in _pair_slices(2, limit, partitions):
+        q_e = blk.q**e
+        vals = q_e - blk.p**e
+        report.checked_count += vals.size
+        _settle(report, blk, bound - vals, _pow_window(q_e), strict_margin)
+        i = int(np.argmax(vals))
+        cand = (-float(vals[i]), blk.n0 + i, int(blk.p[i]), int(blk.q[i]))
+        if worst is None or cand < worst:
+            worst = cand
     report.extremes["max_value"] = -worst[0]
     report.extremes["max_value_pair"] = worst[1:]
 
@@ -455,12 +416,13 @@ def check_smarandache_B(
     """q^a - p^a < 1 for every pair with p < limit, for a fixed exponent a."""
     if not 0.0 < a < 1.0:
         raise ValueError(f"exponent must lie in (0, 1), got {a}")
+    a = float(a)  # a numpy float's repr is not an mpf literal
     t0 = time.perf_counter()
     report = ConjectureReport("smarandache-b", f"pairs with p < {limit}, a={a!r}")
     a_mp = mp.mpf(repr(a))
     _scan_power_gap(
         report, limit, partitions, a, 1.0,
-        lambda p, q: 1 - (mp.power(q, a_mp) - mp.power(p, a_mp)),
+        lambda n, p, q: 1 - (mp.power(q, a_mp) - mp.power(p, a_mp)),
     )
     return _timed(report, t0)
 
@@ -475,7 +437,7 @@ def check_smarandache_C(
     report = ConjectureReport("smarandache-c", f"pairs with p < {limit}, k={k}")
     _scan_power_gap(
         report, limit, partitions, 1.0 / k, 2.0 / k,
-        lambda p, q: mp.mpf(2) / k - (mp.root(q, k) - mp.root(p, k)),
+        lambda n, p, q: mp.mpf(2) / k - (mp.root(q, k) - mp.root(p, k)),
     )
     return _timed(report, t0)
 
@@ -499,26 +461,28 @@ def find_smarandache_D_counterexample(
 ) -> Optional[DWitness]:
     """Least index n >= n_start with q^a - p^a >= 1/n, or None below the cap.
 
-    The witness is re-verified at strict precision before being returned.
+    Every pair whose fast margin 1/n - (q^a - p^a) lies below `_pow_window`
+    is decided at strict precision, in index order.
     """
     if not 0.0 < a < 1.0:
         raise ValueError(f"exponent must lie in (0, 1), got {a}")
     if n_start < 1:
         raise ValueError("n_start must be >= 1")
+    a = float(a)  # a numpy float's repr is not an mpf literal
     p0 = sieve.nth_prime(n_start).value
     a_mp = mp.mpf(repr(a))
     # scan in widening spans so small witnesses stay cheap
     span = 10**4
     lo = p0
     while True:
-        for blk in gaps.pair_blocks(lo, lo + span):
+        for blk in _pair_slices(lo, lo + span, 1):
             if blk.n0 > cap:
                 return None
             ns = blk.n0 + np.arange(blk.p.size)
-            vals = blk.q**a - blk.p**a
-            hits = np.flatnonzero(vals >= 1.0 / ns)
-            for i in hits:
-                n, p, q = int(ns[i]), int(blk.p[i]), int(blk.q[i])
+            q_a = blk.q**a
+            margins = 1.0 / ns - (q_a - blk.p**a)
+            for i in np.flatnonzero(margins < _pow_window(q_a)).tolist():
+                n, p, q = blk.n0 + i, int(blk.p[i]), int(blk.q[i])
                 if n > cap:
                     return None
                 with mp.workdps(STRICT_DPS):
@@ -536,15 +500,14 @@ def check_smarandache_ratio(limit: int, partitions: int = 1) -> ConjectureReport
     t0 = time.perf_counter()
     report = ConjectureReport("smarandache-ratio", f"pairs with p < {limit}")
     best: Optional[tuple] = None  # (n, p, q) of the exact max ratio
-    for lo, hi in _chunks(2, limit, partitions):
-        for blk in gaps.pair_blocks(lo, hi):
-            report.checked_count += blk.p.size
-            _capture(report.violations, blk,
-                     np.flatnonzero(3 * blk.q > 5 * blk.p))
-            i = int(np.argmax(blk.q / blk.p))
-            cand = (blk.n0 + i, int(blk.p[i]), int(blk.q[i]))
-            if best is None or _ratio_beats(cand, best):
-                best = cand
+    for blk in _pair_slices(2, limit, partitions):
+        report.checked_count += blk.p.size
+        # the integer margin 5p - 3q is exact: no pair is near-threshold
+        _settle(report, blk, 5 * blk.p - 3 * blk.q, 0, None)
+        i = int(np.argmax(blk.q / blk.p))
+        cand = (blk.n0 + i, int(blk.p[i]), int(blk.q[i]))
+        if best is None or _ratio_beats(cand, best):
+            best = cand
     report.extremes["max_ratio_pair"] = best
     report.extremes["max_ratio_exact"] = f"{best[2]}/{best[1]}"
     return _timed(report, t0)

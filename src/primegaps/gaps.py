@@ -74,8 +74,6 @@ def pair_blocks(lo: int, hi: int) -> Iterator[PairBlock]:
     for block in sieve.prime_blocks(rng.lo, rng.hi):
         if carry is not None:
             block = np.concatenate(([carry], block))
-        else:
-            block = block
         if block.size >= 2:
             yield PairBlock(n0=n0, p=block[:-1], q=block[1:])
             n0 += block.size - 1
@@ -101,13 +99,6 @@ def _next_prime_after(p: int) -> int:
         if hi == cap:
             raise RuntimeError(f"no prime found after {p}")
         width *= 2
-
-
-def gap_stream(lo: int, hi: int) -> Iterator[GapRecord]:
-    """One GapRecord per consecutive pair (p, q) with lo <= p < hi."""
-    for blk in pair_blocks(lo, hi):
-        for i in range(blk.p.size):
-            yield GapRecord.from_pair(blk.n0 + i, int(blk.p[i]), int(blk.q[i]))
 
 
 @dataclass
@@ -145,23 +136,19 @@ class ExtremeTracker:
         return out
 
     def observe_block(
-        self,
-        blk: PairBlock,
-        metrics: Optional[Mapping[str, np.ndarray]] = None,
+        self, blk: PairBlock, metrics: Mapping[str, np.ndarray]
     ) -> None:
         """Observe every pair of `blk`.
 
-        `metrics` maps a metric name to its values, already computed by the
-        caller, so they are not computed again.  An array shorter than the
-        block holds the values of its last pairs only, and only those pairs
-        are observed for that metric; an empty array skips the metric.
+        `metrics` maps each metric name to its values, already computed by
+        the caller.  An array shorter than the block holds the values of its
+        last pairs only, and only those pairs are observed for that metric;
+        an empty array skips the metric.
         """
         records: dict[int, GapRecord] = {}  # one record per observed pair
         for metric in self._METRICS:
-            values = metrics.get(metric) if metrics is not None else None
-            if values is None:
-                values = _block_metric(blk, metric)
-            elif not values.size:
+            values = metrics[metric]
+            if not values.size:
                 continue
             offset = blk.p.size - values.size
             # observe every index tied (to float fuzz) with the block max so
@@ -175,31 +162,8 @@ class ExtremeTracker:
                 self.observe(records[j], (metric,))
 
 
-def _block_metric(blk: PairBlock, metric: str) -> np.ndarray:
-    gap = blk.q - blk.p
-    if metric == "gap":
-        return gap
-    p = blk.p.astype(np.float64)
-    if metric == "cramer_ratio":
-        return gap / np.log(p) ** 2
-    q = blk.q.astype(np.float64)
-    if metric == "andrica":
-        return np.sqrt(q) - np.sqrt(p)
-    return q / p  # ratio
-
-
 def _beats(a: GapRecord, b: GapRecord, metric: str) -> bool:
     va, vb = getattr(a, metric), getattr(b, metric)
     if va != vb:
         return va > vb
     return a.n < b.n
-
-
-def track_extremes(limit: int) -> ExtremeTracker:
-    """Extremes of every gap metric over all pairs with p < limit."""
-    if limit < 3:
-        raise ValueError("limit must be >= 3 (need at least the pair (2, 3))")
-    tracker = ExtremeTracker()
-    for blk in pair_blocks(2, limit):
-        tracker.observe_block(blk)
-    return tracker

@@ -116,12 +116,6 @@ def prime_blocks(lo: int, hi: int) -> Iterator[np.ndarray]:
             yield block
 
 
-def primes_in(lo: int, hi: int) -> Iterator[int]:
-    """Stream the primes p with lo <= p < hi in ascending order."""
-    for block in prime_blocks(lo, hi):
-        yield from (int(p) for p in block)
-
-
 def prime_count(x: int) -> int:
     """Exact pi(x): the number of primes <= x, in O(x^(3/4)) time and
     O(sqrt x) memory.

@@ -188,6 +188,11 @@ class TestSmarandacheB:
         with pytest.raises(ValueError):
             cj.check_smarandache_B(100, 1.5)
 
+    def test_numpy_float_exponent(self):
+        got = normalized(cj.check_smarandache_B(1000, np.float64(0.85)))
+        assert got == normalized(cj.check_smarandache_B(1000, 0.85))
+        assert got.range == "pairs with p < 1000, a=0.85"
+
     def test_agrees_with_andrica_checker(self):
         b = cj.check_smarandache_B(10**5, 0.5)
         a = cj.check_gap_bounds(10**5, which=("andrica",))
@@ -259,6 +264,32 @@ class TestSmarandacheD:
         w2 = cj.find_smarandache_D_counterexample(0.4, w1.n + 1)
         assert w2.n > w1.n
 
+    def test_fast_margin_inside_float_error_is_escalated(self, monkeypatch):
+        # binary64 gives n = 1000 a margin 1/n - (q^a - p^a) of +6.9e-11; at
+        # 50 digits it is -6.7e-18, so n = 1000 is the least witness, not
+        # the clear failure at n = 1001
+        a = 0.6537301645351674
+        p, q = 10**9 + 7, 10**9 + 9
+        with mp.workdps(50):
+            a_mp = mp.mpf(repr(a))
+            exact = mp.mpf(1) / 1000 - (mp.power(q, a_mp) - mp.power(p, a_mp))
+        assert -1e-17 < exact < 0
+        blk = gaps.PairBlock(1000, np.array([p, 3 * 10**9]),
+                             np.array([q, 4 * 10**9]))
+        fast = 1.0 / np.array([1000.0, 1001.0]) - (blk.q**a - blk.p**a)
+        assert fast[0] > 6e-11 and fast[1] < 0
+
+        def one_block(lo, hi):
+            yield blk
+
+        monkeypatch.setattr(gaps, "pair_blocks", one_block)
+        w = cj.find_smarandache_D_counterexample(a)
+        assert (w.n, w.p, w.q) == (1000, p, q)
+
+    def test_numpy_float_exponent(self):
+        w = cj.find_smarandache_D_counterexample(np.float64(0.4))
+        assert w == cj.find_smarandache_D_counterexample(0.4)
+
 
 class TestSmarandacheRatio:
     def test_maximum_is_exactly_5_over_3(self):
@@ -310,6 +341,22 @@ def _reference_observe_block(tracker, blk):
                 blk.n0 + int(i), int(blk.p[i]), int(blk.q[i])))
 
 
+def _reference_strict_margin(bound, n, p, q):
+    # each gap bound's margin at STRICT_DPS, kept here so that the reference
+    # does not share the strict margins of the code under test
+    with mp.workdps(cj.STRICT_DPS):
+        if bound == "andrica":
+            return float(1 - (mp.sqrt(q) - mp.sqrt(p)))
+        if bound == "kourbatov":
+            lp = mp.log(p)
+            return float(lp**2 - lp - 1 - (q - p))
+        if bound == "cramer":
+            return float(mp.log(p) ** 2 - (q - p))
+        if bound == "firoozbakht":
+            return float((n + 1) * mp.log(p) - n * mp.log(q))
+    raise KeyError(bound)
+
+
 def reference_gap_bounds(limit, which=cj.GAP_BOUNDS, partitions=1, start=2):
     """check_gap_bounds before the single metric pass: a second tracker for
     the pairs from p = 29 on, metrics recomputed per tracker and per bound,
@@ -354,7 +401,7 @@ def reference_gap_bounds(limit, which=cj.GAP_BOUNDS, partitions=1, start=2):
                     np.maximum(scale, 1.0) if scale is not None else 1.0)
                 for i in np.flatnonzero(mask & (np.abs(margins) < tol)):
                     n, pi, qi = blk.n0 + int(i), int(blk.p[i]), int(blk.q[i])
-                    strict = cj._strict_margin(bound, n, pi, qi)
+                    strict = _reference_strict_margin(bound, n, pi, qi)
                     s = max(float(scale[i]) if scale is not None else 1.0, 1.0)
                     if abs(strict) < cj.STRICT_REL_TOL * s:
                         report.uncertain.append((bound, n, pi, qi))

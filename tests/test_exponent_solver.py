@@ -101,7 +101,8 @@ class TestScans:
         # p (a fixed gap of 2 forces x toward 1 as p grows)
         from primegaps import sieve
 
-        primes = set(sieve.primes_in(2, 10**5 + 3))
+        blocks = sieve.prime_blocks(2, 10**5 + 3)
+        primes = set(np.concatenate(list(blocks)).tolist())
         twins = sorted((p, p + 2) for p in primes if p + 2 in primes)
         sampled = twins[::97] + [twins[-1]]
         xs = [es.solve_exponent(p, q).x for p, q in sampled]

@@ -3,12 +3,32 @@ import math
 import numpy as np
 import pytest
 
+from primegaps import conjectures as cj
 from primegaps import gaps
 from conftest import primes_trial
 
 
 def records(lo, hi):
-    return list(gaps.gap_stream(lo, hi))
+    """One GapRecord per consecutive pair (p, q) with lo <= p < hi."""
+    return [gaps.GapRecord.from_pair(blk.n0 + i, p, q)
+            for blk in gaps.pair_blocks(lo, hi)
+            for i, (p, q) in enumerate(zip(blk.p.tolist(), blk.q.tolist()))]
+
+
+def block_metrics(blk):
+    """Every metric of every pair of `blk`, for ExtremeTracker.observe_block."""
+    p = blk.p.astype(np.float64)
+    q = blk.q.astype(np.float64)
+    gap = blk.q - blk.p
+    return {"gap": gap, "cramer_ratio": gap / np.log(p) ** 2,
+            "andrica": np.sqrt(q) - np.sqrt(p), "ratio": q / p}
+
+
+def tracked(lo, hi):
+    tracker = gaps.ExtremeTracker()
+    for blk in gaps.pair_blocks(lo, hi):
+        tracker.observe_block(blk, block_metrics(blk))
+    return tracker
 
 
 def test_gap_stream_small_range():
@@ -63,26 +83,22 @@ def test_lookahead_crosses_segment_boundary(monkeypatch):
 
 
 def test_track_extremes_small_limits():
-    t = gaps.track_extremes(100)
-    assert (t.max_andrica.p, t.max_andrica.q) == (7, 11)
+    t = cj.check_gap_bounds(100).extremes
+    assert (t["max_andrica"].p, t["max_andrica"].q) == (7, 11)
 
-    t = gaps.track_extremes(10)
-    assert (t.max_ratio.p, t.max_ratio.q) == (3, 5)
-    assert t.max_ratio.ratio == 5 / 3
+    t = cj.check_gap_bounds(10).extremes
+    assert (t["max_ratio"].p, t["max_ratio"].q) == (3, 5)
+    assert t["max_ratio"].ratio == 5 / 3
 
-    t = gaps.track_extremes(3)
+    t = tracked(2, 3)
     assert (t.max_gap.p, t.max_gap.q) == (2, 3)
     assert t.max_gap is t.max_andrica is t.max_ratio is t.max_cramer_ratio
 
 
 def test_extreme_merge_is_partition_independent():
-    whole = gaps.track_extremes(20000)
-    left = gaps.ExtremeTracker()
-    right = gaps.ExtremeTracker()
-    for blk in gaps.pair_blocks(2, 7000):
-        left.observe_block(blk)
-    for blk in gaps.pair_blocks(7000, 20000):
-        right.observe_block(blk)
+    whole = tracked(2, 20000)
+    left = tracked(2, 7000)
+    right = tracked(7000, 20000)
     for field in ("max_gap", "max_cramer_ratio", "max_andrica", "max_ratio"):
         merged = left.merge(right)
         assert getattr(merged, field) == getattr(whole, field)

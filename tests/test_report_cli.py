@@ -221,6 +221,22 @@ class TestCliExitCodes:
         assert code == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: out of memory")
 
+    def test_overflow_is_not_a_verdict(self, capsys):
+        # q does not fit in a float, so math.pow overflows
+        code = cli.main(["solve", "pair", "--p", "2", "--q", str(10**400)])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: OverflowError: ")
+
+    def test_runtime_error_is_not_a_verdict(self, monkeypatch, capsys):
+        def no_root(p, q):
+            raise RuntimeError(f"no sign change found for pair ({p}, {q})")
+
+        monkeypatch.setattr(exponent_solver, "solve_exponent", no_root)
+        code = cli.main(["solve", "pair", "--p", "7", "--q", "11"])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            "error: RuntimeError: no sign change found for pair (7, 11)\n")
+
     def test_legendre_past_int64_refused_without_allocating(self, capsys):
         tracemalloc.start()
         try:
@@ -238,7 +254,7 @@ class TestCliExitCodes:
         # for 22.6 GiB; the scan is cut short after one sieve segment
         from primegaps import sieve
 
-        class Stop(Exception):
+        class Stop(BaseException):  # cli.main turns an Exception into exit 2
             pass
 
         blocks = sieve.prime_blocks
