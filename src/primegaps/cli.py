@@ -61,7 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="first prime index for smarandache-d")
     p.add_argument("--window", type=int, default=10**4,
                    help="window size for shanks-trend")
-    p.add_argument("--partitions", type=int, default=1)
 
     p = sub.add_parser("crossover", parents=[common],
                        help="find the least threshold from which a "
@@ -115,11 +114,11 @@ def _report_exit(rep: conjectures.ConjectureReport) -> int:
 def _run_verify(args) -> int:
     name = args.conjecture
     if name == "legendre":
-        rep = conjectures.check_legendre(args.limit, args.partitions)
+        rep = conjectures.check_legendre(args.limit)
     elif name == "oppermann":
-        rep = conjectures.check_oppermann(args.limit, args.partitions)
+        rep = conjectures.check_oppermann(args.limit)
     elif name == "brocard":
-        rep = conjectures.check_brocard(args.limit, args.partitions)
+        rep = conjectures.check_brocard(args.limit)
     elif name in ("andrica", "kourbatov", "firoozbakht", "cramer",
                   "gap-bounds"):
         which = conjectures.GAP_BOUNDS if name == "gap-bounds" else (name,)
@@ -132,17 +131,13 @@ def _run_verify(args) -> int:
                 " not checked",
                 file=sys.stderr,
             )
-        rep = conjectures.check_gap_bounds(
-            args.limit, which, args.partitions, start=start
-        )
+        rep = conjectures.check_gap_bounds(args.limit, which, start=start)
     elif name == "smarandache-ratio":
-        rep = conjectures.check_smarandache_ratio(args.limit, args.partitions)
+        rep = conjectures.check_smarandache_ratio(args.limit)
     elif name == "smarandache-b":
-        rep = conjectures.check_smarandache_B(args.limit, args.a,
-                                              args.partitions)
+        rep = conjectures.check_smarandache_B(args.limit, args.a)
     elif name == "smarandache-c":
-        rep = conjectures.check_smarandache_C(args.limit, args.k,
-                                              args.partitions)
+        rep = conjectures.check_smarandache_C(args.limit, args.k)
     elif name == "smarandache-d":
         witness = conjectures.find_smarandache_D_counterexample(
             args.a, args.n_start

@@ -1,8 +1,4 @@
-"""Range-scanning checkers, one per conjecture, producing ConjectureReports.
-
-All checkers accept a `partitions` argument and merge per-chunk partial
-results associatively, so the report is identical for any partition count.
-"""
+"""Range-scanning checkers, one per conjecture, producing ConjectureReports."""
 
 from __future__ import annotations
 
@@ -51,15 +47,6 @@ class ConjectureReport:
         return self
 
 
-def _chunks(lo: int, hi: int, partitions: int):
-    """Split [lo, hi) into `partitions` contiguous non-empty chunks."""
-    if partitions < 1:
-        raise ValueError("partitions must be >= 1")
-    partitions = min(partitions, hi - lo)
-    edges = np.linspace(lo, hi, partitions + 1, dtype=np.int64)
-    return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if a < b]
-
-
 def _timed(report: ConjectureReport, t0: float) -> ConjectureReport:
     report.duration = time.perf_counter() - t0
     return report.finalize()
@@ -84,7 +71,7 @@ def _capture(out: list, blk: gaps.PairBlock, idx: np.ndarray, *lead) -> None:
 INTERVAL_CHUNK = 1 << 16
 
 
-def _scan_intervals(report, lo, hi, partitions, edges, sides) -> list:
+def _scan_intervals(report, lo, hi, edges, sides) -> list:
     """Count the primes between interval ends for every n in [lo, hi).
 
     `edges(ns)` returns the ends as a sequence of int64 arrays, one per
@@ -94,25 +81,24 @@ def _scan_intervals(report, lo, hi, partitions, edges, sides) -> list:
     minimum.  Returns each side's least (count, n), ties to the smallest n.
     """
     best = [None] * len(sides)
-    for a, b in _chunks(lo, hi, partitions):
-        for s in range(a, b, INTERVAL_CHUNK):
-            ns = np.arange(s, min(s + INTERVAL_CHUNK, b), dtype=np.int64)
-            pi = sieve.prime_counts_at(np.concatenate(edges(ns)))
-            pi = pi.reshape(-1, ns.size)
-            for k, (i, j, least, tag) in enumerate(sides):
-                counts = pi[j] - pi[i]
-                if tag is not None:
-                    report.checked_count += ns.size
-                    report.violations.extend(
-                        (n, tag) for n in ns[counts < least].tolist())
-                m = int(np.argmin(counts))
-                cand = (int(counts[m]), int(ns[m]))
-                if best[k] is None or cand < best[k]:
-                    best[k] = cand
+    for s in range(lo, hi, INTERVAL_CHUNK):
+        ns = np.arange(s, min(s + INTERVAL_CHUNK, hi), dtype=np.int64)
+        pi = sieve.prime_counts_at(np.concatenate(edges(ns)))
+        pi = pi.reshape(-1, ns.size)
+        for k, (i, j, least, tag) in enumerate(sides):
+            counts = pi[j] - pi[i]
+            if tag is not None:
+                report.checked_count += ns.size
+                report.violations.extend(
+                    (n, tag) for n in ns[counts < least].tolist())
+            m = int(np.argmin(counts))
+            cand = (int(counts[m]), int(ns[m]))
+            if best[k] is None or cand < best[k]:
+                best[k] = cand
     return best
 
 
-def check_legendre(n_max: int, partitions: int = 1) -> ConjectureReport:
+def check_legendre(n_max: int) -> ConjectureReport:
     """At least one prime strictly between n^2 and (n+1)^2 for n in [1, n_max]."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -123,13 +109,13 @@ def check_legendre(n_max: int, partitions: int = 1) -> ConjectureReport:
     report = ConjectureReport("legendre", f"n in [1, {n_max}]")
     # (n+1)^2 is never prime, so counting (n^2, (n+1)^2] is exact
     (best,) = _scan_intervals(
-        report, 1, n_max + 1, partitions,
+        report, 1, n_max + 1,
         lambda ns: (ns * ns, (ns + 1) ** 2), [(0, 1, 1, "empty-interval")])
     report.extremes.update(min_interval_count=best[0], min_interval_n=best[1])
     return _timed(report, t0)
 
 
-def check_oppermann(n_max: int, partitions: int = 1) -> ConjectureReport:
+def check_oppermann(n_max: int) -> ConjectureReport:
     """Primes in both (n^2 - n, n^2) and (n^2, n^2 + n) for n in [2, n_max]."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
@@ -141,7 +127,7 @@ def check_oppermann(n_max: int, partitions: int = 1) -> ConjectureReport:
     # open intervals: n^2 and n^2 +- n are composite for n >= 2 except
     # the left endpoint 2 at n = 2, which pi() correctly excludes
     below, above = _scan_intervals(
-        report, 2, n_max + 1, partitions,
+        report, 2, n_max + 1,
         lambda ns: (ns * ns - ns, ns * ns, ns * ns + ns),
         [(0, 1, 1, "below-square"), (1, 2, 1, "above-square")])
     report.extremes["min_below_count"], report.extremes["min_below_n"] = below
@@ -149,7 +135,7 @@ def check_oppermann(n_max: int, partitions: int = 1) -> ConjectureReport:
     return _timed(report, t0)
 
 
-def check_brocard(n_max: int, partitions: int = 1) -> ConjectureReport:
+def check_brocard(n_max: int) -> ConjectureReport:
     """At least four primes between p_n^2 and p_{n+1}^2 for prime index
     n in [2, n_max]; also audits the four-segment decomposition whose
     boundaries are p_n^2, p_n(p_n+1), (p_n+1)^2, (p_n+1)(p_n+2), (p_n+2)^2.
@@ -172,8 +158,7 @@ def check_brocard(n_max: int, partitions: int = 1) -> ConjectureReport:
     # p_{n+1}^2 is composite, so end 0 to end 5 is the open interval
     sides = [(0, 5, 4, "fewer-than-four")]
     sides += [(s, s + 1, 0, None) for s in range(4)]  # the four segments
-    best, *segments = _scan_intervals(
-        report, 2, n_max + 1, partitions, edges, sides)
+    best, *segments = _scan_intervals(report, 2, n_max + 1, edges, sides)
     report.extremes.update(min_interval_count=best[0], min_interval_n=best[1])
     # the decomposition applies when p_{n+1}^2 >= (p_n + 2)^2, that is when
     # p_{n+1} - p_n >= 2: always for n >= 2, but verified, not assumed
@@ -204,13 +189,12 @@ _STRICT_GAP_MARGIN = {
 }
 
 
-def _pair_slices(lo: int, hi: int, partitions: int):
+def _pair_slices(lo: int, hi: int):
     """The pairs with lo <= p < hi, in PairBlocks of at most PAIR_SLICE."""
-    for a, b in _chunks(lo, hi, partitions):
-        for blk in gaps.pair_blocks(a, b):
-            for s in range(0, blk.p.size, PAIR_SLICE):
-                e = s + PAIR_SLICE
-                yield gaps.PairBlock(blk.n0 + s, blk.p[s:e], blk.q[s:e])
+    for blk in gaps.pair_blocks(lo, hi):
+        for s in range(0, blk.p.size, PAIR_SLICE):
+            e = s + PAIR_SLICE
+            yield gaps.PairBlock(blk.n0 + s, blk.p[s:e], blk.q[s:e])
 
 
 def _settle(report, blk, margins, window, strict, lead=(), first=0,
@@ -241,10 +225,7 @@ def _settle(report, blk, margins, window, strict, lead=(), first=0,
 
 
 def check_gap_bounds(
-    limit: int,
-    which: Iterable[str] = GAP_BOUNDS,
-    partitions: int = 1,
-    start: int = 2,
+    limit: int, which: Iterable[str] = GAP_BOUNDS, *, start: int = 2
 ) -> ConjectureReport:
     """Verify the selected gap bounds on every pair with start <= p < limit.
 
@@ -256,12 +237,14 @@ def check_gap_bounds(
         raise ValueError(f"no valid bounds selected; known: {GAP_BOUNDS}")
     if limit < 5:
         raise ValueError("limit must be >= 5")
+    if start >= limit:
+        raise ValueError(f"start must be < limit, got {start} >= {limit}")
     t0 = time.perf_counter()
     report = ConjectureReport(
         "gap-bounds:" + ",".join(which), f"pairs with {start} <= p < {limit}"
     )
     tracker = gaps.ExtremeTracker()
-    for blk in _pair_slices(start, limit, partitions):
+    for blk in _pair_slices(start, limit):
         _check_block(report, tracker, blk, which)
     report.extremes["max_cramer_ratio"] = tracker.max_cramer_ratio
     report.extremes["max_andrica"] = tracker.max_andrica
@@ -386,7 +369,6 @@ def _pow_window(q_e: np.ndarray) -> np.ndarray:
 def _scan_power_gap(
     report: ConjectureReport,
     limit: int,
-    partitions: int,
     e: float,
     bound: float,
     strict_margin: Callable[[int, int, int], mp.mpf],
@@ -397,7 +379,7 @@ def _scan_power_gap(
     `strict_margin(n, p, q)` at STRICT_DPS inside `_pow_window`.
     """
     worst = None  # (-value, n, p, q): max of q^e - p^e
-    for blk in _pair_slices(2, limit, partitions):
+    for blk in _pair_slices(2, limit):
         q_e = blk.q**e
         vals = q_e - blk.p**e
         report.checked_count += vals.size
@@ -410,10 +392,10 @@ def _scan_power_gap(
     report.extremes["max_value_pair"] = worst[1:]
 
 
-def check_smarandache_B(
-    limit: int, a: float, partitions: int = 1
-) -> ConjectureReport:
+def check_smarandache_B(limit: int, a: float) -> ConjectureReport:
     """q^a - p^a < 1 for every pair with p < limit, for a fixed exponent a."""
+    if limit < 3:
+        raise ValueError("limit must be >= 3")
     if not 0.0 < a < 1.0:
         raise ValueError(f"exponent must lie in (0, 1), got {a}")
     a = float(a)  # a numpy float's repr is not an mpf literal
@@ -421,22 +403,22 @@ def check_smarandache_B(
     report = ConjectureReport("smarandache-b", f"pairs with p < {limit}, a={a!r}")
     a_mp = mp.mpf(repr(a))
     _scan_power_gap(
-        report, limit, partitions, a, 1.0,
+        report, limit, a, 1.0,
         lambda n, p, q: 1 - (mp.power(q, a_mp) - mp.power(p, a_mp)),
     )
     return _timed(report, t0)
 
 
-def check_smarandache_C(
-    limit: int, k: int, partitions: int = 1
-) -> ConjectureReport:
+def check_smarandache_C(limit: int, k: int) -> ConjectureReport:
     """q^(1/k) - p^(1/k) < 2/k for every pair with p < limit, integer k >= 2."""
+    if limit < 3:
+        raise ValueError("limit must be >= 3")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     t0 = time.perf_counter()
     report = ConjectureReport("smarandache-c", f"pairs with p < {limit}, k={k}")
     _scan_power_gap(
-        report, limit, partitions, 1.0 / k, 2.0 / k,
+        report, limit, 1.0 / k, 2.0 / k,
         lambda n, p, q: mp.mpf(2) / k - (mp.root(q, k) - mp.root(p, k)),
     )
     return _timed(report, t0)
@@ -468,39 +450,38 @@ def find_smarandache_D_counterexample(
         raise ValueError(f"exponent must lie in (0, 1), got {a}")
     if n_start < 1:
         raise ValueError("n_start must be >= 1")
+    if n_start > cap:
+        return None
     a = float(a)  # a numpy float's repr is not an mpf literal
     p0 = sieve.nth_prime(n_start).value
     a_mp = mp.mpf(repr(a))
-    # scan in widening spans so small witnesses stay cheap
-    span = 10**4
-    lo = p0
-    while True:
-        for blk in _pair_slices(lo, lo + span, 1):
-            if blk.n0 > cap:
+    # one lazy stream up to a bound past p_cap: segments are sieved only
+    # as the scan reaches them, so a small witness stays cheap
+    for blk in _pair_slices(p0, sieve._nth_prime_bound(cap) + 1):
+        if blk.n0 > cap:
+            return None
+        ns = blk.n0 + np.arange(blk.p.size)
+        q_a = blk.q**a
+        margins = 1.0 / ns - (q_a - blk.p**a)
+        for i in np.flatnonzero(margins < _pow_window(q_a)).tolist():
+            n, p, q = blk.n0 + i, int(blk.p[i]), int(blk.q[i])
+            if n > cap:
                 return None
-            ns = blk.n0 + np.arange(blk.p.size)
-            q_a = blk.q**a
-            margins = 1.0 / ns - (q_a - blk.p**a)
-            for i in np.flatnonzero(margins < _pow_window(q_a)).tolist():
-                n, p, q = blk.n0 + i, int(blk.p[i]), int(blk.q[i])
-                if n > cap:
-                    return None
-                with mp.workdps(STRICT_DPS):
-                    value = mp.power(q, a_mp) - mp.power(p, a_mp)
-                    if value >= mp.mpf(1) / n:
-                        return DWitness(n, p, q, float(value), 1.0 / n)
-        lo += span
-        span *= 4
+            with mp.workdps(STRICT_DPS):
+                value = mp.power(q, a_mp) - mp.power(p, a_mp)
+                if value >= mp.mpf(1) / n:
+                    return DWitness(n, p, q, float(value), 1.0 / n)
+    return None
 
 
-def check_smarandache_ratio(limit: int, partitions: int = 1) -> ConjectureReport:
+def check_smarandache_ratio(limit: int) -> ConjectureReport:
     """q/p <= 5/3 for every pair with p < limit, by exact integer comparison."""
     if limit < 7:
         raise ValueError("limit must be >= 7")
     t0 = time.perf_counter()
     report = ConjectureReport("smarandache-ratio", f"pairs with p < {limit}")
     best: Optional[tuple] = None  # (n, p, q) of the exact max ratio
-    for blk in _pair_slices(2, limit, partitions):
+    for blk in _pair_slices(2, limit):
         report.checked_count += blk.p.size
         # the integer margin 5p - 3q is exact: no pair is near-threshold
         _settle(report, blk, 5 * blk.p - 3 * blk.q, 0, None)

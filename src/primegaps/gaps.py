@@ -121,20 +121,6 @@ class ExtremeTracker:
             if cur is None or _beats(rec, cur, metric):
                 setattr(self, field, rec)
 
-    def merge(self, other: "ExtremeTracker") -> "ExtremeTracker":
-        out = ExtremeTracker()
-        for metric in self._METRICS:
-            field = f"max_{metric}"
-            a, b = getattr(self, field), getattr(other, field)
-            if a is None:
-                pick = b
-            elif b is None:
-                pick = a
-            else:
-                pick = b if _beats(b, a, metric) else a
-            setattr(out, field, pick)
-        return out
-
     def observe_block(
         self, blk: PairBlock, metrics: Mapping[str, np.ndarray]
     ) -> None:

@@ -154,6 +154,8 @@ def to_csv(payload: Any) -> str:
         w.writerow(["n", "p", "q", "value", "threshold"])
         w.writerow([payload.n, payload.p, payload.q, _round15(payload.value),
                     _round15(payload.threshold)])
+    elif isinstance(payload, list) and not payload:
+        pass  # no rows, and no row type to take a header from
     else:
         raise TypeError(f"no CSV layout for {type(payload).__name__}")
     return buf.getvalue()

@@ -200,19 +200,23 @@ def test_c6_max_exponent():
 # -- criterion 7: property suites -------------------------------------------
 
 
-def test_c7_partition_invariance():
+def test_c7_partition_invariance(monkeypatch):
     import dataclasses
 
     def norm(rep):
         return dataclasses.replace(rep, duration=0.0)
 
-    base = norm(cj.check_gap_bounds(2 * 10**5, partitions=1))
-    for parts in (4, 16):
-        assert norm(cj.check_gap_bounds(2 * 10**5, partitions=parts)) == base
-    base = norm(cj.check_legendre(1000, partitions=1))
-    for parts in (4, 16):
-        assert norm(cj.check_legendre(1000, partitions=parts)) == base
-    _line("7a: identical reports for partitions in {1, 4, 16}")
+    # (sieve segment, pair slice, interval chunk) sizes
+    cuts = [(1024, 64, 7), (4096, 256, 100)]
+    gap_base = norm(cj.check_gap_bounds(2 * 10**5))
+    legendre_base = norm(cj.check_legendre(1000))
+    for odds, pairs, ns in cuts:
+        monkeypatch.setattr(sieve, "SEGMENT_ODDS", odds)
+        monkeypatch.setattr(cj, "PAIR_SLICE", pairs)
+        monkeypatch.setattr(cj, "INTERVAL_CHUNK", ns)
+        assert norm(cj.check_gap_bounds(2 * 10**5)) == gap_base
+        assert norm(cj.check_legendre(1000)) == legendre_base
+    _line("7a: identical reports for segment, slice and chunk sizes")
 
 
 def test_c7_tristate_soundness_sampling():

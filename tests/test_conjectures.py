@@ -137,10 +137,17 @@ class TestGapBounds:
         with pytest.raises(ValueError):
             cj.check_gap_bounds(100, which=("nope",))
 
-    def test_partition_invariance(self):
-        base = normalized(cj.check_gap_bounds(2 * 10**5, partitions=1))
-        for parts in (4, 16):
-            other = normalized(cj.check_gap_bounds(2 * 10**5, partitions=parts))
+    def test_start_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            cj.check_gap_bounds(10**4, cj.GAP_BOUNDS, 4)
+        r = cj.check_gap_bounds(10**4, cj.GAP_BOUNDS, start=4)
+        assert r.range == "pairs with 4 <= p < 10000"
+
+    def test_partition_invariance(self, monkeypatch):
+        base = normalized(cj.check_gap_bounds(2 * 10**5))
+        for odds in (1024, 4096):
+            monkeypatch.setattr(sieve, "SEGMENT_ODDS", odds)
+            other = normalized(cj.check_gap_bounds(2 * 10**5))
             assert other == base
 
 
@@ -290,6 +297,34 @@ class TestSmarandacheD:
         w = cj.find_smarandache_D_counterexample(np.float64(0.4))
         assert w == cj.find_smarandache_D_counterexample(0.4)
 
+    def test_one_pair_stream_up_to_the_cap(self, monkeypatch):
+        calls = []
+        pair_blocks = gaps.pair_blocks
+
+        def spy(lo, hi):
+            calls.append((lo, hi))
+            return pair_blocks(lo, hi)
+
+        monkeypatch.setattr(gaps, "pair_blocks", spy)
+        monkeypatch.setattr(sieve, "SEGMENT_ODDS", 1024)
+        # no witness below the cap: every pair up to p_cap is scanned
+        assert cj.find_smarandache_D_counterexample(0.01, 1, 10**4) is None
+        assert calls == [(2, sieve._nth_prime_bound(10**4) + 1)]
+        calls.clear()
+        w = cj.find_smarandache_D_counterexample(0.1, 1, 10**4)
+        assert (w.n, w.p, w.q) == (217, 1327, 1361)
+        assert len(calls) == 1
+        # the cap is inclusive: the witness at n = 217 is found at cap 217
+        w = cj.find_smarandache_D_counterexample(0.1, 200, 217)
+        assert w.n == 217
+        assert cj.find_smarandache_D_counterexample(0.1, 200, 216) is None
+
+    def test_n_start_past_the_cap_does_no_work(self, monkeypatch):
+        monkeypatch.setattr(sieve, "nth_prime", None)
+        monkeypatch.setattr(gaps, "pair_blocks", None)
+        assert cj.find_smarandache_D_counterexample(0.4, 10**5 + 1,
+                                                    10**5) is None
+
 
 class TestSmarandacheRatio:
     def test_maximum_is_exactly_5_over_3(self):
@@ -301,31 +336,41 @@ class TestSmarandacheRatio:
     def test_2_3_below_bound(self):
         assert 3 * 3 <= 5 * 2
 
-    def test_partition_invariance(self):
-        base = normalized(cj.check_smarandache_ratio(10**5, partitions=1))
-        for parts in (4, 16):
-            got = normalized(cj.check_smarandache_ratio(10**5, partitions=parts))
+    def test_partition_invariance(self, monkeypatch):
+        base = normalized(cj.check_smarandache_ratio(10**5))
+        for odds in (1024, 4096):
+            monkeypatch.setattr(sieve, "SEGMENT_ODDS", odds)
+            monkeypatch.setattr(cj, "PAIR_SLICE", odds // 32)
+            got = normalized(cj.check_smarandache_ratio(10**5))
             assert got == base
 
 
 class TestPartitionInvarianceInterval:
-    @pytest.mark.parametrize("parts", [4, 16])
-    def test_legendre(self, parts):
-        assert normalized(cj.check_legendre(500, partitions=parts)) == normalized(
-            cj.check_legendre(500, partitions=1)
-        )
+    """Chunks of `chunk` values of n over 2048-wide sieve segments give the
+    report of the default cuts."""
 
-    @pytest.mark.parametrize("parts", [4, 16])
-    def test_oppermann(self, parts):
-        assert normalized(
-            cj.check_oppermann(500, partitions=parts)
-        ) == normalized(cj.check_oppermann(500, partitions=1))
+    @staticmethod
+    def cut_small(monkeypatch, chunk):
+        monkeypatch.setattr(cj, "INTERVAL_CHUNK", chunk)
+        monkeypatch.setattr(sieve, "SEGMENT_ODDS", 1024)
 
-    @pytest.mark.parametrize("parts", [4, 16])
-    def test_brocard(self, parts):
-        assert normalized(cj.check_brocard(200, partitions=parts)) == normalized(
-            cj.check_brocard(200, partitions=1)
-        )
+    @pytest.mark.parametrize("chunk", [4, 16])
+    def test_legendre(self, monkeypatch, chunk):
+        want = normalized(cj.check_legendre(500))
+        self.cut_small(monkeypatch, chunk)
+        assert normalized(cj.check_legendre(500)) == want
+
+    @pytest.mark.parametrize("chunk", [4, 16])
+    def test_oppermann(self, monkeypatch, chunk):
+        want = normalized(cj.check_oppermann(500))
+        self.cut_small(monkeypatch, chunk)
+        assert normalized(cj.check_oppermann(500)) == want
+
+    @pytest.mark.parametrize("chunk", [4, 16])
+    def test_brocard(self, monkeypatch, chunk):
+        want = normalized(cj.check_brocard(200))
+        self.cut_small(monkeypatch, chunk)
+        assert normalized(cj.check_brocard(200)) == want
 
 
 def _reference_observe_block(tracker, blk):
@@ -357,7 +402,7 @@ def _reference_strict_margin(bound, n, p, q):
     raise KeyError(bound)
 
 
-def reference_gap_bounds(limit, which=cj.GAP_BOUNDS, partitions=1, start=2):
+def reference_gap_bounds(limit, which=cj.GAP_BOUNDS, start=2):
     """check_gap_bounds before the single metric pass: a second tracker for
     the pairs from p = 29 on, metrics recomputed per tracker and per bound,
     and separate scans for near-threshold pairs and violations."""
@@ -366,51 +411,50 @@ def reference_gap_bounds(limit, which=cj.GAP_BOUNDS, partitions=1, start=2):
         "gap-bounds:" + ",".join(which), f"pairs with {start} <= p < {limit}")
     tracker = gaps.ExtremeTracker()
     floor_tracker = gaps.ExtremeTracker()
-    for lo, hi in cj._chunks(start, limit, partitions):
-        for blk in gaps.pair_blocks(lo, hi):
-            _reference_observe_block(tracker, blk)
-            above = np.flatnonzero(blk.p >= cj.KOURBATOV_FLOOR)
-            if above.size:
-                i0 = int(above[0])
-                _reference_observe_block(floor_tracker, gaps.PairBlock(
-                    blk.n0 + i0, blk.p[i0:], blk.q[i0:]))
-            p = blk.p.astype(np.float64)
-            q = blk.q.astype(np.float64)
-            gap = q - p
-            log_p = np.log(p)
-            floor_ok = blk.p >= cj.KOURBATOV_FLOOR
-            for bound in which:
-                scale = None
-                if bound == "andrica":
-                    margins = 1.0 - (np.sqrt(q) - np.sqrt(p))
-                    mask = np.ones(p.size, dtype=bool)
-                elif bound == "kourbatov":
-                    margins = log_p**2 - log_p - 1.0 - gap
-                    mask = floor_ok
-                elif bound == "cramer":
-                    margins = log_p**2 - gap
-                    mask = floor_ok
-                else:
-                    ns = blk.n0 + np.arange(p.size, dtype=np.float64)
-                    margins = (ns + 1.0) * log_p - ns * np.log(q)
-                    scale = ns * np.log(q)
-                    mask = np.ones(p.size, dtype=bool)
-                report.checked_count += int(mask.sum())
-                report.skipped_count += int(p.size - mask.sum())
-                tol = cj.FAST_REL_TOL * (
-                    np.maximum(scale, 1.0) if scale is not None else 1.0)
-                for i in np.flatnonzero(mask & (np.abs(margins) < tol)):
-                    n, pi, qi = blk.n0 + int(i), int(blk.p[i]), int(blk.q[i])
-                    strict = _reference_strict_margin(bound, n, pi, qi)
-                    s = max(float(scale[i]) if scale is not None else 1.0, 1.0)
-                    if abs(strict) < cj.STRICT_REL_TOL * s:
-                        report.uncertain.append((bound, n, pi, qi))
-                    elif strict <= 0:
-                        report.violations.append((bound, n, pi, qi))
-                    margins[i] = 1.0
-                for i in np.flatnonzero(mask & (margins <= 0.0)):
-                    report.violations.append(
-                        (bound, blk.n0 + int(i), int(blk.p[i]), int(blk.q[i])))
+    for blk in gaps.pair_blocks(start, limit):
+        _reference_observe_block(tracker, blk)
+        above = np.flatnonzero(blk.p >= cj.KOURBATOV_FLOOR)
+        if above.size:
+            i0 = int(above[0])
+            _reference_observe_block(floor_tracker, gaps.PairBlock(
+                blk.n0 + i0, blk.p[i0:], blk.q[i0:]))
+        p = blk.p.astype(np.float64)
+        q = blk.q.astype(np.float64)
+        gap = q - p
+        log_p = np.log(p)
+        floor_ok = blk.p >= cj.KOURBATOV_FLOOR
+        for bound in which:
+            scale = None
+            if bound == "andrica":
+                margins = 1.0 - (np.sqrt(q) - np.sqrt(p))
+                mask = np.ones(p.size, dtype=bool)
+            elif bound == "kourbatov":
+                margins = log_p**2 - log_p - 1.0 - gap
+                mask = floor_ok
+            elif bound == "cramer":
+                margins = log_p**2 - gap
+                mask = floor_ok
+            else:
+                ns = blk.n0 + np.arange(p.size, dtype=np.float64)
+                margins = (ns + 1.0) * log_p - ns * np.log(q)
+                scale = ns * np.log(q)
+                mask = np.ones(p.size, dtype=bool)
+            report.checked_count += int(mask.sum())
+            report.skipped_count += int(p.size - mask.sum())
+            tol = cj.FAST_REL_TOL * (
+                np.maximum(scale, 1.0) if scale is not None else 1.0)
+            for i in np.flatnonzero(mask & (np.abs(margins) < tol)):
+                n, pi, qi = blk.n0 + int(i), int(blk.p[i]), int(blk.q[i])
+                strict = _reference_strict_margin(bound, n, pi, qi)
+                s = max(float(scale[i]) if scale is not None else 1.0, 1.0)
+                if abs(strict) < cj.STRICT_REL_TOL * s:
+                    report.uncertain.append((bound, n, pi, qi))
+                elif strict <= 0:
+                    report.violations.append((bound, n, pi, qi))
+                margins[i] = 1.0
+            for i in np.flatnonzero(mask & (margins <= 0.0)):
+                report.violations.append(
+                    (bound, blk.n0 + int(i), int(blk.p[i]), int(blk.q[i])))
     report.extremes["max_cramer_ratio"] = floor_tracker.max_cramer_ratio
     report.extremes["max_andrica"] = tracker.max_andrica
     report.extremes["max_gap"] = tracker.max_gap
@@ -427,21 +471,22 @@ class TestGapBoundsAgainstReference:
         (lim, st) for lim in (5, 29, 30, 31, 10**5)
         for st in (2, 28, 29, 30, 10**4) if st < lim])
     def test_many_blocks(self, monkeypatch, limit, start):
-        monkeypatch.setenv("PRIMEGAP_SEGMENT_BYTES", "1024")
         for which in self.SELECTIONS:
-            for parts in (1, 4, 16):
-                got = cj.check_gap_bounds(limit, which, parts, start=start)
-                want = reference_gap_bounds(limit, which, parts, start=start)
-                assert normalized(got) == normalized(want), (which, parts)
+            for odds in (1024, 4096):
+                monkeypatch.setattr(sieve, "SEGMENT_ODDS", odds)
+                got = cj.check_gap_bounds(limit, which, start=start)
+                want = reference_gap_bounds(limit, which, start=start)
+                assert normalized(got) == normalized(want), (which, odds)
                 if limit <= cj.KOURBATOV_FLOOR:
                     assert got.extremes["max_cramer_ratio"] is None
 
     @pytest.mark.parametrize("start", [2, 29, 10**4])
     def test_small_slices(self, monkeypatch, start):
         monkeypatch.setattr(cj, "PAIR_SLICE", 5)
-        for parts in (1, 4):
-            got = cj.check_gap_bounds(10**5, partitions=parts, start=start)
-            want = reference_gap_bounds(10**5, partitions=parts, start=start)
+        for odds in (1024, 4096):
+            monkeypatch.setattr(sieve, "SEGMENT_ODDS", odds)
+            got = cj.check_gap_bounds(10**5, start=start)
+            want = reference_gap_bounds(10**5, start=start)
             assert normalized(got) == normalized(want)
 
     def test_violations_and_near_threshold_pairs(self, monkeypatch):
@@ -472,4 +517,5 @@ class TestIntervalChunks:
         want = normalized(check(n_max))
         monkeypatch.setattr(cj, "INTERVAL_CHUNK", 7)
         assert normalized(check(n_max)) == want
-        assert normalized(check(n_max, partitions=3)) == want
+        monkeypatch.setattr(sieve, "SEGMENT_ODDS", 1024)
+        assert normalized(check(n_max)) == want

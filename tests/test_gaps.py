@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from primegaps import conjectures as cj
-from primegaps import gaps
+from primegaps import gaps, sieve
 from conftest import primes_trial
 
 
@@ -76,7 +76,8 @@ def test_concatenation_stitches_across_ranges():
 
 
 def test_lookahead_crosses_segment_boundary(monkeypatch):
-    monkeypatch.setenv("PRIMEGAP_SEGMENT_BYTES", "2048")
+    monkeypatch.setattr(sieve, "SEGMENT_ODDS", 2048)
+    assert len(list(sieve.prime_blocks(2, 30000))) > 1
     whole = [(r.p, r.q) for r in records(2, 30000)]
     oracle = primes_trial(2, 30100)
     assert whole == list(zip(oracle[:-1], oracle[1:]))[: len(whole)]
@@ -93,17 +94,6 @@ def test_track_extremes_small_limits():
     t = tracked(2, 3)
     assert (t.max_gap.p, t.max_gap.q) == (2, 3)
     assert t.max_gap is t.max_andrica is t.max_ratio is t.max_cramer_ratio
-
-
-def test_extreme_merge_is_partition_independent():
-    whole = tracked(2, 20000)
-    left = tracked(2, 7000)
-    right = tracked(7000, 20000)
-    for field in ("max_gap", "max_cramer_ratio", "max_andrica", "max_ratio"):
-        merged = left.merge(right)
-        assert getattr(merged, field) == getattr(whole, field)
-        # merge is commutative too
-        assert getattr(right.merge(left), field) == getattr(whole, field)
 
 
 def test_andrica_below_one_to_1e6():
@@ -128,6 +118,9 @@ def test_next_prime_after_matches_sympy(p):
 def test_next_prime_after_widens_its_window(monkeypatch):
     sympy = pytest.importorskip("sympy")
     monkeypatch.setattr(gaps, "NEXT_PRIME_WINDOW", 1)
-    monkeypatch.setenv("PRIMEGAP_SEGMENT_BYTES", "1024")
+    # 128-wide segments: the widest window, past the gap of 288 after
+    # 1294268491, spans several of them
+    monkeypatch.setattr(sieve, "SEGMENT_ODDS", 64)
+    assert sympy.nextprime(1294268491) - 1294268491 > 2 * sieve.SEGMENT_ODDS
     for p in (2, 3, 7, 23, 113, 1327, 31397, 1294268491):
         assert gaps._next_prime_after(p) == sympy.nextprime(p)

@@ -17,8 +17,7 @@ CASES = {
     "gap-bounds-1e6.json": "verify gap-bounds --limit 1000000 --format json",
     "gap-bounds-1e6.txt": "verify gap-bounds --limit 1000000 --format text",
     "gap-bounds-start1e4-2e6-p16.json":
-        "verify gap-bounds --start 10000 --limit 2000000 --partitions 16"
-        " --format json",
+        "verify gap-bounds --start 10000 --limit 2000000 --format json",
     "kourbatov-1e5.json": "verify kourbatov --limit 100000 --format json",
     "a0-1e6.json": "solve a0 --limit 1000000 --format json",
     "max-1e6.json": "solve max --limit 1000000 --format json",

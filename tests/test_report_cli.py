@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import enum
@@ -212,6 +213,30 @@ class TestCliExitCodes:
         assert cli.main(["verify", "smarandache-c", "--k", "1"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_start_at_or_past_limit_refused(self, monkeypatch, capsys):
+        monkeypatch.setattr(gaps, "pair_blocks", None)  # no work may start
+        for start in ("100", "50"):
+            argv = ["verify", "gap-bounds", "--start", start, "--limit", "50"]
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert "error: start must be < limit" in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["smarandache-b", "smarandache-c"])
+    def test_power_gap_limit_below_three_refused(self, capsys, name):
+        assert cli.main(["verify", name, "--limit", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: limit must be >= 3")
+        assert "Traceback" not in err
+        assert cli.main(["verify", name, "--limit", "3"]) == 0  # pair (2, 3)
+
+    def test_shanks_trend_without_a_full_window(self, capsys):
+        argv = ["verify", "shanks-trend", "--limit", "100", "--window", "100"]
+        assert cli.main(argv + ["--format", "csv"]) == 0
+        assert capsys.readouterr().out == ""
+        assert cli.main(argv + ["--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == []
+
     def test_out_of_memory_is_not_a_verdict(self, monkeypatch, capsys):
         def refuse(*args):
             raise MemoryError("Unable to allocate 7.28 TiB for an array")
@@ -327,22 +352,10 @@ class TestCliExitCodes:
             path = tmp_path / name
             cli.main(
                 ["verify", "oppermann", "--limit", "300", "--format", "json",
-                 "--out", str(path), "--no-timing", "--partitions", "3"]
+                 "--out", str(path), "--no-timing"]
             )
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
-
-    def test_partition_flag_changes_nothing_but_timing(self, tmp_path):
-        payloads = []
-        for parts in ("1", "4"):
-            path = tmp_path / f"p{parts}.json"
-            cli.main(
-                ["verify", "firoozbakht", "--limit", "20000", "--format",
-                 "json", "--out", str(path), "--no-timing",
-                 "--partitions", parts]
-            )
-            payloads.append(path.read_bytes())
-        assert payloads[0] == payloads[1]
 
     def test_start_below_floor_warns(self, capsys):
         code = cli.main(
@@ -350,3 +363,27 @@ class TestCliExitCodes:
         )
         assert code == 0
         assert "validity floor" in capsys.readouterr().err
+
+
+# every option of every command; a new flag must be added here on purpose
+COMMON_OPTIONS = {"-h", "--help", "--format", "--out", "--no-timing"}
+CLI_OPTIONS = {
+    "verify": {"--limit", "--start", "--a", "--k", "--n-start", "--window"},
+    "crossover": {"--lo", "--hi"},
+    "monotone": {"--lo", "--hi"},
+    "solve": {"--limit", "--p", "--q"},
+    "pi-approx": {"--x", "--terms"},
+    "coefficients": {"--n"},
+}
+
+
+def test_cli_surface_is_pinned():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    got = {name: {o for a in sp._actions for o in a.option_strings}
+           for name, sp in sub.choices.items()}
+    assert got == {name: opts | COMMON_OPTIONS
+                   for name, opts in CLI_OPTIONS.items()}
+    assert {o for a in parser._actions for o in a.option_strings} == {
+        "-h", "--help"}

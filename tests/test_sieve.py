@@ -89,15 +89,6 @@ def test_partition_independence():
     assert np.concatenate(parts).tolist() == whole.tolist()
 
 
-def test_segment_size_env_override(monkeypatch):
-    monkeypatch.setenv("PRIMEGAP_SEGMENT_BYTES", "4096")
-    assert sieve.segment_odds() == 4096
-    assert sieve.prime_count(10**5) == 9592
-    monkeypatch.setenv("PRIMEGAP_SEGMENT_BYTES", "10")
-    with pytest.raises(ValueError):
-        sieve.segment_odds()
-
-
 def test_prime_counts_at_matches_prime_count():
     values = [0, 1, 2, 10, 97, 1000, 12345]
     out = sieve.prime_counts_at(values)
@@ -163,7 +154,7 @@ def test_prime_count_beyond_int64_is_a_capacity_error():
 
 
 def test_prime_counts_at_unsorted_duplicates_and_segment_ends(monkeypatch):
-    monkeypatch.setenv("PRIMEGAP_SEGMENT_BYTES", "1024")  # 2048-wide blocks
+    monkeypatch.setattr(sieve, "SEGMENT_ODDS", 1024)  # 2048-wide blocks
     last_primes = [int(b[-1]) for b in sieve.prime_blocks(2, 20_000)]
     assert len(last_primes) > 5
     values = ([-3, 0, 1, 2, 19_999, 7, 7, 2048, 2047, 2049]
@@ -183,9 +174,10 @@ def test_pair_blocks_start_index_far_from_two():
 
 
 def test_prime_counts_at_sieves_from_the_smallest_value(monkeypatch):
-    monkeypatch.setenv("PRIMEGAP_SEGMENT_BYTES", "1024")  # 2048-wide blocks
+    monkeypatch.setattr(sieve, "SEGMENT_ODDS", 1024)  # 2048-wide blocks
     starts = []
     blocks = sieve.prime_blocks
+    assert len(list(blocks(10_000, 20_000))) > 1  # the cases cross segments
 
     def spy(lo, hi):
         starts.append(lo)
