@@ -29,6 +29,8 @@ CONJECTURES = (
     "smarandache-ratio", "smarandache-b", "smarandache-c", "smarandache-d",
     "shanks-trend",
 )
+# the checkers that take --start
+GAP_CHECKS = ("andrica", "kourbatov", "firoozbakht", "cramer", "gap-bounds")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -113,14 +115,15 @@ def _report_exit(rep: conjectures.ConjectureReport) -> int:
 
 def _run_verify(args) -> int:
     name = args.conjecture
+    if args.start is not None and name not in GAP_CHECKS:
+        raise ValueError("--start applies only to the gap-bound checks")
     if name == "legendre":
         rep = conjectures.check_legendre(args.limit)
     elif name == "oppermann":
         rep = conjectures.check_oppermann(args.limit)
     elif name == "brocard":
         rep = conjectures.check_brocard(args.limit)
-    elif name in ("andrica", "kourbatov", "firoozbakht", "cramer",
-                  "gap-bounds"):
+    elif name in GAP_CHECKS:
         which = conjectures.GAP_BOUNDS if name == "gap-bounds" else (name,)
         start = args.start if args.start is not None else 2
         if start < conjectures.KOURBATOV_FLOOR and name in (

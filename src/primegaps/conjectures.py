@@ -327,6 +327,8 @@ class TrendRow:
 
 def check_shanks_trend(limit: int, window: int) -> list[TrendRow]:
     """Windowed means of the squared-log gap ratio; trend data, no verdict."""
+    if limit < 3:
+        raise ValueError("limit must be >= 3")
     if window < 100:
         raise ValueError("window must be >= 100")
     rows: list[TrendRow] = []

@@ -109,6 +109,8 @@ def _extreme_root(limit: int, sign: float) -> Tuple[tuple, int]:
     exactly when q^t - p^t >= 1.  Once a best root exists, only the pairs
     whose root can still come within PRUNE_MARGIN of it are bisected.
     """
+    if limit < 3:
+        raise ValueError("limit must be >= 3")
     best: Optional[tuple] = None  # (sign * x, p, q)
     count = 0
     for blk in gaps.pair_blocks(2, limit):
@@ -130,8 +132,6 @@ def _extreme_root(limit: int, sign: float) -> Tuple[tuple, int]:
                 cand = (float(key[i]), int(p[i]), int(q[i]))
                 if best is None or _argmin_beats(cand, best, negate=sign < 0):
                     best = cand
-    if best is None:
-        raise ValueError(f"no prime pair below limit {limit}")
     return best, count
 
 

@@ -207,7 +207,7 @@ def to_text(payload: Any) -> str:
             lines.append(json.dumps(to_jsonable(row)))
     else:
         lines.append(str(to_jsonable(payload)))
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in lines)
 
 
 def serialize(payload: Any, fmt: str, no_timing: bool = False) -> str:

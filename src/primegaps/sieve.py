@@ -9,6 +9,7 @@ touches only O(sqrt x) values, so a single pi(x) never sieves up to x.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -21,6 +22,11 @@ MAX_VALUE = 2**63 - 1
 # segment spans twice this many integers.  2^20 was the fastest of 2^18,
 # 2^20, 2^21 and 2^22 on a sieve to 3e8.
 SEGMENT_ODDS = 1 << 20
+
+# The odd primes struck once into a repeating pattern rather than once per
+# segment.  In odd-index space the pattern's period is their product.
+PATTERN_PRIMES = (3, 5, 7, 11, 13, 17)
+PATTERN_PERIOD = 3 * 5 * 7 * 11 * 13 * 17  # 255 255 entries
 
 
 class CapacityError(Exception):
@@ -61,29 +67,36 @@ def base_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(is_prime).astype(np.int64)
 
 
-def _sieve_segment(lo: int, hi: int, odd_base: np.ndarray) -> np.ndarray:
-    """Primes in [lo, hi) where lo is odd and hi - lo spans only odd candidates.
+@functools.cache
+def _pattern() -> np.ndarray:
+    """Two periods of the odd-index mask with every odd multiple of
+    PATTERN_PRIMES struck (the primes themselves too); entry i stands for
+    the odd number 2i + 1.  Two periods hold a period-long slice at every
+    phase."""
+    pattern = np.ones(2 * PATTERN_PERIOD, dtype=bool)
+    for p in PATTERN_PRIMES:
+        pattern[p // 2 :: p] = False
+    pattern.flags.writeable = False  # shared by every prime_blocks call
+    return pattern
 
-    odd_base must contain every odd prime <= sqrt(hi - 1).
-    """
-    count = (hi - lo + 1) // 2
-    mask = np.ones(count, dtype=bool)
-    for p in odd_base:
-        p = int(p)
-        if p * p >= hi:
-            break
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start % 2 == 0:
-            start += p
-        if start < hi:
-            mask[(start - lo) // 2 :: p] = False
-    if lo == 1:
-        mask[0] = False
-    return lo + 2 * np.flatnonzero(mask).astype(np.int64)
+
+def _odd_offsets(lo: int, primes: np.ndarray) -> np.ndarray:
+    """For odd lo, the odd-index offset from lo of each prime's first odd
+    multiple >= max(lo, p^2).  Worked out relative to lo, so lo + p is
+    never formed and int64 is exact up to 2^63 - 1."""
+    r = -lo % primes  # lo + r is the first multiple >= lo
+    r += (r & 1) * primes  # lo is odd, so an odd r lands on an even multiple
+    return np.maximum(r, primes * primes - lo) // 2
 
 
 def prime_blocks(lo: int, hi: int) -> Iterator[np.ndarray]:
-    """Yield the primes in [lo, hi) as ascending int64 arrays, one per segment."""
+    """Yield the primes in [lo, hi) as ascending int64 arrays, one per segment.
+
+    Each segment is an odd-only mask copied from the pre-sieved pattern,
+    then struck by the base primes above PATTERN_PRIMES whose square lies
+    below the segment's end.  Every base prime's next offset is carried
+    from one segment to the next, never recomputed.
+    """
     rng = PrimeRange(lo, hi)
     lo, hi = rng.lo, rng.hi
     if hi <= 2:
@@ -95,13 +108,35 @@ def prime_blocks(lo: int, hi: int) -> Iterator[np.ndarray]:
         lo += 1
     if lo >= hi:
         return
-    odd_base = base_sieve(math.isqrt(hi - 1))
-    odd_base = odd_base[odd_base > 2]
+    base = base_sieve(math.isqrt(hi - 1))
+    base = base[base > PATTERN_PRIMES[-1]]
+    plist = base.tolist()
+    nxt = _odd_offsets(lo, base)
+    pattern = _pattern()
+    mask = np.empty(min(SEGMENT_ODDS, (hi - lo + 1) // 2), dtype=bool)
     span = 2 * SEGMENT_ODDS
     for seg_lo in range(lo, hi, span):
         seg_hi = min(seg_lo + span, hi)
-        block = _sieve_segment(seg_lo, seg_hi, odd_base)
+        count = (seg_hi - seg_lo + 1) // 2
+        seg = mask[:count]
+        phase = (seg_lo // 2) % PATTERN_PERIOD
+        for j in range(0, count, PATTERN_PERIOD):
+            n = min(PATTERN_PERIOD, count - j)
+            seg[j : j + n] = pattern[phase : phase + n]
+        for p in PATTERN_PRIMES:  # the pattern struck these primes too
+            if seg_lo <= p < seg_hi:
+                seg[(p - seg_lo) // 2] = True
+        k = int(np.searchsorted(base, math.isqrt(seg_hi - 1), side="right"))
+        for p, i in zip(plist, nxt[:k].tolist()):
+            seg[i::p] = False
+        # carry to the next segment: an active prime's next multiple, an
+        # inactive one's p^2, both counted from the next segment's start
+        nxt -= count
+        nxt[:k] %= base[:k]
+        block = np.flatnonzero(seg)
         if block.size:
+            block *= 2
+            block += seg_lo
             yield block
 
 

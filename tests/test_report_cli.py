@@ -230,12 +230,35 @@ class TestCliExitCodes:
         assert "Traceback" not in err
         assert cli.main(["verify", name, "--limit", "3"]) == 0  # pair (2, 3)
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "shanks-trend"], ["solve", "a0"], ["solve", "max"]])
+    def test_pair_scan_limit_below_three_refused(self, capsys, argv):
+        assert cli.main(argv + ["--limit", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: limit must be >= 3\n"
+        assert cli.main(argv + ["--limit", "3"]) == 0  # pair (2, 3)
+
+    @pytest.mark.parametrize(
+        "name", [c for c in cli.CONJECTURES if c not in cli.GAP_CHECKS])
+    def test_start_refused_outside_the_gap_bounds(self, monkeypatch, capsys,
+                                                  name):
+        from primegaps import sieve
+
+        monkeypatch.setattr(gaps, "pair_blocks", None)  # no work may start
+        monkeypatch.setattr(sieve, "prime_blocks", None)
+        argv = ["verify", name, "--start", "1000", "--limit", "2000"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --start applies only to the gap-bound checks\n"
+
     def test_shanks_trend_without_a_full_window(self, capsys):
         argv = ["verify", "shanks-trend", "--limit", "100", "--window", "100"]
         assert cli.main(argv + ["--format", "csv"]) == 0
         assert capsys.readouterr().out == ""
         assert cli.main(argv + ["--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out) == []
+        assert cli.main(argv + ["--format", "text"]) == 0
+        assert capsys.readouterr().out == ""
 
     def test_out_of_memory_is_not_a_verdict(self, monkeypatch, capsys):
         def refuse(*args):

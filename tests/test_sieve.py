@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,3 +191,110 @@ def test_prime_counts_at_sieves_from_the_smallest_value(monkeypatch):
         want = [pi_trial(v) for v in values]
         assert sieve.prime_counts_at(values).tolist() == want
         assert starts[-1] == min(values)
+
+
+# ---------------------------------------------------------------------------
+# prime_blocks copies a pattern pre-sieved by 3..17 and carries each base
+# prime's offset across segments; the loop it replaced is the oracle
+
+
+def reference_blocks(lo, hi):
+    """The former segment loop: every odd base prime struck one by one, its
+    start recomputed in every segment, at the same cuts as prime_blocks."""
+    if hi <= 2:
+        return
+    if lo <= 2:
+        yield np.array([2], dtype=np.int64)
+        lo = 3
+    if lo % 2 == 0:
+        lo += 1
+    if lo >= hi:
+        return
+    odd_base = sieve.base_sieve(math.isqrt(hi - 1))[1:]
+    span = 2 * sieve.SEGMENT_ODDS
+    for seg_lo in range(lo, hi, span):
+        seg_hi = min(seg_lo + span, hi)
+        mask = np.ones((seg_hi - seg_lo + 1) // 2, dtype=bool)
+        for p in odd_base.tolist():
+            if p * p >= seg_hi:
+                break
+            start = max(p * p, ((seg_lo + p - 1) // p) * p)
+            if start % 2 == 0:
+                start += p
+            if start < seg_hi:
+                mask[(start - seg_lo) // 2 :: p] = False
+        block = seg_lo + 2 * np.flatnonzero(mask).astype(np.int64)
+        if block.size:
+            yield block
+
+
+PERIOD_INTS = 2 * sieve.PATTERN_PERIOD  # 510 510 integers per pattern period
+
+
+def range_near_zero():
+    return st.tuples(st.integers(0, 40), st.integers(1, 3000))
+
+
+def range_across_a_period():
+    return st.tuples(
+        st.builds(lambda m, d: m * PERIOD_INTS + d,
+                  st.integers(1, 20), st.integers(-3000, 3000)),
+        st.integers(1, 6000))
+
+
+def one_or_two_odds():
+    return st.tuples(st.integers(0, 10**9), st.integers(1, 4))
+
+
+def wide_range():
+    # several pattern periods per default segment, and more than one segment
+    return st.tuples(st.integers(0, 10**8),
+                     st.integers(2 * PERIOD_INTS, 3 * 10**6))
+
+
+@pytest.mark.parametrize("odds", [64, 1024, sieve.SEGMENT_ODDS])
+@given(st.one_of(range_near_zero(), range_across_a_period(),
+                 one_or_two_odds(), wide_range()))
+@settings(max_examples=60, deadline=None)
+def test_prime_blocks_match_the_former_loop(odds, lo_width):
+    lo, width = lo_width
+    if odds != sieve.SEGMENT_ODDS and width > 10**5:
+        width //= 100  # tiny segments: keep the reference loop affordable
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve, "SEGMENT_ODDS", odds)
+        got = list(sieve.prime_blocks(lo, lo + width))
+        want = list(reference_blocks(lo, lo + width))
+    assert [b.tolist() for b in got] == [b.tolist() for b in want]
+    assert all(b.dtype == np.int64 for b in got)
+
+
+def test_pattern_primes_restored_at_every_small_cut(monkeypatch):
+    monkeypatch.setattr(sieve, "SEGMENT_ODDS", 4)  # 8-wide segments
+    for lo in range(0, 41):
+        for hi in range(lo + 1, 60):
+            got = [int(p) for b in sieve.prime_blocks(lo, hi) for p in b]
+            assert got == primes_trial(lo, hi), (lo, hi)
+
+
+def odd_offsets_exact(lo, p):
+    """Python-int form of the offset: the first odd multiple of p that is
+    >= max(lo, p^2), in odd steps from the odd number lo."""
+    m = max(-(-lo // p) * p, p * p)
+    if m % 2 == 0:
+        m += p
+    return (m - lo) // 2
+
+
+def test_odd_offsets_against_python_ints():
+    sympy = pytest.importorskip("sympy")
+    top = [3_037_000_493]  # the largest prime <= isqrt(2^63 - 1)
+    while len(top) < 40:
+        top.append(int(sympy.prevprime(top[-1])))
+    primes = np.array(sieve.base_sieve(2000)[7:].tolist() + top[::-1],
+                      dtype=np.int64)  # 19 and up
+    # below the squares, and near int64's end: prime_blocks(2**63 - 1000,
+    # ...) starts at the odd 2**63 - 999
+    for lo in (1, 3, 19, 361, 363, 10**6 + 1,
+               2**63 - 999, 2**63 - 1001, sieve.MAX_VALUE - 2 * 10**6):
+        got = sieve._odd_offsets(lo, primes).tolist()
+        assert got == [odd_offsets_exact(lo, p) for p in primes.tolist()]
