@@ -12,8 +12,9 @@ for p, q in [(2, 3), (3, 5), (7, 11), (113, 127), (1327, 1361)]:
     print(f"({p:5d}, {q:5d})  x = {sol.x:.12f}  residual {sol.residual:.1e} "
           f"in {sol.iterations} bisection steps")
 
-sol, summary = es.min_exponent(10**6)
-print(f"\nminimum over {summary.pairs_scanned} pairs below {summary.limit}: "
+limit = 10**6
+sol, pairs = es.min_exponent(limit)
+print(f"\nminimum over {pairs} pairs below {limit}: "
       f"({sol.p}, {sol.q}) with x = {sol.x:.6f}")
 
 best = es.max_exponent(10**6)

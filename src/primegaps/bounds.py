@@ -162,82 +162,75 @@ def _require_pair(p: int, q: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# predicate catalog for integer crossover scans
+# catalogs for integer scans
 
 
 @dataclass(frozen=True)
 class Predicate:
-    """A named integer inequality: holds at n iff the signed margin > 0."""
+    """A named function of the integer n: a signed margin for crossover
+    scans (the inequality holds at n iff it is > 0), or a sequence value
+    for monotonicity scans."""
 
     id: str
     description: str
-    fast: Callable[[np.ndarray], np.ndarray]   # vectorized margin
-    strict: Callable[[int], "mp.mpf"]          # one-point high-precision margin
+    fast: Callable[[np.ndarray], np.ndarray]   # vectorized over float64 n
+    strict: Callable[[int], "mp.mpf"]          # one point, high precision
 
 
-def _mk_catalog() -> dict:
-    preds = [
-        Predicate(
-            "two-n-plus-one-vs-4log2",
-            "2n + 1 > 4 (ln n)^2",
-            lambda n: 2.0 * n + 1.0 - 4.0 * np.log(n) ** 2,
-            lambda n: 2 * n + 1 - 4 * mp.log(n) ** 2,
-        ),
-        Predicate(
-            "sqrt-vs-2log",
-            "sqrt(n) > 2 ln n",
-            lambda n: np.sqrt(n) - 2.0 * np.log(n),
-            lambda n: mp.sqrt(n) - 2 * mp.log(n),
-        ),
-        Predicate(
-            "n-vs-4log2",
-            "n > 4 (ln n)^2",
-            lambda n: n - 4.0 * np.log(n) ** 2,
-            lambda n: n - 4 * mp.log(n) ** 2,
-        ),
-        Predicate(
-            "log2-vs-2sqrt-plus-1",
-            "(ln n)^2 < 2 sqrt(n) + 1",
-            lambda n: 2.0 * np.sqrt(n) + 1.0 - np.log(n) ** 2,
-            lambda n: 2 * mp.sqrt(n) + 1 - mp.log(n) ** 2,
-        ),
-        Predicate(
-            "n-over-logpow-vs-9.33",
-            f"n / (ln n)^{SM9_LOG_POWER} > {SM9_RHS}",
-            lambda n: n / np.log(n) ** SM9_LOG_POWER - SM9_RHS,
-            lambda n: n / mp.log(n) ** mp.mpf(str(SM9_LOG_POWER))
-            - mp.mpf(str(SM9_RHS)),
-        ),
-    ]
-    return {p.id: p for p in preds}
+PREDICATES = {p.id: p for p in (
+    Predicate(
+        "two-n-plus-one-vs-4log2",
+        "2n + 1 > 4 (ln n)^2",
+        lambda n: 2.0 * n + 1.0 - 4.0 * np.log(n) ** 2,
+        lambda n: 2 * n + 1 - 4 * mp.log(n) ** 2,
+    ),
+    Predicate(
+        "sqrt-vs-2log",
+        "sqrt(n) > 2 ln n",
+        lambda n: np.sqrt(n) - 2.0 * np.log(n),
+        lambda n: mp.sqrt(n) - 2 * mp.log(n),
+    ),
+    Predicate(
+        "n-vs-4log2",
+        "n > 4 (ln n)^2",
+        lambda n: n - 4.0 * np.log(n) ** 2,
+        lambda n: n - 4 * mp.log(n) ** 2,
+    ),
+    Predicate(
+        "log2-vs-2sqrt-plus-1",
+        "(ln n)^2 < 2 sqrt(n) + 1",
+        lambda n: 2.0 * np.sqrt(n) + 1.0 - np.log(n) ** 2,
+        lambda n: 2 * mp.sqrt(n) + 1 - mp.log(n) ** 2,
+    ),
+    Predicate(
+        "n-over-logpow-vs-9.33",
+        f"n / (ln n)^{SM9_LOG_POWER} > {SM9_RHS}",
+        lambda n: n / np.log(n) ** SM9_LOG_POWER - SM9_RHS,
+        lambda n: n / mp.log(n) ** mp.mpf(str(SM9_LOG_POWER))
+        - mp.mpf(str(SM9_RHS)),
+    ),
+)}
+
+SEQUENCES = {s.id: s for s in (
+    Predicate(
+        "sqrt-over-log-squared",
+        "sqrt(n) / (ln n)^2",
+        lambda n: np.sqrt(n) / np.log(n) ** 2,
+        lambda n: mp.sqrt(n) / mp.log(n) ** 2,
+    ),
+)}
 
 
-PREDICATES = _mk_catalog()
-
-
-@dataclass(frozen=True)
-class Sequence:
-    """A named real sequence over the integers, for monotonicity scans."""
-
-    id: str
-    description: str
-    fast: Callable[[np.ndarray], np.ndarray]
-    strict: Callable[[int], "mp.mpf"]
-
-
-def _mk_sequences() -> dict:
-    seqs = [
-        Sequence(
-            "sqrt-over-log-squared",
-            "sqrt(n) / (ln n)^2",
-            lambda n: np.sqrt(n) / np.log(n) ** 2,
-            lambda n: mp.sqrt(n) / mp.log(n) ** 2,
-        ),
-    ]
-    return {s.id: s for s in seqs}
-
-
-SEQUENCES = _mk_sequences()
+def _lookup(catalog: dict, kind: str, entry) -> Predicate:
+    """`entry` itself if it is a Predicate, else its catalog entry by id."""
+    if isinstance(entry, Predicate):
+        return entry
+    try:
+        return catalog[entry]
+    except KeyError:
+        raise KeyError(
+            f"unknown {kind} {entry!r}; known: {sorted(catalog)}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -258,19 +251,10 @@ class CrossoverResult:
     pre_threshold_failure: Optional[int]
 
 
-def _resolve_predicate(predicate) -> Predicate:
-    if isinstance(predicate, Predicate):
-        return predicate
-    try:
-        return PREDICATES[predicate]
-    except KeyError:
-        raise KeyError(
-            f"unknown predicate {predicate!r}; known: {sorted(PREDICATES)}"
-        ) from None
-
-
 # largest n up to which every integer is exact in binary64
 MAX_EXACT_FLOAT_INT = 2**53
+# integers evaluated per vectorized step, so a scan's memory stays flat
+SCAN_CHUNK = 1 << 16
 
 
 def _check_window(lo: int, hi: int) -> None:
@@ -281,69 +265,77 @@ def _check_window(lo: int, hi: int) -> None:
             f"hi = {hi} exceeds 2^53, past which float64 misses integers")
 
 
+def _chunks(lo: int, hi: int, overlap: int = 0):
+    """(a, ns) for consecutive runs ns = a, a + 1, ... (float64) of
+    SCAN_CHUNK integers of [lo, hi], each followed by the first `overlap`
+    integers of the next run."""
+    for a in range(lo, hi + 1 - overlap, SCAN_CHUNK):
+        yield a, np.arange(a, min(a + SCAN_CHUNK + overlap, hi + 1),
+                           dtype=np.float64)
+
+
 def crossover_scan(predicate, lo: int, hi: int) -> CrossoverResult:
     """Find the least t in [lo, hi] with the predicate true on all of [t, hi].
 
     hi is inclusive.  Margins too close to zero for binary64 are settled at
     strict precision point by point.
     """
-    pred = _resolve_predicate(predicate)
+    pred = _lookup(PREDICATES, "predicate", predicate)
     _check_window(lo, hi)
-    ns = np.arange(lo, hi + 1, dtype=np.float64)
-    margins = pred.fast(ns)
-    holds = margins > 0.0
-    near = np.abs(margins) < FAST_REL_TOL
-    for i in np.flatnonzero(near).tolist():
-        n = lo + i
-        v = decide(float(margins[i]), lambda: pred.strict(n), witness=(n,))
-        if v.status is Status.UNCERTAIN:
-            raise NoCrossoverError(f"{pred.id}: undecidable margin at n={n}")
-        holds[i] = v.holds
-    failures = np.flatnonzero(~holds)
-    if failures.size == 0:
-        threshold = lo
-        pre = None
-    else:
-        last_fail = lo + int(failures[-1])
-        if last_fail == hi:
-            raise NoCrossoverError(
-                f"{pred.id}: still failing at the window end {hi}"
-            )
-        threshold = last_fail + 1
-        pre = last_fail
+    last_fail = None
+    for a, ns in _chunks(lo, hi):
+        margins = pred.fast(ns)
+        holds = margins > 0.0
+        for i in np.flatnonzero(np.abs(margins) < FAST_REL_TOL).tolist():
+            n = a + i
+            v = decide(float(margins[i]), lambda: pred.strict(n), witness=(n,))
+            if v.status is Status.UNCERTAIN:
+                raise NoCrossoverError(
+                    f"{pred.id}: undecidable margin at n={n}")
+            holds[i] = v.holds
+        failures = np.flatnonzero(~holds)
+        if failures.size:
+            last_fail = a + int(failures[-1])
+    if last_fail == hi:
+        raise NoCrossoverError(
+            f"{pred.id}: still failing at the window end {hi}")
     return CrossoverResult(
         predicate_id=pred.id,
-        threshold=threshold,
+        threshold=lo if last_fail is None else last_fail + 1,
         verified_through=hi,
-        pre_threshold_failure=pre,
+        pre_threshold_failure=last_fail,
     )
 
 
 def monotone_scan(sequence, lo: int, hi: int) -> Verdict:
-    """Holds iff seq(n+1) > seq(n) for every n in [lo, hi - 1]."""
-    if isinstance(sequence, str):
-        try:
-            sequence = SEQUENCES[sequence]
-        except KeyError:
-            raise KeyError(
-                f"unknown sequence {sequence!r}; known: {sorted(SEQUENCES)}"
-            ) from None
+    """Holds iff seq(n+1) > seq(n) for every n in [lo, hi - 1].
+
+    Steps are judged relative to the values at the smallest step, so a
+    first pass finds that step and a second escalates, in order of n, every
+    step too small for binary64 at that scale.
+    """
+    seq = _lookup(SEQUENCES, "sequence", sequence)
     _check_window(lo, hi)
-    ns = np.arange(lo, hi + 1, dtype=np.float64)
-    vals = sequence.fast(ns)
-    diffs = np.diff(vals)
-    min_i = int(np.argmin(diffs))
-    worst = float(diffs[min_i])
-    scale = float(max(abs(vals[min_i]), abs(vals[min_i + 1])))
-    bad = np.flatnonzero(diffs <= FAST_REL_TOL * max(scale, 1.0))
-    for i in bad:
-        n = lo + int(i)
-        v = decide(
-            float(diffs[i]),
-            lambda n=n: sequence.strict(n + 1) - sequence.strict(n),
-            scale=scale,
-            witness=(n,),
-        )
-        if v.status is not Status.HOLDS:
-            return Verdict(v.status, v.margin, v.precision_used, (n,))
+    worst = scale = None
+    for a, ns in _chunks(lo, hi, overlap=1):
+        vals = seq.fast(ns)
+        diffs = np.diff(vals)
+        i = int(np.argmin(diffs))
+        if worst is None or diffs[i] < worst:
+            worst = float(diffs[i])
+            scale = float(max(abs(vals[i]), abs(vals[i + 1])))
+    tol = FAST_REL_TOL * max(scale, 1.0)
+    if worst <= tol:
+        for a, ns in _chunks(lo, hi, overlap=1):
+            diffs = np.diff(seq.fast(ns))
+            for i in np.flatnonzero(diffs <= tol).tolist():
+                n = a + i
+                v = decide(
+                    float(diffs[i]),
+                    lambda: seq.strict(n + 1) - seq.strict(n),
+                    scale=scale,
+                    witness=(n,),
+                )
+                if v.status is not Status.HOLDS:
+                    return v
     return Verdict(Status.HOLDS, worst, Precision.FAST)

@@ -126,8 +126,8 @@ def _run_verify(args) -> int:
     elif name in GAP_CHECKS:
         which = conjectures.GAP_BOUNDS if name == "gap-bounds" else (name,)
         start = args.start if args.start is not None else 2
-        if start < conjectures.KOURBATOV_FLOOR and name in (
-                "kourbatov", "cramer"):
+        if (args.start is not None and start < conjectures.KOURBATOV_FLOOR
+                and name in ("kourbatov", "cramer")):
             print(
                 f"warning: --start {start} is below the validity floor "
                 f"{conjectures.KOURBATOV_FLOOR}; sub-floor pairs are skipped,"

@@ -147,7 +147,7 @@ def check_brocard(n_max: int) -> ConjectureReport:
             f"p_(n_max+1)^2 may exceed 2^63-1 at n_max = {n_max}")
     t0 = time.perf_counter()
     report = ConjectureReport("brocard", f"prime index n in [2, {n_max}]")
-    top = sieve.nth_prime(n_max + 1).value
+    top = sieve.nth_prime(n_max + 1)
     primes = np.concatenate(list(sieve.prime_blocks(2, top + 1)))
 
     def edges(ns):
@@ -455,7 +455,7 @@ def find_smarandache_D_counterexample(
     if n_start > cap:
         return None
     a = float(a)  # a numpy float's repr is not an mpf literal
-    p0 = sieve.nth_prime(n_start).value
+    p0 = sieve.nth_prime(n_start)
     a_mp = mp.mpf(repr(a))
     # one lazy stream up to a bound past p_cap: segments are sieved only
     # as the scan reaches them, so a small witness stays cheap

@@ -8,7 +8,7 @@ unconditionally, which Newton would not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import mpmath as mp
@@ -31,7 +31,7 @@ class ExponentSolution:
     x: float
     residual: float
     iterations: int
-    bracket: Tuple[float, float]
+    bracket: Tuple[float, float] = field(metadata={"csv": False})
 
 
 def _f(x: float, p: int, q: int) -> float:
@@ -62,12 +62,6 @@ def solve_exponent(p: int, q: int) -> ExponentSolution:
     with mp.workdps(STRICT_DPS):
         residual = float(abs(mp.power(q, x) - mp.power(p, x) - 1))
     return ExponentSolution(p, q, x, residual, iterations, (lo, hi))
-
-
-@dataclass(frozen=True)
-class ScanSummary:
-    pairs_scanned: int
-    limit: int
 
 
 # pairs per bisection batch in the min/max scans; after the first batch
@@ -135,11 +129,11 @@ def _extreme_root(limit: int, sign: float) -> Tuple[tuple, int]:
     return best, count
 
 
-def min_exponent(limit: int) -> Tuple[ExponentSolution, ScanSummary]:
-    """The pair with p < limit whose exponent root is smallest."""
+def min_exponent(limit: int) -> Tuple[ExponentSolution, int]:
+    """The pair with p < limit whose exponent root is smallest, and the
+    number of pairs scanned."""
     best, count = _extreme_root(limit, 1.0)
-    sol = solve_exponent(best[1], best[2])
-    return sol, ScanSummary(pairs_scanned=count, limit=limit)
+    return solve_exponent(best[1], best[2]), count
 
 
 def max_exponent(limit: int) -> ExponentSolution:

@@ -15,10 +15,10 @@ import json
 from typing import Any
 
 from .bounds import CrossoverResult, Verdict
-from .conjectures import ConjectureReport, DWitness, TrendRow
+from .conjectures import ConjectureReport, DWitness
 from .exponent_solver import ExponentSolution
 from .gaps import GapRecord
-from .panaitopol import CoefficientTable, PiApproxResult
+from .panaitopol import CoefficientTable
 
 TIMING_PLACEHOLDER = 0.0
 
@@ -104,7 +104,22 @@ def _write_witness_rows(buf: io.StringIO, base: list, witnesses: list) -> bool:
     return True
 
 
+def _csv_cell(value: Any) -> Any:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return _round15(value)
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return " ".join(map(str, value))
+    return value
+
+
 def to_csv(payload: Any) -> str:
+    """A conjecture report is one row per witness and a coefficient table
+    one row per index; any other dataclass, or list of them, is a header of
+    its field names (less those marked `csv: False`) and a row per record."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     if isinstance(payload, ConjectureReport):
@@ -119,45 +134,20 @@ def to_csv(payload: Any) -> str:
         elif not _write_witness_rows(buf, base, payload.violations):
             for v in payload.violations:
                 w.writerow(base + [" ".join(str(x) for x in v)])
-    elif isinstance(payload, list) and payload and isinstance(payload[0], PiApproxResult):
-        w.writerow(["x", "terms", "approx", "exact", "rel_error"])
-        for r in payload:
-            w.writerow([r.x, r.terms, _round15(r.approx), r.exact,
-                        _round15(r.rel_error)])
-    elif isinstance(payload, list) and payload and isinstance(payload[0], TrendRow):
-        w.writerow(["window_index", "first_n", "last_n", "mean", "min", "max"])
-        for r in payload:
-            w.writerow([r.window_index, r.first_n, r.last_n,
-                        _round15(r.mean), _round15(r.min), _round15(r.max)])
-    elif isinstance(payload, CrossoverResult):
-        w.writerow(["predicate_id", "threshold", "verified_through",
-                    "pre_threshold_failure"])
-        w.writerow([payload.predicate_id, payload.threshold,
-                    payload.verified_through,
-                    "" if payload.pre_threshold_failure is None
-                    else payload.pre_threshold_failure])
-    elif isinstance(payload, ExponentSolution):
-        w.writerow(["p", "q", "x", "residual", "iterations"])
-        w.writerow([payload.p, payload.q, _round15(payload.x),
-                    _round15(payload.residual), payload.iterations])
     elif isinstance(payload, CoefficientTable):
         w.writerow(["index", "k"])
-        for i, k in enumerate(payload.k, start=1):
-            w.writerow([i, k])
-    elif isinstance(payload, Verdict):
-        w.writerow(["status", "margin", "precision_used", "witness"])
-        w.writerow([payload.status.value, _round15(payload.margin),
-                    payload.precision_used.value,
-                    "" if payload.witness is None
-                    else " ".join(str(x) for x in payload.witness)])
-    elif isinstance(payload, DWitness):
-        w.writerow(["n", "p", "q", "value", "threshold"])
-        w.writerow([payload.n, payload.p, payload.q, _round15(payload.value),
-                    _round15(payload.threshold)])
-    elif isinstance(payload, list) and not payload:
-        pass  # no rows, and no row type to take a header from
+        w.writerows(enumerate(payload.k, start=1))
     else:
-        raise TypeError(f"no CSV layout for {type(payload).__name__}")
+        records = payload if isinstance(payload, list) else [payload]
+        if not all(dataclasses.is_dataclass(r) and not isinstance(r, type)
+                   for r in records):
+            raise TypeError(f"no CSV layout for {type(payload).__name__}")
+        if records:  # an empty list has no record type to take a header from
+            names = [f.name for f in dataclasses.fields(records[0])
+                     if f.metadata.get("csv", True)]
+            w.writerow(names)
+            for r in records:
+                w.writerow([_csv_cell(getattr(r, n)) for n in names])
     return buf.getvalue()
 
 

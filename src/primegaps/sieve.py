@@ -47,14 +47,6 @@ class PrimeRange:
             raise CapacityError(f"range end {self.hi} exceeds 2^63-1")
 
 
-@dataclass(frozen=True)
-class IndexedPrime:
-    """A prime together with its 1-based index (index 1 is the prime 2)."""
-
-    index: int
-    value: int
-
-
 def base_sieve(limit: int) -> np.ndarray:
     """All primes <= limit by a plain one-shot sieve (used for segment seeding)."""
     if limit < 2:
@@ -221,7 +213,7 @@ def _nth_prime_bound(n: int) -> int:
     return int(n * (ln + math.log(ln)) * 1.2) + 10
 
 
-def nth_prime(n: int) -> IndexedPrime:
+def nth_prime(n: int) -> int:
     """The n-th prime (1-based), found by counting through sieve segments."""
     if n < 1:
         raise ValueError("prime index must be >= 1")
@@ -231,6 +223,6 @@ def nth_prime(n: int) -> IndexedPrime:
     seen = 0
     for block in prime_blocks(2, bound):
         if seen + block.size >= n:
-            return IndexedPrime(index=n, value=int(block[n - seen - 1]))
+            return int(block[n - seen - 1])
         seen += block.size
     raise CapacityError(f"prime index {n} not reached below bound {bound}")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -169,7 +170,7 @@ class TestMonotoneScan:
         assert val > 0.5
 
     def test_constant_sequence_fails_immediately(self):
-        const = bounds.Sequence(
+        const = bounds.Predicate(
             "const", "always 1",
             lambda n: np.ones_like(n), lambda n: mp.mpf(1),
         )
@@ -181,6 +182,80 @@ class TestMonotoneScan:
         # the same sequence is not monotone when started too early
         v = bounds.monotone_scan("sqrt-over-log-squared", 2, 300)
         assert v.status is Status.FAILS
+
+    def test_unknown_id_lists_catalog(self):
+        with pytest.raises(KeyError, match="unknown sequence 'nope'.*"
+                                           "sqrt-over-log-squared"):
+            bounds.monotone_scan("nope", 2, 100)
+
+
+# a sequence that rises to n = 1000 and falls after it: its first failing
+# step, and its smallest step, lie far from the window start
+PEAK_AT_1000 = bounds.Predicate(
+    "peak", "-(n - 1000)^2",
+    lambda n: -((n - 1000.0) ** 2), lambda n: -mp.mpf(n - 1000) ** 2,
+)
+
+
+class TestChunkedScans:
+    """The scanners walk [lo, hi] in runs of SCAN_CHUNK integers; the
+    result must not depend on where the runs are cut."""
+
+    CHUNKS = (1, 2, 7, 1000)
+
+    @staticmethod
+    def _outcome(scan, entry, lo, hi):
+        try:
+            return scan(entry, lo, hi)
+        except bounds.NoCrossoverError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("pid", sorted(bounds.PREDICATES))
+    def test_crossover_independent_of_chunk(self, monkeypatch, pid):
+        want = bounds.crossover_scan(pid, 2, 3 * 10**4)
+        for chunk in self.CHUNKS:
+            monkeypatch.setattr(bounds, "SCAN_CHUNK", chunk)
+            assert bounds.crossover_scan(pid, 2, 3 * 10**4) == want
+
+    def test_crossover_failure_at_window_end_independent_of_chunk(
+            self, monkeypatch):
+        want = self._outcome(bounds.crossover_scan, "sqrt-vs-2log", 2, 50)
+        assert "still failing at the window end 50" in want
+        for chunk in self.CHUNKS:
+            monkeypatch.setattr(bounds, "SCAN_CHUNK", chunk)
+            assert self._outcome(
+                bounds.crossover_scan, "sqrt-vs-2log", 2, 50) == want
+
+    @pytest.mark.parametrize("lo", [2, 150, 190])
+    def test_monotone_independent_of_chunk(self, monkeypatch, lo):
+        want = bounds.monotone_scan("sqrt-over-log-squared", lo, 3 * 10**4)
+        for chunk in self.CHUNKS:
+            monkeypatch.setattr(bounds, "SCAN_CHUNK", chunk)
+            got = bounds.monotone_scan("sqrt-over-log-squared", lo, 3 * 10**4)
+            assert got == want
+
+    def test_monotone_late_failure_independent_of_chunk(self, monkeypatch):
+        want = bounds.monotone_scan(PEAK_AT_1000, 2, 3000)
+        assert want.status is Status.FAILS and want.witness == (1000,)
+        for chunk in self.CHUNKS:
+            monkeypatch.setattr(bounds, "SCAN_CHUNK", chunk)
+            assert bounds.monotone_scan(PEAK_AT_1000, 2, 3000) == want
+
+    def test_memory_stays_flat(self):
+        # a whole-window scan of 5e6 integers takes about 120 MiB
+        for run in (
+            lambda: bounds.crossover_scan("two-n-plus-one-vs-4log2", 2,
+                                          5 * 10**6),
+            lambda: bounds.monotone_scan("sqrt-over-log-squared", 190,
+                                         5 * 10**6),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * 2**20
 
 
 class TestTriStateEngine:

@@ -67,10 +67,10 @@ class TestSolveExponent:
 
 class TestScans:
     def test_min_at_128_is_113_127(self):
-        sol, summary = es.min_exponent(128)
+        sol, pairs = es.min_exponent(128)
         assert (sol.p, sol.q) == (113, 127)
         assert sol.x == pytest.approx(0.567148, abs=1e-6)
-        assert summary.pairs_scanned == 31
+        assert pairs == 31
 
     def test_min_at_10_compares_all_four_pairs(self):
         xs = {(p, q): es.solve_exponent(p, q).x
@@ -161,9 +161,9 @@ class TestPrunedScans:
     @settings(max_examples=25, deadline=None)
     def test_same_pairs_as_unpruned_scan(self, limit):
         lo_pair, hi_pair, count = unpruned_min_max(limit)
-        sol, summary = es.min_exponent(limit)
+        sol, pairs = es.min_exponent(limit)
         assert (sol.p, sol.q) == lo_pair
-        assert summary.pairs_scanned == count
+        assert pairs == count
         sol = es.max_exponent(limit)
         assert (sol.p, sol.q) == hi_pair
 
@@ -192,9 +192,9 @@ class TestPrunedScans:
         monkeypatch.setattr(gaps, "pair_blocks", fake_blocks)
         monkeypatch.setattr(es, "solve_exponent",
                             lambda p, q: calls.append((p, q)) or solve(p, q))
-        sol, summary = es.min_exponent(10)
+        sol, pairs = es.min_exponent(10)
         assert (sol.p, sol.q) == min(roots, key=roots.get)
-        assert summary.pairs_scanned == 3
+        assert pairs == 3
         assert {a, b} <= set(calls)  # _argmin_beats refined the tie
         calls.clear()
         monkeypatch.setattr(gaps, "pair_blocks",

@@ -36,6 +36,12 @@ class TestSerialization:
         assert len(lines) == 4
         assert lines[0] == "x,terms,approx,exact,rel_error"
 
+    def test_csv_needs_dataclass_records(self):
+        for payload in (7, [1, 2], ["a"]):
+            with pytest.raises(TypeError, match="no CSV layout"):
+                report.to_csv(payload)
+        assert report.to_csv([]) == ""  # no record to take a header from
+
     def test_csv_quoting_is_rfc4180(self):
         rep = conjectures.check_smarandache_B(100, 0.5)
         text = report.to_csv(rep)
@@ -386,6 +392,13 @@ class TestCliExitCodes:
         )
         assert code == 0
         assert "validity floor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["kourbatov", "cramer"])
+    def test_default_start_does_not_warn(self, capsys, name):
+        # without --start the scan skips the sub-floor pairs on its own;
+        # a warning would name a flag that was never typed
+        assert cli.main(["verify", name, "--limit", "20"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 # every option of every command; a new flag must be added here on purpose

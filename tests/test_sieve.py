@@ -45,9 +45,9 @@ def test_prime_count_million():
 
 
 def test_nth_prime_examples():
-    assert sieve.nth_prime(1).value == 2
-    assert sieve.nth_prime(10).value == 29
-    assert sieve.nth_prime(31).value == 127
+    assert sieve.nth_prime(1) == 2
+    assert sieve.nth_prime(10) == 29
+    assert sieve.nth_prime(31) == 127
     with pytest.raises(ValueError):
         sieve.nth_prime(0)
 
@@ -78,7 +78,7 @@ def test_nth_prime_inverts_prime_count():
         if idx % 7919 == 1:  # keep the nth_prime lookups affordable
             sampled.append((idx, p))
     for idx, p in sampled:
-        assert sieve.nth_prime(idx).value == p
+        assert sieve.nth_prime(idx) == p
 
 
 def test_partition_independence():
