@@ -312,11 +312,12 @@ def monotone_scan(sequence, lo: int, hi: int) -> Verdict:
 
     Steps are judged relative to the values at the smallest step, so a
     first pass finds that step and a second escalates, in order of n, every
-    step too small for binary64 at that scale.
+    step too small for binary64 at that scale.  When a step was escalated,
+    the margin is the smallest strict step, not the binary64 one.
     """
     seq = _lookup(SEQUENCES, "sequence", sequence)
     _check_window(lo, hi)
-    worst = scale = None
+    worst = scale = strict = None
     for a, ns in _chunks(lo, hi, overlap=1):
         vals = seq.fast(ns)
         diffs = np.diff(vals)
@@ -338,4 +339,9 @@ def monotone_scan(sequence, lo: int, hi: int) -> Verdict:
                 )
                 if v.status is not Status.HOLDS:
                     return v
+                if v.precision_used is Precision.STRICT and (
+                        strict is None or v.margin < strict):
+                    strict = v.margin
+    if strict is not None:
+        return Verdict(Status.HOLDS, strict, Precision.STRICT)
     return Verdict(Status.HOLDS, worst, Precision.FAST)

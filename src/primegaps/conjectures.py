@@ -69,6 +69,10 @@ def _capture(out: list, blk: gaps.PairBlock, idx: np.ndarray, *lead) -> None:
 # most values of n per interval-checker chunk, so that the chunk's arrays
 # stay a few MB whatever n_max is
 INTERVAL_CHUNK = 1 << 16
+# most values of n in the first chunk, where each side's least count is not
+# known yet and its cap is raised: kept small, so that the later chunks are
+# capped at that least
+FIRST_CHUNK = 64
 
 
 def _scan_intervals(report, lo, hi, edges, sides) -> list:
@@ -79,14 +83,25 @@ def _scan_intervals(report, lo, hi, edges, sides) -> list:
     primes in (end i, end j]; an n whose count is below `least` is a
     violation (n, tag), and a side whose tag is None records only its
     minimum.  Returns each side's least (count, n), ties to the smallest n.
+
+    Counts are capped at max(least, the side's least count so far), which
+    keeps every violation and that least exact: a capped count ties the
+    least at a larger n at best.  In the first chunk, of FIRST_CHUNK values,
+    where the least is not known yet, the cap doubles until some count
+    falls below it.
     """
     best = [None] * len(sides)
-    for s in range(lo, hi, INTERVAL_CHUNK):
-        ns = np.arange(s, min(s + INTERVAL_CHUNK, hi), dtype=np.int64)
-        pi = sieve.prime_counts_at(np.concatenate(edges(ns)))
-        pi = pi.reshape(-1, ns.size)
+    s, step = lo, min(FIRST_CHUNK, INTERVAL_CHUNK)
+    while s < hi:
+        ns = np.arange(s, min(s + step, hi), dtype=np.int64)
+        s, step = s + ns.size, INTERVAL_CHUNK
+        ends = edges(ns)
         for k, (i, j, least, tag) in enumerate(sides):
-            counts = pi[j] - pi[i]
+            cap = max(least, 1 if best[k] is None else best[k][0])
+            counts = sieve.capped_counts(ends[i], ends[j], cap)
+            while best[k] is None and counts.min() == cap:
+                cap *= 2
+                counts = sieve.capped_counts(ends[i], ends[j], cap)
             if tag is not None:
                 report.checked_count += ns.size
                 report.violations.extend(

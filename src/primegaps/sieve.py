@@ -1,10 +1,13 @@
 """Exact prime oracle: a segmented sieve for prime streams and dense batch
-counts, a Legendre-sum count for single values of pi(x), and the n-th prime.
+counts, a Legendre-sum count for single values of pi(x), the n-th prime, and
+capped prime counts of many intervals.
 
 Everything downstream (gap metrics, conjecture scans, the pi(x) comparison)
 uses this module as its exact prime oracle.  The sieve is odd-only and
 segmented so that scans near 10^8..10^9 run in bounded memory; prime_count
-touches only O(sqrt x) values, so a single pi(x) never sieves up to x.
+touches only O(sqrt x) values, so a single pi(x) never sieves up to x; and
+capped_counts finds each interval's first few primes by deterministic
+Miller-Rabin, so it never sieves below the intervals.
 """
 
 from __future__ import annotations
@@ -177,7 +180,7 @@ def prime_counts_at(values) -> np.ndarray:
     one sieve pass from the smallest value to the largest.
 
     Cheaper than repeated prime_count calls when many counts near the same
-    magnitude are needed (interval checkers rely on this).  The count below
+    magnitude are needed; the tests hold capped_counts to it.  The count below
     the smallest value v0 comes from one prime_count(v0 - 1).  Values and
     blocks are both ascending, so each block searches only the values up
     to its last prime.
@@ -203,6 +206,186 @@ def prime_counts_at(values) -> np.ndarray:
     out = np.zeros(vals.size, dtype=np.int64)
     out[order] = counts
     return out
+
+
+# ---------------------------------------------------------------------------
+# capped interval counts: the first few primes past each start, found by a
+# small pre-sieve and an exact Miller-Rabin test, with no sieve below them
+
+# values up to here are looked up: base 61 below calls 61 itself composite
+SMALL_MAX = 61
+# odd candidates per open interval per round
+WINDOW_ODDS = 12
+# most intervals walked together
+SLAB_ROWS = 4096
+# odd primes after PATTERN_PRIMES struck by residue tables, one per group;
+# the largest period is 43 * 47 * 53 = 107 113 entries
+FILTER_GROUPS = ((19, 23, 29), (31, 37, 41), (43, 47, 53))
+U32 = 1 << 32
+# Jaeschke (1993): no strong pseudoprime to all of {2, 7, 61} below
+# 4 759 123 141, nor to all of {2, 13, 23, 1662803} below 1 122 004 669 633;
+# Sinclair (2011): none to all seven bases below 2^64
+JAESCHKE_3 = (4_759_123_141, (2, 7, 61))
+JAESCHKE_4 = (1_122_004_669_633, (2, 13, 23, 1662803))
+SINCLAIR = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+
+
+@functools.cache
+def _small_pi() -> np.ndarray:
+    """pi(v) for v = 0 .. SMALL_MAX."""
+    marks = np.zeros(SMALL_MAX + 1, dtype=np.int64)
+    marks[base_sieve(SMALL_MAX)] = 1
+    return np.cumsum(marks)
+
+
+@functools.cache
+def _filters() -> tuple:
+    """(period, mask) per residue table: the 3..17 pattern, then one per
+    FILTER_GROUPS entry.  Each mask holds two periods of the odd-index mask
+    with every odd multiple of its primes struck, so a window of up to a
+    period's length can start at any phase."""
+    out = [(PATTERN_PERIOD, _pattern())]
+    for group in FILTER_GROUPS:
+        period = math.prod(group)
+        mask = np.ones(2 * period, dtype=bool)
+        for p in group:
+            mask[p // 2 :: p] = False
+        mask.flags.writeable = False
+        out.append((period, mask))
+    return tuple(out)
+
+
+def _sprp_u32(n: np.ndarray, base: int) -> np.ndarray:
+    """Whether each odd n (uint64, base < n < 2^32) is a strong probable
+    prime to `base`.  Every residue and every power of `base` multiplied
+    in is below 2^32, so each product is below 2^64 and exact."""
+    nm1 = n - 1
+    low = nm1 & (~nm1 + 1)  # the lowest set bit of n - 1
+    s = np.frexp(low.astype(np.float64))[1] - 1  # n - 1 = d * 2^s, d odd
+    d = nm1 >> s.astype(np.uint64)
+    del low
+    # base^d left to right, w bits of d at a time: w squarings, then one
+    # product with base^(those bits), the widest window whose powers of
+    # base stay below 2^32; in place, so that few arrays are alive at once
+    w = 1
+    while base ** (2 ** (w + 1) - 1) < U32:
+        w += 1
+    powers = np.array([base**j for j in range(2**w)], dtype=np.uint64)
+    x = np.ones_like(n)
+    for shift in range(-(-int(d.max()).bit_length() // w) * w - w, -1, -w):
+        for _ in range(w):
+            np.multiply(x, x, out=x)
+            np.remainder(x, n, out=x)
+        np.multiply(x, powers[(d >> shift) & (2**w - 1)], out=x)
+        np.remainder(x, n, out=x)
+    del d
+    ok = (x == 1) | (x == nm1)
+    # square on only while some n has squarings left and no witness yet
+    live = np.flatnonzero(~ok & (s > 1))
+    x, n, nm1, s = x[live], n[live], nm1[live], s[live] - 1
+    while live.size:
+        x = x * x % n
+        hit = x == nm1
+        ok[live[hit]] = True
+        more = ~hit & (s > 1)
+        live, x, n, nm1, s = live[more], x[more], n[more], nm1[more], s[more] - 1
+    return ok
+
+
+def _is_prime_int(n: int) -> bool:
+    """Strong-probable-prime test of an odd n > SMALL_MAX below 2^64, to a
+    base set with no strong pseudoprime below n, so exact."""
+    if n < JAESCHKE_3[0]:
+        bases = JAESCHKE_3[1]
+    elif n < JAESCHKE_4[0]:
+        bases = JAESCHKE_4[1]
+    else:
+        bases = SINCLAIR
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _is_prime_odd(v: np.ndarray) -> np.ndarray:
+    """Exact primality of odd int64 values above SMALL_MAX: vectorised
+    Miller-Rabin to the bases {2, 7, 61} below 2^32, Python ints above."""
+    out = np.zeros(v.size, dtype=bool)
+    small = v < U32
+    n = v[small].astype(np.uint64)
+    ok = np.ones(n.size, dtype=bool)
+    for base in JAESCHKE_3[1]:  # most composites fail base 2 alone
+        if ok.any():
+            ok[ok] = _sprp_u32(n[ok], base)
+    out[small] = ok
+    if not small.all():
+        out[~small] = [_is_prime_int(x) for x in v[~small].tolist()]
+    return out
+
+
+def capped_counts(a, b, cap: int) -> np.ndarray:
+    """min(#primes in (a, b], cap) elementwise over int64 arrays a, b.
+
+    Exact without sieving below the intervals: values up to SMALL_MAX are
+    looked up, and each interval's odd candidates above it are walked
+    WINDOW_ODDS at a time, across every interval still below the cap.  A
+    candidate survives when no odd prime up to 53 divides it (residue
+    tables indexed from the interval's start phase, no division) and is
+    then tested by Miller-Rabin to bases with no strong pseudoprime below
+    it.  The work per interval grows with its first `cap` primes, not with
+    its length or height.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64),
+                               np.asarray(b, dtype=np.int64))
+    shape, a, b = a.shape, a.ravel(), b.ravel()
+    if a.size > SLAB_ROWS:  # a slab's rounds stay a few hundred KB each
+        return np.concatenate([
+            capped_counts(a[i : i + SLAB_ROWS], b[i : i + SLAB_ROWS], cap)
+            for i in range(0, a.size, SLAB_ROWS)]).reshape(shape)
+    counts = np.zeros(a.size, dtype=np.int64)
+    if cap <= 0 or a.size == 0:
+        return counts.reshape(shape)
+    pi = _small_pi()
+    counts += np.maximum(pi[np.clip(b, 0, SMALL_MAX)]
+                         - pi[np.clip(a, 0, SMALL_MAX)], 0)
+    floor = np.maximum(a, SMALL_MAX)
+    rows = np.flatnonzero((counts < cap) & (b > floor))
+    start = (floor[rows] + 1) | 1  # the first odd above a and 61; b > floor,
+    left = (b[rows] - start) // 2 + 1  # so neither wraps: odd candidates
+    filters = _filters()
+    phases = [((start // 2) % period).astype(np.int32)
+              for period, _ in filters]
+    k = np.arange(WINDOW_ODDS, dtype=np.int32)
+    while rows.size:
+        keep = k < left[:, None]
+        for (_, mask), phase in zip(filters, phases):
+            keep &= mask[phase[:, None] + k]
+        r, c = np.nonzero(keep)
+        hit = _is_prime_odd(start[r] + 2 * c)
+        counts[rows] += np.bincount(r[hit], minlength=rows.size)
+        # an interval stays open while it is below the cap and has more
+        # candidates; the others drop out before any start moves past b
+        still = (counts[rows] < cap) & (left > WINDOW_ODDS)
+        rows, start, left = rows[still], start[still], left[still]
+        start += 2 * WINDOW_ODDS
+        left -= WINDOW_ODDS
+        for t, (period, _) in enumerate(filters):
+            phase = phases[t][still] + WINDOW_ODDS
+            phase[phase >= period] -= period
+            phases[t] = phase
+    np.minimum(counts, cap, out=counts)
+    return counts.reshape(shape)
 
 
 # Loose upper bound for p_n, used only to size the nth_prime scan.

@@ -188,6 +188,20 @@ class TestMonotoneScan:
                                            "sqrt-over-log-squared"):
             bounds.monotone_scan("nope", 2, 100)
 
+    def test_escalated_steps_report_the_strict_margin(self):
+        # below 2^53 every step (~4e-12) is under the scaled window and
+        # binary64 gets even its sign wrong, so each is settled strictly;
+        # the steps shrink with n, so the last one is the smallest
+        seq = bounds.SEQUENCES["sqrt-over-log-squared"]
+        hi = bounds.MAX_EXACT_FLOAT_INT
+        v = bounds.monotone_scan(seq, hi - 1000, hi)
+        assert v.status is Status.HOLDS
+        assert v.precision_used is Precision.STRICT
+        with mp.workdps(bounds.STRICT_DPS):
+            last = float(seq.strict(hi) - seq.strict(hi - 1))
+        assert v.margin == pytest.approx(last, rel=1e-9)
+        assert v.margin > 0
+
 
 # a sequence that rises to n = 1000 and falls after it: its first failing
 # step, and its smallest step, lie far from the window start

@@ -92,9 +92,10 @@ class TestInt64Guard:
     @pytest.fixture(autouse=True)
     def no_sieving(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("sieved before the capacity check")
+            raise AssertionError("counted before the capacity check")
         monkeypatch.setattr(sieve, "prime_blocks", refuse)
         monkeypatch.setattr(sieve, "prime_counts_at", refuse)
+        monkeypatch.setattr(sieve, "capped_counts", refuse)
 
     def test_legendre(self):
         n = math.isqrt(sieve.MAX_VALUE)  # (n + 1)^2 is the first to wrap
@@ -519,3 +520,50 @@ class TestIntervalChunks:
         assert normalized(check(n_max)) == want
         monkeypatch.setattr(sieve, "SEGMENT_ODDS", 1024)
         assert normalized(check(n_max)) == want
+
+
+def reference_scan(report, lo, hi, edges, sides):
+    """The former _scan_intervals: every count in full, from the sieve."""
+    ns = np.arange(lo, hi, dtype=np.int64)
+    pi = sieve.prime_counts_at(np.concatenate(edges(ns))).reshape(-1, ns.size)
+    best = []
+    for i, j, least, tag in sides:
+        counts = pi[j] - pi[i]
+        if tag is not None:
+            report.checked_count += ns.size
+            report.violations.extend(
+                (n, tag) for n in ns[counts < least].tolist())
+        m = int(np.argmin(counts))
+        best.append((int(counts[m]), int(ns[m])))
+    return best
+
+
+class TestCappedIntervalScan:
+    """Capped counts give the violations and least counts of full counts,
+    wherever the least lies and however the range is cut."""
+
+    CASES = [
+        # Legendre intervals held to 12 primes: violations up to n = 13
+        (1, 3000, lambda ns: (ns * ns, (ns + 1) ** 2),
+         [(0, 1, 12, "few")]),
+        # 30 wide past n^2: empty intervals, the first far from lo
+        (100, 5000, lambda ns: (ns * ns, ns * ns + 30),
+         [(0, 1, 2, "short"), (0, 1, 0, None)]),
+        # nested ends, and a side that only records its least
+        (2, 2000, lambda ns: (ns * ns - ns, ns * ns, ns * ns + 3 * ns),
+         [(0, 1, 3, "below"), (1, 2, 0, None), (0, 2, 6, "both")]),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    @pytest.mark.parametrize("first, chunk", [(64, 1 << 16), (3, 7), (1, 500)])
+    def test_matches_full_counts(self, monkeypatch, case, first, chunk):
+        lo, hi, edges, sides = self.CASES[case]
+        want = cj.ConjectureReport("x", "")
+        want_best = reference_scan(want, lo, hi, edges, sides)
+        monkeypatch.setattr(cj, "FIRST_CHUNK", first)
+        monkeypatch.setattr(cj, "INTERVAL_CHUNK", chunk)
+        got = cj.ConjectureReport("x", "")
+        assert cj._scan_intervals(got, lo, hi, edges, sides) == want_best
+        # reports sort their violations when they are finalized
+        assert sorted(got.violations) == sorted(want.violations)
+        assert got.checked_count == want.checked_count

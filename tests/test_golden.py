@@ -46,6 +46,8 @@ CASES = {
     "legendre-1e4.json": ("verify legendre --limit 10000 --format json", OK),
     "oppermann-1e4.json": ("verify oppermann --limit 10000 --format json", OK),
     "brocard-2000.json": ("verify brocard --limit 2000 --format json", OK),
+    # p_7001^2 is about 5e9: its intervals lie past 2^32
+    "brocard-7000.json": ("verify brocard --limit 7000 --format json", OK),
     "shanks-trend-1e6-w1e4.csv":
         ("verify shanks-trend --limit 1000000 --window 10000 --format csv", OK),
     "crossover-2n1-1e4.csv":

@@ -252,6 +252,7 @@ class TestCliExitCodes:
 
         monkeypatch.setattr(gaps, "pair_blocks", None)  # no work may start
         monkeypatch.setattr(sieve, "prime_blocks", None)
+        monkeypatch.setattr(sieve, "capped_counts", None)
         argv = ["verify", name, "--start", "1000", "--limit", "2000"]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
@@ -305,19 +306,29 @@ class TestCliExitCodes:
 
     def test_oppermann_below_int64_guard_stays_bounded(self, monkeypatch):
         # one below the guard: a single chunk of every n once asked numpy
-        # for 22.6 GiB; the scan is cut short after one sieve segment
+        # for 22.6 GiB; the scan is cut short once a full chunk has built
+        # its first round of candidates, before they are tested
+        from primegaps import conjectures as cj
         from primegaps import sieve
 
         class Stop(BaseException):  # cli.main turns an Exception into exit 2
             pass
 
-        blocks = sieve.prime_blocks
+        counts, is_prime = sieve.capped_counts, sieve._is_prime_odd
+        full = []
 
-        def first_segment_only(lo, hi):
-            yield next(blocks(lo, hi))
-            raise Stop
+        def capped(a, b, cap):
+            if a.size == cj.INTERVAL_CHUNK:
+                full.append(True)
+            return counts(a, b, cap)
 
-        monkeypatch.setattr(sieve, "prime_blocks", first_segment_only)
+        def first_full_round(v):
+            if full:
+                raise Stop
+            return is_prime(v)
+
+        monkeypatch.setattr(sieve, "capped_counts", capped)
+        monkeypatch.setattr(sieve, "_is_prime_odd", first_full_round)
         tracemalloc.start()
         try:
             with pytest.raises(Stop):

@@ -298,3 +298,80 @@ def test_odd_offsets_against_python_ints():
                2**63 - 999, 2**63 - 1001, sieve.MAX_VALUE - 2 * 10**6):
         got = sieve._odd_offsets(lo, primes).tolist()
         assert got == [odd_offsets_exact(lo, p) for p in primes.tolist()]
+
+
+# ---------------------------------------------------------------------------
+# capped_counts walks each interval's candidates and decides them by
+# Miller-Rabin; differences of the sieve's prime_counts_at are the oracle
+
+CAPS = (0, 1, 2, 7, 50)
+# strong pseudoprimes: to base 2 (2047 = 23 * 89), to 2 and 3, to 2, 3 and
+# 5, to 2, 3, 5 and 7 (so to 2 and 7), to all of {2, 7, 61}, to all of
+# {2, 13, 23, 1662803}, and to every prime base up to 23
+STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 4759123141,
+                       1122004669633, 3825123056546413051)
+
+
+def sieve_capped(a, b, cap):
+    pi = sieve.prime_counts_at(np.concatenate([a, b]))
+    return np.minimum(np.maximum(pi[a.size:] - pi[: a.size], 0), cap)
+
+
+def test_capped_counts_on_every_small_interval():
+    # every (a, b] with 0 <= a, b <= 80: 2, the primes up to 61 and the
+    # first walked candidates, empty and reversed intervals
+    a, b = (g.ravel() for g in np.mgrid[0:81, 0:81])
+    for cap in CAPS:
+        assert (sieve.capped_counts(a, b, cap) == sieve_capped(a, b, cap)).all()
+
+
+@pytest.mark.parametrize("window, slab", [
+    (1, 3), (5, 7), (sieve.WINDOW_ODDS, sieve.SLAB_ROWS)])
+@given(st.lists(st.tuples(st.one_of(st.integers(0, 70), st.integers(0, 10**6)),
+                          st.integers(0, 4000)), min_size=1, max_size=50),
+       st.sampled_from(CAPS))
+@settings(max_examples=80, deadline=None)
+def test_capped_counts_match_sieve_differences(window, slab, pairs, cap):
+    a = np.array([lo for lo, _ in pairs], dtype=np.int64)
+    b = np.minimum(a + [w for _, w in pairs], 10**6)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve, "WINDOW_ODDS", window)
+        mp.setattr(sieve, "SLAB_ROWS", slab)
+        got = sieve.capped_counts(a, b, cap)
+    assert got.tolist() == sieve_capped(a, b, cap).tolist()
+
+
+@pytest.mark.parametrize("centre", [
+    2**32, sieve.JAESCHKE_3[0], sieve.JAESCHKE_4[0], 2**62,
+    sieve.MAX_VALUE - 700])
+def test_capped_counts_against_sympy_far_out(centre):
+    sympy = pytest.importorskip("sympy")
+    vals = np.arange(centre - 700, centre + 700, dtype=np.int64)
+    want = [sympy.isprime(v) for v in vals.tolist()]
+    # each value alone, then intervals straddling the centre
+    assert sieve.capped_counts(vals - 1, vals, 1).tolist() == want
+    a = vals[:600:37]
+    for cap in CAPS:
+        got = sieve.capped_counts(a, a + 800, cap).tolist()
+        assert got == [min(sum(want[i + 1:i + 801]), cap)
+                       for i in range(0, 600, 37)]
+
+
+def test_strong_pseudoprimes_are_composite():
+    spsp = np.array(STRONG_PSEUDOPRIMES, dtype=np.int64)
+    assert sieve.capped_counts(spsp - 1, spsp, 1).tolist() == [0] * spsp.size
+    assert not sieve._is_prime_odd(spsp).any()
+    # the bases they fool do fool the vectorised test, so each base counts
+    n = np.array([2047, 3215031751], dtype=np.uint64)
+    assert sieve._sprp_u32(n, 2).all() and sieve._sprp_u32(n[1:], 7).all()
+    assert not sieve._sprp_u32(n, 61).any()
+
+
+def test_is_prime_odd_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = np.random.default_rng(7)
+    for lo, hi in ((63, 10**4), (10**8, 2**32), (2**32, 2**40),
+                   (2**40, sieve.MAX_VALUE)):
+        v = rng.integers(lo, hi, 3000, dtype=np.int64) | 1
+        want = [sympy.isprime(x) for x in v.tolist()]
+        assert sieve._is_prime_odd(v).tolist() == want
