@@ -231,14 +231,6 @@ SINCLAIR = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
 @functools.cache
-def _small_pi() -> np.ndarray:
-    """pi(v) for v = 0 .. SMALL_MAX."""
-    marks = np.zeros(SMALL_MAX + 1, dtype=np.int64)
-    marks[base_sieve(SMALL_MAX)] = 1
-    return np.cumsum(marks)
-
-
-@functools.cache
 def _filters() -> tuple:
     """(period, mask) per residue table: the 3..17 pattern, then one per
     FILTER_GROUPS entry.  Each mask holds two periods of the odd-index mask
@@ -335,30 +327,30 @@ def _is_prime_odd(v: np.ndarray) -> np.ndarray:
 
 
 def capped_counts(a, b, cap: int) -> np.ndarray:
-    """min(#primes in (a, b], cap) elementwise over int64 arrays a, b.
+    """min(#primes in (a, b], cap) for each pair of ends of the 1-D int64
+    arrays a and b.
 
     Exact without sieving below the intervals: values up to SMALL_MAX are
     looked up, and each interval's odd candidates above it are walked
-    WINDOW_ODDS at a time, across every interval still below the cap.  A
-    candidate survives when no odd prime up to 53 divides it (residue
-    tables indexed from the interval's start phase, no division) and is
+    WINDOW_ODDS at a time, across up to SLAB_ROWS intervals still below the
+    cap.  A candidate survives when no odd prime up to 53 divides it
+    (residue tables indexed from each interval's start phase, so no
+    division per candidate) and is
     then tested by Miller-Rabin to bases with no strong pseudoprime below
     it.  The work per interval grows with its first `cap` primes, not with
     its length or height.
     """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64),
-                               np.asarray(b, dtype=np.int64))
-    shape, a, b = a.shape, a.ravel(), b.ravel()
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
     if a.size > SLAB_ROWS:  # a slab's rounds stay a few hundred KB each
         return np.concatenate([
             capped_counts(a[i : i + SLAB_ROWS], b[i : i + SLAB_ROWS], cap)
-            for i in range(0, a.size, SLAB_ROWS)]).reshape(shape)
-    counts = np.zeros(a.size, dtype=np.int64)
-    if cap <= 0 or a.size == 0:
-        return counts.reshape(shape)
-    pi = _small_pi()
-    counts += np.maximum(pi[np.clip(b, 0, SMALL_MAX)]
-                         - pi[np.clip(a, 0, SMALL_MAX)], 0)
+            for i in range(0, a.size, SLAB_ROWS)])
+    if cap <= 0:
+        return np.zeros(a.size, dtype=np.int64)
+    small = base_sieve(SMALL_MAX)
+    counts = np.maximum(np.searchsorted(small, b, side="right")
+                        - np.searchsorted(small, a, side="right"), 0)
     floor = np.maximum(a, SMALL_MAX)
     rows = np.flatnonzero((counts < cap) & (b > floor))
     start = (floor[rows] + 1) | 1  # the first odd above a and 61; b > floor,
@@ -385,7 +377,7 @@ def capped_counts(a, b, cap: int) -> np.ndarray:
             phase[phase >= period] -= period
             phases[t] = phase
     np.minimum(counts, cap, out=counts)
-    return counts.reshape(shape)
+    return counts
 
 
 # Loose upper bound for p_n, used only to size the nth_prime scan.
