@@ -1,9 +1,9 @@
-"""Inequality evaluators, a tri-state comparison engine, and integer scanners.
+"""Inequality evaluators, a tri-state decision engine, and integer scanners.
 
-Every comparison goes through the same policy: evaluate the signed margin in
-binary64; if the relative margin is below FAST_REL_TOL, re-evaluate at 30
-significant digits with mpmath; if even that leaves a relative margin below
-STRICT_REL_TOL the verdict is Uncertain rather than a coin flip on rounding.
+Every comparison goes through the same policy, `settle`: a binary64 margin
+strictly inside its window is re-evaluated once at 30 significant digits with
+mpmath, and if even that leaves a relative margin below STRICT_REL_TOL the
+verdict is Uncertain rather than a coin flip on rounding.
 """
 
 from __future__ import annotations
@@ -58,34 +58,58 @@ class Verdict:
         return self.status is Status.HOLDS
 
 
+def settle(margins: np.ndarray, window, strict: Callable[[int], "mp.mpf"],
+           scale=None) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Decide a 1-D array of fast margins (positive = holds).
+
+    window and scale are scalars or one value per margin.  A margin at or
+    above its window holds and one at or below -window fails.  One strictly
+    inside is decided once more by m = strict(i) at STRICT_DPS: uncertain if
+    |m| < STRICT_REL_TOL * max(|scale|, 1), else failing if m <= 0.  Returns
+    the ascending indices of the failing margins and of the uncertain ones,
+    and {i: m} for every margin decided strictly.
+    """
+    hits = np.flatnonzero(margins < window)
+    if not hits.size:
+        return hits, hits, {}
+    fails = np.abs(margins[hits]) >= np.broadcast_to(window, margins.shape)[hits]
+    scale = np.broadcast_to(1.0 if scale is None else scale, margins.shape)
+    uncertain, values = [], {}
+    for k in np.flatnonzero(~fails).tolist():
+        i = int(hits[k])
+        with mp.workdps(STRICT_DPS):
+            m = values[i] = float(strict(i))
+        if abs(m) < STRICT_REL_TOL * max(abs(float(scale[i])), 1.0):
+            uncertain.append(i)
+        else:
+            fails[k] = m <= 0
+    return hits[fails], np.array(uncertain, dtype=np.intp), values
+
+
+def _verdict(i: int, fast: float, settled: tuple, witness) -> Verdict:
+    """The Verdict of margin i, with fast margin `fast`, in a `settle`
+    result."""
+    fails, uncertain, values = settled
+    status = (Status.UNCERTAIN if i in uncertain
+              else Status.FAILS if i in fails else Status.HOLDS)
+    return Verdict(status, values.get(i, fast),
+                   Precision.STRICT if i in values else Precision.FAST,
+                   None if status is Status.HOLDS else witness)
+
+
 def decide(
     fast_margin: float,
     strict_margin_fn: Callable[[], "mp.mpf"],
     scale: float = 1.0,
     witness: Optional[tuple] = None,
 ) -> Verdict:
-    """Turn a signed margin into a Verdict, escalating precision when needed.
-
-    scale sets the magnitude the margin is judged relative to (use the size
-    of the compared quantities when they are large).
-    """
-    scale = max(abs(scale), 1.0)
-    if abs(fast_margin) >= FAST_REL_TOL * scale:
-        status = Status.HOLDS if fast_margin > 0 else Status.FAILS
-        return Verdict(status, fast_margin,
-                       Precision.FAST, witness if fast_margin <= 0 else None)
-    with mp.workdps(STRICT_DPS):
-        strict = strict_margin_fn()
-        if strict == 0:
-            # an exactly-zero margin means the sides coincide, which a
-            # strict inequality definitely fails
-            return Verdict(Status.FAILS, 0.0, Precision.STRICT, witness)
-        if abs(strict) < STRICT_REL_TOL * scale:
-            return Verdict(Status.UNCERTAIN, float(strict),
-                           Precision.STRICT, witness)
-        status = Status.HOLDS if strict > 0 else Status.FAILS
-        return Verdict(status, float(strict),
-                       Precision.STRICT, witness if strict <= 0 else None)
+    """Turn one signed margin into a Verdict by `settle`, with the window
+    FAST_REL_TOL relative to scale (the size of the compared quantities
+    when they are large)."""
+    window = FAST_REL_TOL * max(abs(scale), 1.0)
+    settled = settle(np.array([fast_margin]), window,
+                     lambda i: strict_margin_fn(), scale)
+    return _verdict(0, fast_margin, settled, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -277,25 +301,20 @@ def _chunks(lo: int, hi: int, overlap: int = 0):
 def crossover_scan(predicate, lo: int, hi: int) -> CrossoverResult:
     """Find the least t in [lo, hi] with the predicate true on all of [t, hi].
 
-    hi is inclusive.  Margins too close to zero for binary64 are settled at
-    strict precision point by point.
+    hi is inclusive.  Each chunk's margins are decided by `settle` with the
+    window FAST_REL_TOL; an uncertain margin ends the scan.
     """
     pred = _lookup(PREDICATES, "predicate", predicate)
     _check_window(lo, hi)
     last_fail = None
     for a, ns in _chunks(lo, hi):
-        margins = pred.fast(ns)
-        holds = margins > 0.0
-        for i in np.flatnonzero(np.abs(margins) < FAST_REL_TOL).tolist():
-            n = a + i
-            v = decide(float(margins[i]), lambda: pred.strict(n), witness=(n,))
-            if v.status is Status.UNCERTAIN:
-                raise NoCrossoverError(
-                    f"{pred.id}: undecidable margin at n={n}")
-            holds[i] = v.holds
-        failures = np.flatnonzero(~holds)
-        if failures.size:
-            last_fail = a + int(failures[-1])
+        fails, uncertain, _ = settle(pred.fast(ns), FAST_REL_TOL,
+                                     lambda i: pred.strict(a + i))
+        if uncertain.size:
+            raise NoCrossoverError(
+                f"{pred.id}: undecidable margin at n={a + int(uncertain[0])}")
+        if fails.size:
+            last_fail = a + int(fails[-1])
     if last_fail == hi:
         raise NoCrossoverError(
             f"{pred.id}: still failing at the window end {hi}")
@@ -311,13 +330,15 @@ def monotone_scan(sequence, lo: int, hi: int) -> Verdict:
     """Holds iff seq(n+1) > seq(n) for every n in [lo, hi - 1].
 
     Steps are judged relative to the values at the smallest step, so a
-    first pass finds that step and a second escalates, in order of n, every
-    step too small for binary64 at that scale.  When a step was escalated,
-    the margin is the smallest strict step, not the binary64 one.
+    first pass finds that step and a second settles every step against the
+    window FAST_REL_TOL at that scale; the first step that does not hold
+    gives the verdict.  When a step was escalated, the margin is the
+    smallest strict step, not the binary64 one.
     """
     seq = _lookup(SEQUENCES, "sequence", sequence)
     _check_window(lo, hi)
-    worst = scale = strict = None
+    worst = scale = None
+    strict = math.inf  # smallest strict step
     for a, ns in _chunks(lo, hi, overlap=1):
         vals = seq.fast(ns)
         diffs = np.diff(vals)
@@ -326,22 +347,17 @@ def monotone_scan(sequence, lo: int, hi: int) -> Verdict:
             worst = float(diffs[i])
             scale = float(max(abs(vals[i]), abs(vals[i + 1])))
     tol = FAST_REL_TOL * max(scale, 1.0)
-    if worst <= tol:
+    if worst < tol:
         for a, ns in _chunks(lo, hi, overlap=1):
             diffs = np.diff(seq.fast(ns))
-            for i in np.flatnonzero(diffs <= tol).tolist():
-                n = a + i
-                v = decide(
-                    float(diffs[i]),
-                    lambda: seq.strict(n + 1) - seq.strict(n),
-                    scale=scale,
-                    witness=(n,),
-                )
-                if v.status is not Status.HOLDS:
-                    return v
-                if v.precision_used is Precision.STRICT and (
-                        strict is None or v.margin < strict):
-                    strict = v.margin
-    if strict is not None:
+            settled = settle(
+                diffs, tol,
+                lambda i: seq.strict(a + i + 1) - seq.strict(a + i), scale)
+            fails, uncertain, values = settled
+            if fails.size or uncertain.size:
+                i = int(min(fails[:1].tolist() + uncertain[:1].tolist()))
+                return _verdict(i, float(diffs[i]), settled, (a + i,))
+            strict = min([strict, *values.values()])
+    if strict < math.inf:
         return Verdict(Status.HOLDS, strict, Precision.STRICT)
     return Verdict(Status.HOLDS, worst, Precision.FAST)

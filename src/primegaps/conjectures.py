@@ -12,7 +12,7 @@ import mpmath as mp
 import numpy as np
 
 from . import gaps, sieve
-from .bounds import FAST_REL_TOL, STRICT_DPS, STRICT_REL_TOL
+from .bounds import FAST_REL_TOL, STRICT_DPS, STRICT_REL_TOL, settle
 
 
 class ReportStatus(enum.Enum):
@@ -162,8 +162,10 @@ def check_brocard(n_max: int) -> ConjectureReport:
             f"p_(n_max+1)^2 may exceed 2^63-1 at n_max = {n_max}")
     t0 = time.perf_counter()
     report = ConjectureReport("brocard", f"prime index n in [2, {n_max}]")
-    top = sieve.nth_prime(n_max + 1)
-    primes = np.concatenate(list(sieve.prime_blocks(2, top + 1)))
+    primes = np.concatenate(list(sieve.prime_blocks(
+        2, sieve._nth_prime_bound(n_max + 1))))[:n_max + 1]  # p_1..p_(n+1)
+    if primes.size <= n_max:  # as sieve.nth_prime would
+        raise sieve.CapacityError(f"prime index {n_max + 1} not reached")
 
     def edges(ns):
         p, p1 = primes[ns - 1], primes[ns]  # p_n, p_{n+1}
@@ -212,31 +214,15 @@ def _pair_slices(lo: int, hi: int):
             yield gaps.PairBlock(blk.n0 + s, blk.p[s:e], blk.q[s:e])
 
 
-def _settle(report, blk, margins, window, strict, lead=(), first=0,
-            scale=None) -> None:
-    """Record the pairs of `blk` from index `first` on whose fast margin
-    lies below `window` (a scalar or one value per pair).
-
-    A margin at or below -window is a clear violation.  One inside the
-    window is decided once more by m = strict(n, p, q) at STRICT_DPS: it is
-    uncertain if |m| < STRICT_REL_TOL * max(scale[i], 1), else a violation
-    if m <= 0.  Witnesses are (*lead, n, p, q).
-    """
-    window = np.broadcast_to(window, margins.shape)
-    hits = np.flatnonzero(margins[first:] < window[first:]) + first
-    if not hits.size:
-        return
-    near = np.abs(margins[hits]) < window[hits]
-    _capture(report.violations, blk, hits[~near], *lead)
-    for i in hits[near].tolist():
-        n, p, q = blk.n0 + i, int(blk.p[i]), int(blk.q[i])
-        with mp.workdps(STRICT_DPS):
-            m = float(strict(n, p, q))
-        s = max(float(scale[i]), 1.0) if scale is not None else 1.0
-        if abs(m) < STRICT_REL_TOL * s:
-            report.uncertain.append((*lead, n, p, q))
-        elif m <= 0:
-            report.violations.append((*lead, n, p, q))
+def _settle(report, blk, margins, window, strict, lead=(), scale=None) -> None:
+    """Record the pairs of `blk` that `bounds.settle` finds failing or
+    uncertain, strict margins given by strict(n, p, q); witnesses are
+    (*lead, n, p, q)."""
+    fails, uncertain, _ = settle(
+        margins, window,
+        lambda i: strict(blk.n0 + i, int(blk.p[i]), int(blk.q[i])), scale)
+    _capture(report.violations, blk, fails, *lead)
+    _capture(report.uncertain, blk, uncertain, *lead)
 
 
 def check_gap_bounds(
@@ -318,10 +304,11 @@ def _check_block(report, tracker, blk, which) -> None:
             margins -= scale
         window = (FAST_REL_TOL if scale is None
                   else FAST_REL_TOL * np.maximum(scale, 1.0))
+        margins[:first] = np.inf  # the skipped pairs hold trivially
         report.checked_count += size - first
         report.skipped_count += first
         _settle(report, blk, margins, window, _STRICT_GAP_MARGIN[bound],
-                (bound,), first, scale)
+                (bound,), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +445,12 @@ D_SCAN_CAP = 10**7  # prime-index cap for the counterexample scan
 def find_smarandache_D_counterexample(
     a: float, n_start: int = 1, cap: int = D_SCAN_CAP
 ) -> Optional[DWitness]:
-    """Least index n >= n_start with q^a - p^a >= 1/n, or None below the cap.
+    """Least index n >= n_start with q^a - p^a >= 1/n, or None.
 
-    Every pair whose fast margin 1/n - (q^a - p^a) lies below `_pow_window`
-    is decided at strict precision, in index order.
+    The margins 1/n - (q^a - p^a) of each slice of pairs are decided by
+    `bounds.settle` inside `_pow_window`.  None means no witness up to the
+    cap, or an uncertain pair before the first failure, where the least n
+    is unknown.
     """
     if not 0.0 < a < 1.0:
         raise ValueError(f"exponent must lie in (0, 1), got {a}")
@@ -477,17 +466,20 @@ def find_smarandache_D_counterexample(
     for blk in _pair_slices(p0, sieve._nth_prime_bound(cap) + 1):
         if blk.n0 > cap:
             return None
-        ns = blk.n0 + np.arange(blk.p.size)
-        q_a = blk.q**a
-        margins = 1.0 / ns - (q_a - blk.p**a)
-        for i in np.flatnonzero(margins < _pow_window(q_a)).tolist():
-            n, p, q = blk.n0 + i, int(blk.p[i]), int(blk.q[i])
-            if n > cap:
-                return None
+        p, q = blk.p[:cap + 1 - blk.n0], blk.q[:cap + 1 - blk.n0]
+        q_a = q**a
+        margins = 1.0 / (blk.n0 + np.arange(p.size)) - (q_a - p**a)
+        fails, uncertain, _ = settle(
+            margins, _pow_window(q_a), lambda i: mp.mpf(1) / (blk.n0 + i)
+            - (mp.power(int(q[i]), a_mp) - mp.power(int(p[i]), a_mp)))
+        if uncertain.size and not (fails.size and fails[0] < uncertain[0]):
+            return None
+        if fails.size:
+            i = int(fails[0])
+            n, pn, qn = blk.n0 + i, int(p[i]), int(q[i])
             with mp.workdps(STRICT_DPS):
-                value = mp.power(q, a_mp) - mp.power(p, a_mp)
-                if value >= mp.mpf(1) / n:
-                    return DWitness(n, p, q, float(value), 1.0 / n)
+                value = mp.power(qn, a_mp) - mp.power(pn, a_mp)
+            return DWitness(n, pn, qn, float(value), 1.0 / n)
     return None
 
 

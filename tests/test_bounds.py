@@ -169,13 +169,15 @@ class TestMonotoneScan:
         assert val == pytest.approx(0.50066, abs=5e-5)
         assert val > 0.5
 
-    def test_constant_sequence_fails_immediately(self):
+    def test_constant_sequence_is_uncertain_immediately(self):
+        # every step is exactly 0 at strict precision too, which is
+        # uncertain under the one zero rule, not a failure
         const = bounds.Predicate(
             "const", "always 1",
             lambda n: np.ones_like(n), lambda n: mp.mpf(1),
         )
         v = bounds.monotone_scan(const, 2, 100)
-        assert v.status is Status.FAILS
+        assert v.status is Status.UNCERTAIN
         assert v.witness == (2,)
 
     def test_sequence_decreasing_below_190(self):
@@ -287,6 +289,11 @@ class TestTriStateEngine:
         assert v.status is Status.UNCERTAIN
         assert v.witness == (0,)
 
+    def test_exactly_zero_strict_margin_is_uncertain(self):
+        v = bounds.decide(0.0, lambda: mp.mpf(0), witness=(0,))
+        assert v.status is Status.UNCERTAIN
+        assert v.margin == 0.0 and v.witness == (0,)
+
     def test_fails_carry_witness(self):
         v = bounds.decide(-0.25, lambda: mp.mpf("-0.25"), witness=(7,))
         assert v.status is Status.FAILS
@@ -305,3 +312,79 @@ class TestTriStateEngine:
             with mp.workdps(bounds.STRICT_DPS):
                 strict = pred.strict(x)
             assert (fast > 0) == (strict > 0)
+
+
+def reference_settle(margins, windows, stricts, scales):
+    """`bounds.settle` one margin at a time, from its docstring."""
+    fails, uncertain = [], []
+    for i, (m, w, s, sc) in enumerate(zip(margins, windows, stricts, scales)):
+        if m >= w:
+            continue
+        if m <= -w:
+            fails.append(i)
+        elif abs(s) < bounds.STRICT_REL_TOL * max(abs(sc), 1.0):
+            uncertain.append(i)
+        elif s <= 0:
+            fails.append(i)
+    return fails, uncertain
+
+
+WINDOWS = st.sampled_from([0.0, 1e-9, 0.25, 1.0])
+STRICT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-25, -1e-25, 5e-26, 2e-24, -3e-23]),
+    st.floats(-1.0, 1.0),
+)
+SCALES = st.one_of(st.just(0.0), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def settle_cases(draw):
+    size = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        window = draw(WINDOWS)
+        windows = [window] * size
+    else:
+        window = windows = draw(st.lists(WINDOWS, min_size=size,
+                                         max_size=size))
+    margins = [draw(st.one_of(
+        st.sampled_from([w, -w, 0.0]),
+        st.floats(-1.5, 1.5),
+        st.floats(-1.0, 1.0).map(lambda f, w=w: f * w),
+    )) for w in windows]
+    stricts = draw(st.lists(STRICT_VALUES, min_size=size, max_size=size))
+    kind = draw(st.sampled_from(["none", "scalar", "array"]))
+    if kind == "none":
+        scale, scales = None, [1.0] * size
+    elif kind == "scalar":
+        scale = draw(SCALES)
+        scales = [scale] * size
+    else:
+        scale = scales = draw(st.lists(SCALES, min_size=size, max_size=size))
+    return margins, window, windows, stricts, scale, scales
+
+
+class TestSettle:
+    @given(settle_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_scalar_rule(self, case):
+        margins, window, windows, stricts, scale, scales = case
+        calls = []
+
+        def strict(i):
+            assert mp.mp.dps == bounds.STRICT_DPS
+            calls.append(i)
+            return mp.mpf(stricts[i])
+
+        fails, uncertain, values = bounds.settle(
+            np.array(margins), window if np.isscalar(window)
+            else np.array(window), strict,
+            scale if scale is None or np.isscalar(scale)
+            else np.array(scale))
+        assert (fails.tolist(), uncertain.tolist()) == reference_settle(
+            margins, windows, stricts, scales)
+        # strict is called once for each margin strictly inside its
+        # window and for no other
+        inside = [i for i, (m, w) in enumerate(zip(margins, windows))
+                  if -w < m < w]
+        assert calls == inside
+        assert values == {i: stricts[i] for i in inside}

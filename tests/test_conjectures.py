@@ -85,6 +85,25 @@ class TestBrocard:
         assert r.status is ReportStatus.ALL_HOLD
         assert r.extremes["min_interval_count"] >= 4
 
+    def test_one_sieve_pass(self, monkeypatch):
+        want = normalized(cj.check_brocard(500))
+        calls = []
+        prime_blocks = sieve.prime_blocks
+
+        def spy(lo, hi):
+            calls.append((lo, hi))
+            return prime_blocks(lo, hi)
+
+        monkeypatch.setattr(sieve, "prime_blocks", spy)
+        monkeypatch.setattr(sieve, "nth_prime", None)
+        assert normalized(cj.check_brocard(500)) == want
+        assert calls == [(2, sieve._nth_prime_bound(501))]
+
+    def test_too_few_primes_below_the_bound(self, monkeypatch):
+        monkeypatch.setattr(sieve, "_nth_prime_bound", lambda n: 100)
+        with pytest.raises(sieve.CapacityError):
+            cj.check_brocard(25)  # 25 primes below 100, 26 needed
+
 
 class TestInt64Guard:
     """Interval ends past 2^63-1 are refused before any array exists."""
@@ -143,6 +162,15 @@ class TestGapBounds:
             cj.check_gap_bounds(10**4, cj.GAP_BOUNDS, 4)
         r = cj.check_gap_bounds(10**4, cj.GAP_BOUNDS, start=4)
         assert r.range == "pairs with 4 <= p < 10000"
+
+    def test_exactly_zero_margin_is_uncertain(self, monkeypatch):
+        # sqrt(289) - sqrt(256) = 1: the Andrica margin is exactly zero
+        blk = gaps.PairBlock(1, np.array([256]), np.array([289]))
+        monkeypatch.setattr(gaps, "pair_blocks", lambda lo, hi: iter([blk]))
+        r = cj.check_gap_bounds(290, ("andrica",))
+        assert r.uncertain == [("andrica", 1, 256, 289)]
+        assert r.violations == []
+        assert r.status is ReportStatus.INCOMPLETE
 
     def test_partition_invariance(self, monkeypatch):
         base = normalized(cj.check_gap_bounds(2 * 10**5))
@@ -293,6 +321,23 @@ class TestSmarandacheD:
         monkeypatch.setattr(gaps, "pair_blocks", one_block)
         w = cj.find_smarandache_D_counterexample(a)
         assert (w.n, w.p, w.q) == (1000, p, q)
+
+    def test_exactly_zero_margin_is_not_a_witness(self, monkeypatch):
+        # 289^0.5 - 256^0.5 = 1 = 1/n at n = 1: the strict margin is exactly
+        # zero, which is uncertain, so the least n is unknown, although the
+        # next pair clearly fails
+        blk = gaps.PairBlock(1, np.array([256, 289]), np.array([289, 361]))
+        monkeypatch.setattr(gaps, "pair_blocks", lambda lo, hi: iter([blk]))
+        assert cj.find_smarandache_D_counterexample(0.5) is None
+
+    def test_failure_before_an_uncertain_pair_is_the_witness(
+            self, monkeypatch):
+        blk = gaps.PairBlock(1, np.array([256, 289]), np.array([289, 361]))
+        monkeypatch.setattr(gaps, "pair_blocks", lambda lo, hi: iter([blk]))
+        monkeypatch.setattr(cj, "settle", lambda *args: (
+            np.array([0]), np.array([1]), {}))
+        w = cj.find_smarandache_D_counterexample(0.5)
+        assert (w.n, w.p, w.q, w.value) == (1, 256, 289, 1.0)
 
     def test_numpy_float_exponent(self):
         w = cj.find_smarandache_D_counterexample(np.float64(0.4))
