@@ -64,12 +64,12 @@ def settle(margins: np.ndarray, window, strict: Callable[[int], "mp.mpf"],
 
     window and scale are scalars or one value per margin.  A margin at or
     above its window holds and one at or below -window fails.  One strictly
-    inside is decided once more by m = strict(i) at STRICT_DPS: uncertain if
-    |m| < STRICT_REL_TOL * max(|scale|, 1), else failing if m <= 0.  Returns
-    the ascending indices of the failing margins and of the uncertain ones,
-    and {i: m} for every margin decided strictly.
+    inside, or NaN, is decided once more by m = strict(i) at STRICT_DPS:
+    uncertain if |m| < STRICT_REL_TOL * max(|scale|, 1), else failing if
+    m <= 0.  Returns the ascending indices of the failing margins and of
+    the uncertain ones, and {i: m} for every margin decided strictly.
     """
-    hits = np.flatnonzero(margins < window)
+    hits = np.flatnonzero(~(margins >= window))
     if not hits.size:
         return hits, hits, {}
     fails = np.abs(margins[hits]) >= np.broadcast_to(window, margins.shape)[hits]
@@ -329,35 +329,28 @@ def crossover_scan(predicate, lo: int, hi: int) -> CrossoverResult:
 def monotone_scan(sequence, lo: int, hi: int) -> Verdict:
     """Holds iff seq(n+1) > seq(n) for every n in [lo, hi - 1].
 
-    Steps are judged relative to the values at the smallest step, so a
-    first pass finds that step and a second settles every step against the
-    window FAST_REL_TOL at that scale; the first step that does not hold
-    gives the verdict.  When a step was escalated, the margin is the
-    smallest strict step, not the binary64 one.
+    One pass: the binary64 error of a step scales with the two values it
+    subtracts, so each step is settled against the window FAST_REL_TOL at
+    the larger of its own two values, and the first step that does not
+    hold gives the verdict.  A holding scan reports its smallest step, by
+    its strict value where that step was escalated.
     """
     seq = _lookup(SEQUENCES, "sequence", sequence)
     _check_window(lo, hi)
-    worst = scale = None
-    strict = math.inf  # smallest strict step
+    least = None  # the Verdict of the smallest step so far
     for a, ns in _chunks(lo, hi, overlap=1):
         vals = seq.fast(ns)
         diffs = np.diff(vals)
+        scale = np.maximum(np.abs(vals[:-1]), np.abs(vals[1:]))
+        settled = settle(
+            diffs, FAST_REL_TOL * np.maximum(scale, 1.0),
+            lambda i: seq.strict(a + i + 1) - seq.strict(a + i), scale)
+        fails, uncertain, values = settled
+        if fails.size or uncertain.size:
+            i = int(min(fails[:1].tolist() + uncertain[:1].tolist()))
+            return _verdict(i, float(diffs[i]), settled, (a + i,))
+        diffs[list(values)] = list(values.values())
         i = int(np.argmin(diffs))
-        if worst is None or diffs[i] < worst:
-            worst = float(diffs[i])
-            scale = float(max(abs(vals[i]), abs(vals[i + 1])))
-    tol = FAST_REL_TOL * max(scale, 1.0)
-    if worst < tol:
-        for a, ns in _chunks(lo, hi, overlap=1):
-            diffs = np.diff(seq.fast(ns))
-            settled = settle(
-                diffs, tol,
-                lambda i: seq.strict(a + i + 1) - seq.strict(a + i), scale)
-            fails, uncertain, values = settled
-            if fails.size or uncertain.size:
-                i = int(min(fails[:1].tolist() + uncertain[:1].tolist()))
-                return _verdict(i, float(diffs[i]), settled, (a + i,))
-            strict = min([strict, *values.values()])
-    if strict < math.inf:
-        return Verdict(Status.HOLDS, strict, Precision.STRICT)
-    return Verdict(Status.HOLDS, worst, Precision.FAST)
+        if least is None or diffs[i] < least.margin:
+            least = _verdict(i, float(diffs[i]), settled, None)
+    return least

@@ -66,9 +66,9 @@ def _capture(out: list, blk: gaps.PairBlock, idx: np.ndarray, *lead) -> None:
 # interval conjectures (Legendre / Oppermann / Brocard); each checker refuses,
 # before allocating, an n_max whose interval ends would wrap in int64
 
-# most values of n per interval-checker chunk, so that the chunk's arrays
-# stay a few MB whatever n_max is
-INTERVAL_CHUNK = 1 << 16
+# most values of n per interval-checker chunk: each round of the chunk's
+# capped counts then stays a few hundred KB whatever n_max is
+INTERVAL_CHUNK = 1 << 12
 # most values of n in the first chunk, where each side's least count is not
 # known yet and its cap is raised: kept small, so that the later chunks are
 # capped at that least
@@ -192,10 +192,6 @@ def check_brocard(n_max: int) -> ConjectureReport:
 
 GAP_BOUNDS = ("andrica", "kourbatov", "firoozbakht", "cramer")
 KOURBATOV_FLOOR = 29  # p_10; the gap bound is asserted only from here
-# pairs per slice of a pair scan: a slice's dozen float arrays then stay in
-# the core's cache and come from reused heap memory (on a 2-vCPU Xeon this
-# halved the time of gap-bounds on a sieve block of ~1e5 pairs)
-PAIR_SLICE = 1 << 14
 
 # strict margin of each gap bound at the pair (n, p, q); positive = holds
 _STRICT_GAP_MARGIN = {
@@ -204,14 +200,6 @@ _STRICT_GAP_MARGIN = {
     "cramer": lambda n, p, q: mp.log(p) ** 2 - (q - p),
     "firoozbakht": lambda n, p, q: (n + 1) * mp.log(p) - n * mp.log(q),
 }
-
-
-def _pair_slices(lo: int, hi: int):
-    """The pairs with lo <= p < hi, in PairBlocks of at most PAIR_SLICE."""
-    for blk in gaps.pair_blocks(lo, hi):
-        for s in range(0, blk.p.size, PAIR_SLICE):
-            e = s + PAIR_SLICE
-            yield gaps.PairBlock(blk.n0 + s, blk.p[s:e], blk.q[s:e])
 
 
 def _settle(report, blk, margins, window, strict, lead=(), scale=None) -> None:
@@ -245,7 +233,7 @@ def check_gap_bounds(
         "gap-bounds:" + ",".join(which), f"pairs with {start} <= p < {limit}"
     )
     tracker = gaps.ExtremeTracker()
-    for blk in _pair_slices(start, limit):
+    for blk in gaps.pair_blocks(start, limit):
         _check_block(report, tracker, blk, which)
     report.extremes["max_cramer_ratio"] = tracker.max_cramer_ratio
     report.extremes["max_andrica"] = tracker.max_andrica
@@ -383,7 +371,7 @@ def _scan_power_gap(
     `strict_margin(n, p, q)` at STRICT_DPS inside `_pow_window`.
     """
     worst = None  # (-value, n, p, q): max of q^e - p^e
-    for blk in _pair_slices(2, limit):
+    for blk in gaps.pair_blocks(2, limit):
         q_e = blk.q**e
         vals = q_e - blk.p**e
         report.checked_count += vals.size
@@ -447,7 +435,7 @@ def find_smarandache_D_counterexample(
 ) -> Optional[DWitness]:
     """Least index n >= n_start with q^a - p^a >= 1/n, or None.
 
-    The margins 1/n - (q^a - p^a) of each slice of pairs are decided by
+    The margins 1/n - (q^a - p^a) of each block of pairs are decided by
     `bounds.settle` inside `_pow_window`.  None means no witness up to the
     cap, or an uncertain pair before the first failure, where the least n
     is unknown.
@@ -463,7 +451,7 @@ def find_smarandache_D_counterexample(
     a_mp = mp.mpf(repr(a))
     # one lazy stream up to a bound past p_cap: segments are sieved only
     # as the scan reaches them, so a small witness stays cheap
-    for blk in _pair_slices(p0, sieve._nth_prime_bound(cap) + 1):
+    for blk in gaps.pair_blocks(p0, sieve._nth_prime_bound(cap) + 1):
         if blk.n0 > cap:
             return None
         p, q = blk.p[:cap + 1 - blk.n0], blk.q[:cap + 1 - blk.n0]
@@ -490,7 +478,7 @@ def check_smarandache_ratio(limit: int) -> ConjectureReport:
     t0 = time.perf_counter()
     report = ConjectureReport("smarandache-ratio", f"pairs with p < {limit}")
     best: Optional[tuple] = None  # (n, p, q) of the exact max ratio
-    for blk in _pair_slices(2, limit):
+    for blk in gaps.pair_blocks(2, limit):
         report.checked_count += blk.p.size
         # the integer margin 5p - 3q is exact: no pair is near-threshold
         _settle(report, blk, 5 * blk.p - 3 * blk.q, 0, None)

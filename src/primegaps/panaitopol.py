@@ -65,9 +65,12 @@ def approx_only(x: int, terms: int, table: CoefficientTable = None) -> float:
     if table is None or len(table) < terms:
         table = coefficients(max(terms, 1))
     denom = log_x - 1.0
-    # smallest terms first so the float sum loses as little as possible
-    for i in range(terms, 0, -1):
-        denom -= table.k[i - 1] / log_x**i
+    try:
+        # smallest terms first so the float sum loses as little as possible
+        for i in range(terms, 0, -1):
+            denom -= table.k[i - 1] / log_x**i
+    except OverflowError:  # a term past binary64: every k_i > 0, so the
+        denom = -math.inf  # series has diverged here
     if denom <= 0.0:
         raise ValueError(
             f"non-positive denominator for x={x}, terms={terms}; "
@@ -76,17 +79,9 @@ def approx_only(x: int, terms: int, table: CoefficientTable = None) -> float:
     return x / denom
 
 
-def pi_approx(x: int, terms: int, table: CoefficientTable = None) -> PiApproxResult:
+def pi_approx(x: int, terms: int) -> PiApproxResult:
     """Evaluate the approximation at x and compare with the exact pi(x)."""
-    approx = approx_only(x, terms, table)
-    exact = sieve.prime_count(x)
-    return PiApproxResult(
-        x=x,
-        terms=terms,
-        approx=approx,
-        exact=exact,
-        rel_error=abs(approx - exact) / exact,
-    )
+    return error_table([x], [terms])[0]
 
 
 def error_table(x_values, terms_values) -> list[PiApproxResult]:

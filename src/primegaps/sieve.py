@@ -216,8 +216,6 @@ def prime_counts_at(values) -> np.ndarray:
 SMALL_MAX = 61
 # odd candidates per open interval per round
 WINDOW_ODDS = 12
-# most intervals walked together
-SLAB_ROWS = 4096
 # odd primes after PATTERN_PRIMES struck by residue tables, one per group;
 # the largest period is 43 * 47 * 53 = 107 113 entries
 FILTER_GROUPS = ((19, 23, 29), (31, 37, 41), (43, 47, 53))
@@ -332,20 +330,16 @@ def capped_counts(a, b, cap: int) -> np.ndarray:
 
     Exact without sieving below the intervals: values up to SMALL_MAX are
     looked up, and each interval's odd candidates above it are walked
-    WINDOW_ODDS at a time, across up to SLAB_ROWS intervals still below the
-    cap.  A candidate survives when no odd prime up to 53 divides it
-    (residue tables indexed from each interval's start phase, so no
-    division per candidate) and is
+    WINDOW_ODDS at a time, across every interval still below the cap, so
+    a round's arrays grow with the number of intervals.  A candidate
+    survives when no odd prime up to 53 divides it (residue tables indexed
+    from each interval's start phase, so no division per candidate) and is
     then tested by Miller-Rabin to bases with no strong pseudoprime below
     it.  The work per interval grows with its first `cap` primes, not with
     its length or height.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    if a.size > SLAB_ROWS:  # a slab's rounds stay a few hundred KB each
-        return np.concatenate([
-            capped_counts(a[i : i + SLAB_ROWS], b[i : i + SLAB_ROWS], cap)
-            for i in range(0, a.size, SLAB_ROWS)])
     if cap <= 0:
         return np.zeros(a.size, dtype=np.int64)
     small = base_sieve(SMALL_MAX)

@@ -13,7 +13,7 @@ import pytest
 
 from primegaps import bounds, conjectures as cj, exponent_solver as es
 from primegaps import panaitopol as pt
-from primegaps import sieve
+from primegaps import gaps, sieve
 from primegaps.conjectures import ReportStatus
 
 SCAN_BUDGET_SECONDS = 300.0
@@ -212,7 +212,7 @@ def test_c7_partition_invariance(monkeypatch):
     legendre_base = norm(cj.check_legendre(1000))
     for odds, pairs, ns in cuts:
         monkeypatch.setattr(sieve, "SEGMENT_ODDS", odds)
-        monkeypatch.setattr(cj, "PAIR_SLICE", pairs)
+        monkeypatch.setattr(gaps, "PAIR_SLICE", pairs)
         monkeypatch.setattr(cj, "INTERVAL_CHUNK", ns)
         assert norm(cj.check_gap_bounds(2 * 10**5)) == gap_base
         assert norm(cj.check_legendre(1000)) == legendre_base

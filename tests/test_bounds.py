@@ -157,6 +157,16 @@ class TestCrossoverScan:
         with pytest.raises(KeyError, match="two-n-plus-one-vs-4log2"):
             bounds.crossover_scan("nope", 2, 100)
 
+    def test_nan_margin_is_settled_strictly(self):
+        # a NaN fast margin neither holds nor fails: strict decides it
+        nan_at_50 = bounds.Predicate(
+            "nan-at-50", "n > 10.5, NaN in binary64 at 50",
+            lambda n: np.where(n == 50, np.nan, n - 10.5),
+            lambda n: mp.mpf(-1) if n == 50 else n - mp.mpf("10.5"),
+        )
+        r = bounds.crossover_scan(nan_at_50, 2, 100)
+        assert r.threshold == 51 and r.pre_threshold_failure == 50
+
 
 class TestMonotoneScan:
     def test_sqrt_over_log_squared_increasing_from_190(self):
@@ -189,6 +199,29 @@ class TestMonotoneScan:
         with pytest.raises(KeyError, match="unknown sequence 'nope'.*"
                                            "sqrt-over-log-squared"):
             bounds.monotone_scan("nope", 2, 100)
+
+    def test_steps_are_judged_at_their_own_scale(self):
+        # near -1e10 a binary64 step is off by up to a spacing of 1e10
+        # (~1.9e-6), so the glitch at n = 21 must be settled strictly
+        # rather than against the window of the small values near n = 89
+        def fast(n):
+            v = np.where(n < 50, -1e10 + 1e-7 * n,
+                         1e-3 * (n - 49) - 0.05 * (n >= 90))
+            v[n == 21] -= np.spacing(1e10)
+            return v
+
+        def strict(n):
+            if n < 50:
+                return -mp.mpf(10) ** 10 + n * mp.mpf("1e-7")
+            return (n - 49) * mp.mpf("1e-3") - (mp.mpf("0.05") if n >= 90
+                                                else 0)
+
+        glitch = bounds.Predicate("glitch", "steps of two scales", fast,
+                                  strict)
+        v = bounds.monotone_scan(glitch, 2, 100)
+        assert v.status is Status.FAILS and v.witness == (89,)
+        assert v.precision_used is Precision.FAST
+        assert v.margin == pytest.approx(-0.049)
 
     def test_escalated_steps_report_the_strict_margin(self):
         # below 2^53 every step (~4e-12) is under the scaled window and
@@ -293,6 +326,12 @@ class TestTriStateEngine:
         v = bounds.decide(0.0, lambda: mp.mpf(0), witness=(0,))
         assert v.status is Status.UNCERTAIN
         assert v.margin == 0.0 and v.witness == (0,)
+
+    def test_nan_margin_is_decided_strictly(self):
+        fails, uncertain, values = bounds.settle(
+            np.array([np.nan]), 1e-9, lambda i: mp.mpf(-1))
+        assert fails.tolist() == [0] and not uncertain.size
+        assert values == {0: -1.0}
 
     def test_fails_carry_witness(self):
         v = bounds.decide(-0.25, lambda: mp.mpf("-0.25"), witness=(7,))

@@ -386,7 +386,7 @@ class TestSmarandacheRatio:
         base = normalized(cj.check_smarandache_ratio(10**5))
         for odds in (1024, 4096):
             monkeypatch.setattr(sieve, "SEGMENT_ODDS", odds)
-            monkeypatch.setattr(cj, "PAIR_SLICE", odds // 32)
+            monkeypatch.setattr(gaps, "PAIR_SLICE", odds // 32)
             got = normalized(cj.check_smarandache_ratio(10**5))
             assert got == base
 
@@ -528,7 +528,7 @@ class TestGapBoundsAgainstReference:
 
     @pytest.mark.parametrize("start", [2, 29, 10**4])
     def test_small_slices(self, monkeypatch, start):
-        monkeypatch.setattr(cj, "PAIR_SLICE", 5)
+        monkeypatch.setattr(gaps, "PAIR_SLICE", 5)
         for odds in (1024, 4096):
             monkeypatch.setattr(sieve, "SEGMENT_ODDS", odds)
             got = cj.check_gap_bounds(10**5, start=start)

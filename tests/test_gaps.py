@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primegaps import conjectures as cj
 from primegaps import gaps, sieve
@@ -81,6 +83,27 @@ def test_lookahead_crosses_segment_boundary(monkeypatch):
     whole = [(r.p, r.q) for r in records(2, 30000)]
     oracle = primes_trial(2, 30100)
     assert whole == list(zip(oracle[:-1], oracle[1:]))[: len(whole)]
+
+
+@given(st.integers(2, 3000), st.integers(1, 3000),
+       st.sampled_from([8, 64, 1024]), st.integers(1, 40))
+@settings(max_examples=60, deadline=None)
+def test_pair_blocks_cut_into_slices(lo, width, odds, pairs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve, "SEGMENT_ODDS", odds)
+        mp.setattr(gaps, "PAIR_SLICE", pairs)
+        blocks = list(gaps.pair_blocks(lo, lo + width))
+    n0 = len(primes_trial(2, lo)) + 1
+    for blk in blocks:
+        assert 1 <= blk.p.size <= pairs and blk.q.size == blk.p.size
+        assert blk.n0 == n0
+        n0 += blk.p.size
+    oracle = primes_trial(lo, lo + width + 100)
+    count = len(primes_trial(lo, lo + width))
+    got_p = [int(x) for blk in blocks for x in blk.p]
+    got_q = [int(x) for blk in blocks for x in blk.q]
+    assert got_p == oracle[:count]
+    assert got_q == oracle[1 : count + 1]
 
 
 def test_track_extremes_small_limits():

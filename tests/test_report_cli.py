@@ -219,6 +219,14 @@ class TestCliExitCodes:
         assert cli.main(["verify", "smarandache-c", "--k", "1"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_pi_approx_past_binary64_diverges(self, capsys):
+        # k_200 / (ln x)^200 overflows binary64; every k_i is positive, so
+        # the series has diverged there: one line, not a traceback
+        code = cli.main(["pi-approx", "--x", "1000000", "--terms", "200"])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "diverges" in err
+
     def test_start_at_or_past_limit_refused(self, monkeypatch, capsys):
         monkeypatch.setattr(gaps, "pair_blocks", None)  # no work may start
         for start in ("100", "50"):
