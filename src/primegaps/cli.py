@@ -96,13 +96,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# most characters handed to one write: a text stream encodes what it is
+# given whole, so a larger slice would cost one more copy of its size
+WRITE_SLICE = 1 << 20
+
+
 def _emit(payload, args) -> None:
     text = report.serialize(payload, args.format, no_timing=args.no_timing)
     if args.out is None:
-        sys.stdout.write(text)
+        _write(sys.stdout, text)
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write(fh, text)
+
+
+def _write(fh, text: str) -> None:
+    for i in range(0, len(text), WRITE_SLICE):
+        fh.write(text[i:i + WRITE_SLICE])
 
 
 def _report_exit(rep: conjectures.ConjectureReport) -> int:

@@ -3,16 +3,16 @@
 from __future__ import annotations
 
 import enum
-import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import mpmath as mp
 import numpy as np
 
 from . import gaps, sieve
 from .bounds import FAST_REL_TOL, STRICT_DPS, STRICT_REL_TOL, settle
+from .witnesses import WitnessStore
 
 
 class ReportStatus(enum.Enum):
@@ -23,14 +23,18 @@ class ReportStatus(enum.Enum):
 
 @dataclass
 class ConjectureReport:
-    """Aggregate outcome of one conjecture scan over a finite range."""
+    """Aggregate outcome of one conjecture scan over a finite range.
+
+    Witnesses are tuples, in a list or, for the pair checkers, in a
+    `WitnessStore`; either is sorted when the report is finalized.
+    """
 
     conjecture_id: str
     range: str
     checked_count: int = 0
     skipped_count: int = 0
-    violations: list = field(default_factory=list)
-    uncertain: list = field(default_factory=list)
+    violations: Sequence = field(default_factory=list)
+    uncertain: Sequence = field(default_factory=list)
     extremes: dict = field(default_factory=dict)
     duration: float = 0.0
     status: ReportStatus = ReportStatus.ALL_HOLD
@@ -52,14 +56,17 @@ def _timed(report: ConjectureReport, t0: float) -> ConjectureReport:
     return report.finalize()
 
 
-def _capture(out: list, blk: gaps.PairBlock, idx: np.ndarray, *lead) -> None:
-    """Append the witness (*lead, n, p, q) of each pair of `blk` at `idx`,
-    with n, p and q as Python ints."""
+def _pair_report(conjecture_id: str, range_: str) -> ConjectureReport:
+    return ConjectureReport(conjecture_id, range_, violations=WitnessStore(),
+                            uncertain=WitnessStore())
+
+
+def _capture(out: WitnessStore, blk: gaps.PairBlock, idx: np.ndarray,
+             lead: Optional[str] = None) -> None:
+    """Add the witness (lead, n, p, q), or (n, p, q) without a lead, of each
+    pair of `blk` at `idx`."""
     if idx.size:
-        out.extend(zip(
-            *(itertools.repeat(x, idx.size) for x in lead),
-            (blk.n0 + idx).tolist(), blk.p[idx].tolist(), blk.q[idx].tolist(),
-        ))
+        out.add(blk.n0 + idx, blk.p[idx], blk.q[idx], lead)
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +209,16 @@ _STRICT_GAP_MARGIN = {
 }
 
 
-def _settle(report, blk, margins, window, strict, lead=(), scale=None) -> None:
+def _settle(report, blk, margins, window, strict, lead=None,
+            scale=None) -> None:
     """Record the pairs of `blk` that `bounds.settle` finds failing or
     uncertain, strict margins given by strict(n, p, q); witnesses are
-    (*lead, n, p, q)."""
+    (lead, n, p, q), or (n, p, q) when lead is None."""
     fails, uncertain, _ = settle(
         margins, window,
         lambda i: strict(blk.n0 + i, int(blk.p[i]), int(blk.q[i])), scale)
-    _capture(report.violations, blk, fails, *lead)
-    _capture(report.uncertain, blk, uncertain, *lead)
+    _capture(report.violations, blk, fails, lead)
+    _capture(report.uncertain, blk, uncertain, lead)
 
 
 def check_gap_bounds(
@@ -229,7 +237,7 @@ def check_gap_bounds(
     if start >= limit:
         raise ValueError(f"start must be < limit, got {start} >= {limit}")
     t0 = time.perf_counter()
-    report = ConjectureReport(
+    report = _pair_report(
         "gap-bounds:" + ",".join(which), f"pairs with {start} <= p < {limit}"
     )
     tracker = gaps.ExtremeTracker()
@@ -296,7 +304,7 @@ def _check_block(report, tracker, blk, which) -> None:
         report.checked_count += size - first
         report.skipped_count += first
         _settle(report, blk, margins, window, _STRICT_GAP_MARGIN[bound],
-                (bound,), scale)
+                bound, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +400,7 @@ def check_smarandache_B(limit: int, a: float) -> ConjectureReport:
         raise ValueError(f"exponent must lie in (0, 1), got {a}")
     a = float(a)  # a numpy float's repr is not an mpf literal
     t0 = time.perf_counter()
-    report = ConjectureReport("smarandache-b", f"pairs with p < {limit}, a={a!r}")
+    report = _pair_report("smarandache-b", f"pairs with p < {limit}, a={a!r}")
     a_mp = mp.mpf(repr(a))
     _scan_power_gap(
         report, limit, a, 1.0,
@@ -408,7 +416,7 @@ def check_smarandache_C(limit: int, k: int) -> ConjectureReport:
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     t0 = time.perf_counter()
-    report = ConjectureReport("smarandache-c", f"pairs with p < {limit}, k={k}")
+    report = _pair_report("smarandache-c", f"pairs with p < {limit}, k={k}")
     _scan_power_gap(
         report, limit, 1.0 / k, 2.0 / k,
         lambda n, p, q: mp.mpf(2) / k - (mp.root(q, k) - mp.root(p, k)),
@@ -476,7 +484,7 @@ def check_smarandache_ratio(limit: int) -> ConjectureReport:
     if limit < 7:
         raise ValueError("limit must be >= 7")
     t0 = time.perf_counter()
-    report = ConjectureReport("smarandache-ratio", f"pairs with p < {limit}")
+    report = _pair_report("smarandache-ratio", f"pairs with p < {limit}")
     best: Optional[tuple] = None  # (n, p, q) of the exact max ratio
     for blk in gaps.pair_blocks(2, limit):
         report.checked_count += blk.p.size

@@ -12,13 +12,16 @@ import dataclasses
 import enum
 import io
 import json
-from typing import Any
+from typing import Any, Iterator, Optional
+
+import numpy as np
 
 from .bounds import CrossoverResult, Verdict
 from .conjectures import ConjectureReport, DWitness
 from .exponent_solver import ExponentSolution
 from .gaps import GapRecord
 from .panaitopol import CoefficientTable
+from .witnesses import WitnessStore
 
 TIMING_PLACEHOLDER = 0.0
 
@@ -49,7 +52,7 @@ def to_jsonable(obj: Any) -> Any:
         }
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, WitnessStore)):
         return [to_jsonable(v) for v in obj]
     return obj
 
@@ -61,47 +64,97 @@ def strip_timing(payload: Any) -> Any:
 
 
 def to_json(payload: Any) -> str:
-    return json.dumps(to_jsonable(payload), indent=2) + "\n"
+    if not isinstance(payload, ConjectureReport):
+        return json.dumps(to_jsonable(payload), indent=2) + "\n"
+    # field by field, so that a witness store is rendered from its columns
+    pieces = ["{"]
+    for f in dataclasses.fields(payload):
+        value = getattr(payload, f.name)
+        pieces.append(f"\n  {json.dumps(f.name)}: ")
+        if isinstance(value, WitnessStore):
+            pieces += _json_witnesses(value)
+        else:
+            pieces.append(json.dumps(to_jsonable(value), indent=2)
+                          .replace("\n", "\n  "))
+        pieces.append(",")
+    pieces[-1] = "\n}\n"
+    return "".join(pieces)
 
 
 _CSV_VIOLATION_HEADER = [
     "conjecture_id", "range", "checked_count", "skipped_count",
     "status", "duration", "witness",
 ]
-_CSV_CHUNK_ROWS = 1 << 14
+# witnesses rendered by one string format at a time
+_WITNESS_CHUNK = 1 << 14
 
 
-def _write_witness_rows(buf: io.StringIO, base: list, witnesses: list) -> bool:
-    """Write the CSV rows `base + [" ".join(witness)]`: the summary fields
-    are encoded once and each witness is rendered by one string format, in
-    chunks of _CSV_CHUNK_ROWS rows.
+def _format_rows(row: str, sep: str, rows: np.ndarray) -> str:
+    """sep.join(row % (n, p, q) for each row n, p, q of `rows`)."""
+    return sep.join([row] * len(rows)) % tuple(rows.ravel().tolist())
 
-    Leaves `buf` as it was and returns False when the witnesses differ in
-    arity or a rendered witness holds a character csv would quote.
-    """
+
+def _witness_cells(witnesses) -> Optional[Iterator[tuple]]:
+    """The CSV witness cells, " ".join(map(str, w)) for each witness w, as
+    (text, rows) chunks of cells joined by "\n"; None for a list whose
+    witnesses are not all tuples of one arity."""
+    if isinstance(witnesses, WitnessStore):
+        return ((_format_rows(
+            ("" if lead is None else lead.replace("%", "%%") + " ")
+            + "%d %d %d", "\n", rows), len(rows))
+            for lead, rows in witnesses.runs(_WITNESS_CHUNK))
     if set(map(type, witnesses)) != {tuple}:
-        return False
+        return None
     arities = set(map(len, witnesses))
     if len(arities) != 1:
-        return False
+        return None
+    cell = " ".join(["%s"] * arities.pop()).__mod__
+    chunks = (witnesses[i:i + _WITNESS_CHUNK]
+              for i in range(0, len(witnesses), _WITNESS_CHUNK))
+    return (("\n".join(map(cell, c)), len(c)) for c in chunks)
+
+
+def _witness_csv(header: str, base: list, witnesses) -> Optional[str]:
+    """`header` then the CSV rows `base + [witness cell]`, one per witness:
+    the summary fields are encoded once, and the cells, joined once, get
+    them by one replace.
+
+    None when `_witness_cells` gives none or a cell holds a character csv
+    would quote.
+    """
+    cells = _witness_cells(witnesses)
+    if cells is None:
+        return None
     line = io.StringIO()
     csv.writer(line, lineterminator="\n").writerow(base + [""])
     prefix = line.getvalue()[:-1]  # the summary fields and a comma
-    witness = " ".join(["%s"] * arities.pop()).__mod__
-    start = buf.tell()
-    for i in range(0, len(witnesses), _CSV_CHUNK_ROWS):
-        chunk = witnesses[i:i + _CSV_CHUNK_ROWS]
-        body = "\n".join(map(witness, chunk))
+    chunks = [header[:-1]]
+    for text, rows in cells:
         # a superset of what csv.writer quotes on any Python version
-        if (body.count("\n") != len(chunk) - 1
-                or "," in body or '"' in body or "\r" in body):
-            buf.seek(start)
-            buf.truncate()
-            return False
-        buf.write(prefix)
-        buf.write(body.replace("\n", "\n" + prefix))
-        buf.write("\n")
-    return True
+        if (text.count("\n") != rows - 1
+                or "," in text or '"' in text or "\r" in text):
+            return None
+        chunks.append(text)
+    chunks.append("")
+    body = "\n".join(chunks)
+    del chunks  # freed before the replace makes the whole text
+    # the header's newline and every row's but the last's start a row
+    return body.replace("\n", "\n" + prefix, len(witnesses))
+
+
+def _json_witnesses(store: WitnessStore) -> list:
+    """Pieces of the text json.dumps(to_jsonable(...), indent=2) gives
+    `store` as the value of a top-level field."""
+    if not store:
+        return ["[]"]
+    pieces = []
+    for lead, rows in store.runs(_WITNESS_CHUNK):
+        items = [] if lead is None else [json.dumps(lead).replace("%", "%%")]
+        row = ("    [\n      " + ",\n      ".join(items + ["%d"] * 3)
+               + "\n    ]")
+        pieces += [",\n", _format_rows(row, ",\n", rows)]
+    pieces[0] = "[\n"
+    return [*pieces, "\n  ]"]
 
 
 def _csv_cell(value: Any) -> Any:
@@ -131,7 +184,10 @@ def to_csv(payload: Any) -> str:
         ]
         if not payload.violations:
             w.writerow(base + [""])
-        elif not _write_witness_rows(buf, base, payload.violations):
+        else:
+            text = _witness_csv(buf.getvalue(), base, payload.violations)
+            if text is not None:
+                return text
             for v in payload.violations:
                 w.writerow(base + [" ".join(str(x) for x in v)])
     elif isinstance(payload, CoefficientTable):

@@ -12,6 +12,7 @@ import pytest
 
 from primegaps import cli, report
 from primegaps import bounds, conjectures, exponent_solver, gaps, panaitopol
+from primegaps.witnesses import WitnessStore
 
 
 class TestSerialization:
@@ -168,7 +169,8 @@ class TestCsvRows:
 
 
 def ladder_to_jsonable(obj):
-    """to_jsonable as it was before its exact-type fast path."""
+    """to_jsonable as it was before its exact-type fast path; a witness
+    store is read as the sequence of tuples it is."""
     if isinstance(obj, float):
         return report._round15(obj)
     if isinstance(obj, enum.Enum):
@@ -178,7 +180,7 @@ def ladder_to_jsonable(obj):
                 for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): ladder_to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, WitnessStore)):
         return [ladder_to_jsonable(v) for v in obj]
     return obj
 
