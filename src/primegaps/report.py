@@ -12,7 +12,7 @@ import dataclasses
 import enum
 import io
 import json
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -85,8 +85,6 @@ _CSV_VIOLATION_HEADER = [
     "conjecture_id", "range", "checked_count", "skipped_count",
     "status", "duration", "witness",
 ]
-# witnesses rendered by one string format at a time
-_WITNESS_CHUNK = 1 << 14
 
 
 def _format_rows(row: str, sep: str, rows: np.ndarray) -> str:
@@ -94,47 +92,28 @@ def _format_rows(row: str, sep: str, rows: np.ndarray) -> str:
     return sep.join([row] * len(rows)) % tuple(rows.ravel().tolist())
 
 
-def _witness_cells(witnesses) -> Optional[Iterator[tuple]]:
-    """The CSV witness cells, " ".join(map(str, w)) for each witness w, as
-    (text, rows) chunks of cells joined by "\n"; None for a list whose
-    witnesses are not all tuples of one arity."""
-    if isinstance(witnesses, WitnessStore):
-        return ((_format_rows(
-            ("" if lead is None else lead.replace("%", "%%") + " ")
-            + "%d %d %d", "\n", rows), len(rows))
-            for lead, rows in witnesses.runs(_WITNESS_CHUNK))
-    if set(map(type, witnesses)) != {tuple}:
-        return None
-    arities = set(map(len, witnesses))
-    if len(arities) != 1:
-        return None
-    cell = " ".join(["%s"] * arities.pop()).__mod__
-    chunks = (witnesses[i:i + _WITNESS_CHUNK]
-              for i in range(0, len(witnesses), _WITNESS_CHUNK))
-    return (("\n".join(map(cell, c)), len(c)) for c in chunks)
-
-
 def _witness_csv(header: str, base: list, witnesses) -> Optional[str]:
-    """`header` then the CSV rows `base + [witness cell]`, one per witness:
-    the summary fields are encoded once, and the cells, joined once, get
-    them by one replace.
+    """`header` then the CSV rows `base + [witness cell]`, one per witness
+    of a store: the summary fields are encoded once, and the cells, made
+    from the store's rows and joined once, get them by one replace.
 
-    None when `_witness_cells` gives none or a cell holds a character csv
-    would quote.
+    None for witnesses in any other container, or when a lead name holds a
+    character csv would quote.
     """
-    cells = _witness_cells(witnesses)
-    if cells is None:
+    if not isinstance(witnesses, WitnessStore):
         return None
     line = io.StringIO()
     csv.writer(line, lineterminator="\n").writerow(base + [""])
     prefix = line.getvalue()[:-1]  # the summary fields and a comma
     chunks = [header[:-1]]
-    for text, rows in cells:
-        # a superset of what csv.writer quotes on any Python version
-        if (text.count("\n") != rows - 1
-                or "," in text or '"' in text or "\r" in text):
-            return None
-        chunks.append(text)
+    for lead, rows in witnesses.runs():
+        cell = "%d %d %d"
+        if lead is not None:
+            # a superset of what csv.writer quotes on any Python version
+            if set(lead) & set(',"\r\n'):
+                return None
+            cell = lead.replace("%", "%%") + " " + cell
+        chunks.append(_format_rows(cell, "\n", rows))
     chunks.append("")
     body = "\n".join(chunks)
     del chunks  # freed before the replace makes the whole text
@@ -148,7 +127,7 @@ def _json_witnesses(store: WitnessStore) -> list:
     if not store:
         return ["[]"]
     pieces = []
-    for lead, rows in store.runs(_WITNESS_CHUNK):
+    for lead, rows in store.runs():
         items = [] if lead is None else [json.dumps(lead).replace("%", "%%")]
         row = ("    [\n      " + ",\n      ".join(items + ["%d"] * 3)
                + "\n    ]")

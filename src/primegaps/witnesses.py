@@ -18,8 +18,8 @@ import numpy as np
 
 _EMPTY_ROWS = np.empty((0, 3), dtype=np.int64)
 _EMPTY_CODES = np.empty(0, dtype=np.uint8)
-# witnesses turned into tuples at a time when the store is iterated
-ITER_CHUNK = 1 << 14
+# witnesses turned into tuples, or into text, at a time
+CHUNK = 1 << 14
 
 
 class WitnessStore(Sequence):
@@ -66,16 +66,16 @@ class WitnessStore(Sequence):
                             rank[self._codes]))
         self._rows, self._codes = rows[order], self._codes[order]
 
-    def runs(self, chunk: int) -> Iterator[tuple]:
+    def runs(self) -> Iterator[tuple]:
         """Yield (lead, rows): the witnesses in stored order as (k, 3) int64
-        arrays of n, p, q, at most `chunk` rows each, one lead to each."""
+        arrays of n, p, q, at most `CHUNK` rows each, one lead to each."""
         self._collect()
         ends = [0, *(np.flatnonzero(np.diff(self._codes)) + 1).tolist(),
                 len(self._rows)]
         for a, b in zip(ends, ends[1:]):
-            for s in range(a, b, chunk):
+            for s in range(a, b, CHUNK):
                 lead = self._names[self._codes[a]]
-                yield lead, self._rows[s:min(s + chunk, b)]
+                yield lead, self._rows[s:min(s + CHUNK, b)]
 
     def _tuples(self, rows: np.ndarray, codes: np.ndarray) -> list:
         leads = [() if x is None else (x,) for x in self._names]
@@ -93,8 +93,8 @@ class WitnessStore(Sequence):
         return item
 
     def __iter__(self):
-        for s in range(0, len(self), ITER_CHUNK):
-            yield from self[s:s + ITER_CHUNK]
+        for s in range(0, len(self), CHUNK):
+            yield from self[s:s + CHUNK]
 
     def __eq__(self, other):
         if not isinstance(other, (list, WitnessStore)):

@@ -56,6 +56,10 @@ class TestStoreAgainstLists:
            chunk=st.integers(1, 5))
     def test_finalized_store_is_the_sorted_list(self, draws, leads, pick,
                                                 chunk):
+        with mock.patch.object(witnesses, "CHUNK", chunk):
+            self.check_store(draws, leads, pick)
+
+    def check_store(self, draws, leads, pick):
         store, plain = captured(draws, leads, pick)
         rep = conjectures.ConjectureReport(
             "x", "r", violations=store, uncertain=WitnessStore()).finalize()
@@ -63,8 +67,7 @@ class TestStoreAgainstLists:
         assert rep.violations == want and want == rep.violations
         assert rep.status is (conjectures.ReportStatus.VIOLATION_FOUND if want
                               else conjectures.ReportStatus.ALL_HOLD)
-        with mock.patch.object(witnesses, "ITER_CHUNK", chunk):
-            got = list(store)
+        got = list(store)
         assert got == want and len(store) == len(want)
         for item in got:
             assert type(item) is tuple
@@ -78,13 +81,12 @@ class TestStoreAgainstLists:
         # the text of the list
         listed = conjectures.ConjectureReport(
             "x", "r", violations=want, status=rep.status)
-        with mock.patch.object(report, "_WITNESS_CHUNK", chunk):
-            for fmt in ("json", "csv", "text"):
-                assert (report.serialize(rep, fmt)
-                        == report.serialize(listed, fmt)), fmt
-            assert report.to_json(rep) == json.dumps(
-                report.to_jsonable(listed), indent=2) + "\n"
-            assert report.to_csv(rep) == per_row_csv(listed)
+        for fmt in ("json", "csv", "text"):
+            assert (report.serialize(rep, fmt)
+                    == report.serialize(listed, fmt)), fmt
+        assert report.to_json(rep) == json.dumps(
+            report.to_jsonable(listed), indent=2) + "\n"
+        assert report.to_csv(rep) == per_row_csv(listed)
 
     def test_empty_store_serializes_as_an_empty_list(self):
         stored = conjectures._pair_report("x", "r").finalize()
