@@ -1,10 +1,13 @@
 """Command-line surface: verify / crossover / monotone / solve / pi-approx /
 coefficients, with json, csv, and text output.
 
-Exit codes: 0 everything held (or informational command completed),
-1 a violation or counterexample was found, 2 usage or domain error or any
-other failure that is not a verdict (including a range too large to fit
-in memory), 3 incomplete or undecidable at strict precision.
+Each subcommand is an entry of `COMMANDS`, a function from the parsed
+arguments to a payload; `main` serializes that payload once and maps it to
+an exit code with `_exit_code`: 0 everything held (or informational command
+completed), 1 a violation or counterexample was found, 3 incomplete or
+undecidable at strict precision.  2 is a usage or domain error or any other
+failure that is not a verdict (including a range too large to fit in
+memory).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import traceback
 
 from . import bounds, conjectures, exponent_solver, panaitopol, report
 from .bounds import NoCrossoverError, Status
-from .conjectures import ReportStatus
+from .conjectures import ConjectureReport, DWitness, ReportStatus
 from .sieve import CapacityError
 
 EXIT_OK = 0
@@ -23,14 +26,89 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_INCOMPLETE = 3
 
-CONJECTURES = (
-    "legendre", "oppermann", "brocard",
-    "andrica", "kourbatov", "firoozbakht", "cramer", "gap-bounds",
-    "smarandache-ratio", "smarandache-b", "smarandache-c", "smarandache-d",
-    "shanks-trend",
-)
+def _gap_check(args) -> ConjectureReport:
+    name = args.conjecture
+    which = conjectures.GAP_BOUNDS if name == "gap-bounds" else (name,)
+    start = args.start if args.start is not None else 2
+    if (args.start is not None and start < conjectures.KOURBATOV_FLOOR
+            and name in ("kourbatov", "cramer")):
+        print(
+            f"warning: --start {start} is below the validity floor "
+            f"{conjectures.KOURBATOV_FLOOR}; sub-floor pairs are skipped,"
+            " not checked",
+            file=sys.stderr,
+        )
+    return conjectures.check_gap_bounds(args.limit, which, start=start)
+
+
+def _smarandache_d(args):
+    # no witness is no verdict: the scan ends incomplete
+    return (conjectures.find_smarandache_D_counterexample(args.a, args.n_start)
+            or ConjectureReport("smarandache-d",
+                                f"a={args.a!r}, n >= {args.n_start}",
+                                status=ReportStatus.INCOMPLETE))
+
+
+# Every entry looks its checker up on the module when it runs, so a wrapper
+# installed on the module attribute (for tracing) sees the call.
+VERIFY = {
+    "legendre": lambda a: conjectures.check_legendre(a.limit),
+    "oppermann": lambda a: conjectures.check_oppermann(a.limit),
+    "brocard": lambda a: conjectures.check_brocard(a.limit),
+    "andrica": _gap_check,
+    "kourbatov": _gap_check,
+    "firoozbakht": _gap_check,
+    "cramer": _gap_check,
+    "gap-bounds": _gap_check,
+    "smarandache-ratio": lambda a: conjectures.check_smarandache_ratio(a.limit),
+    "smarandache-b": lambda a: conjectures.check_smarandache_B(a.limit, a.a),
+    "smarandache-c": lambda a: conjectures.check_smarandache_C(a.limit, a.k),
+    "smarandache-d": _smarandache_d,
+    "shanks-trend": lambda a: conjectures.check_shanks_trend(a.limit, a.window),
+}
+CONJECTURES = tuple(VERIFY)
 # the checkers that take --start
-GAP_CHECKS = ("andrica", "kourbatov", "firoozbakht", "cramer", "gap-bounds")
+GAP_CHECKS = tuple(name for name, run in VERIFY.items() if run is _gap_check)
+
+
+def _verify(args):
+    if args.start is not None and args.conjecture not in GAP_CHECKS:
+        raise ValueError("--start applies only to the gap-bound checks")
+    return VERIFY[args.conjecture](args)
+
+
+def _solve_pair(args):
+    if args.p is None or args.q is None:
+        raise ValueError("solve pair requires --p and --q")
+    return exponent_solver.solve_exponent(args.p, args.q)
+
+
+SOLVE = {
+    "a0": lambda a: exponent_solver.min_exponent(a.limit)[0],
+    "max": lambda a: exponent_solver.max_exponent(a.limit),
+    "pair": _solve_pair,
+}
+
+COMMANDS = {
+    "verify": _verify,
+    "crossover": lambda a: bounds.crossover_scan(a.predicate, a.lo, a.hi),
+    "monotone": lambda a: bounds.monotone_scan(a.sequence, a.lo, a.hi),
+    "solve": lambda a: SOLVE[a.target](a),
+    "pi-approx": lambda a: panaitopol.error_table(a.x, a.terms),
+    "coefficients": lambda a: panaitopol.coefficients(a.n),
+}
+
+
+def _exit_code(payload) -> int:
+    """1 for a found violation or counterexample, 3 for an undecided
+    report or verdict, 0 for everything else."""
+    status = getattr(payload, "status", None)
+    if (isinstance(payload, DWitness)
+            or status in (ReportStatus.VIOLATION_FOUND, Status.FAILS)):
+        return EXIT_VIOLATION
+    if status in (ReportStatus.INCOMPLETE, Status.UNCERTAIN):
+        return EXIT_INCOMPLETE
+    return EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", parents=[common],
                        help="solve q^x - p^x = 1 or scan for extremal roots")
-    p.add_argument("target", choices=("a0", "max", "pair"))
+    p.add_argument("target", choices=tuple(SOLVE))
     p.add_argument("--limit", type=int, default=10**6)
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--q", type=int, default=None)
@@ -115,78 +193,6 @@ def _write(fh, text: str) -> None:
         fh.write(text[i:i + WRITE_SLICE])
 
 
-def _report_exit(rep: conjectures.ConjectureReport) -> int:
-    if rep.status is ReportStatus.VIOLATION_FOUND:
-        return EXIT_VIOLATION
-    if rep.status is ReportStatus.INCOMPLETE:
-        return EXIT_INCOMPLETE
-    return EXIT_OK
-
-
-def _run_verify(args) -> int:
-    name = args.conjecture
-    if args.start is not None and name not in GAP_CHECKS:
-        raise ValueError("--start applies only to the gap-bound checks")
-    if name == "legendre":
-        rep = conjectures.check_legendre(args.limit)
-    elif name == "oppermann":
-        rep = conjectures.check_oppermann(args.limit)
-    elif name == "brocard":
-        rep = conjectures.check_brocard(args.limit)
-    elif name in GAP_CHECKS:
-        which = conjectures.GAP_BOUNDS if name == "gap-bounds" else (name,)
-        start = args.start if args.start is not None else 2
-        if (args.start is not None and start < conjectures.KOURBATOV_FLOOR
-                and name in ("kourbatov", "cramer")):
-            print(
-                f"warning: --start {start} is below the validity floor "
-                f"{conjectures.KOURBATOV_FLOOR}; sub-floor pairs are skipped,"
-                " not checked",
-                file=sys.stderr,
-            )
-        rep = conjectures.check_gap_bounds(args.limit, which, start=start)
-    elif name == "smarandache-ratio":
-        rep = conjectures.check_smarandache_ratio(args.limit)
-    elif name == "smarandache-b":
-        rep = conjectures.check_smarandache_B(args.limit, args.a)
-    elif name == "smarandache-c":
-        rep = conjectures.check_smarandache_C(args.limit, args.k)
-    elif name == "smarandache-d":
-        witness = conjectures.find_smarandache_D_counterexample(
-            args.a, args.n_start
-        )
-        if witness is None:
-            rep = conjectures.ConjectureReport(
-                "smarandache-d",
-                f"a={args.a!r}, n >= {args.n_start}",
-                status=ReportStatus.INCOMPLETE,
-            )
-            _emit(rep.finalize(), args)
-            return EXIT_INCOMPLETE
-        _emit(witness, args)
-        return EXIT_VIOLATION
-    else:  # shanks-trend
-        rows = conjectures.check_shanks_trend(args.limit, args.window)
-        _emit(rows, args)
-        return EXIT_OK
-    _emit(rep, args)
-    return _report_exit(rep)
-
-
-def _run_solve(args) -> int:
-    if args.target == "pair":
-        if args.p is None or args.q is None:
-            raise ValueError("solve pair requires --p and --q")
-        _emit(exponent_solver.solve_exponent(args.p, args.q), args)
-        return EXIT_OK
-    if args.target == "a0":
-        sol, _ = exponent_solver.min_exponent(args.limit)
-    else:
-        sol = exponent_solver.max_exponent(args.limit)
-    _emit(sol, args)
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -194,34 +200,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "verify":
-            return _run_verify(args)
-        if args.command == "crossover":
-            try:
-                result = bounds.crossover_scan(args.predicate, args.lo, args.hi)
-            except NoCrossoverError as exc:
-                print(f"no crossover: {exc}", file=sys.stderr)
-                return EXIT_INCOMPLETE
-            _emit(result, args)
-            return EXIT_OK
-        if args.command == "monotone":
-            verdict = bounds.monotone_scan(args.sequence, args.lo, args.hi)
-            _emit(verdict, args)
-            if verdict.status is Status.FAILS:
-                return EXIT_VIOLATION
-            if verdict.status is Status.UNCERTAIN:
-                return EXIT_INCOMPLETE
-            return EXIT_OK
-        if args.command == "solve":
-            return _run_solve(args)
-        if args.command == "pi-approx":
-            rows = panaitopol.error_table(args.x, args.terms)
-            _emit(rows, args)
-            return EXIT_OK
-        if args.command == "coefficients":
-            _emit(panaitopol.coefficients(args.n), args)
-            return EXIT_OK
-        raise AssertionError(f"unhandled command {args.command}")
+        payload = COMMANDS[args.command](args)
+        _emit(payload, args)
+        return _exit_code(payload)
+    except NoCrossoverError as exc:
+        print(f"no crossover: {exc}", file=sys.stderr)
+        return EXIT_INCOMPLETE
     except (ValueError, KeyError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

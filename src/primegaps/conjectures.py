@@ -481,28 +481,24 @@ def find_smarandache_D_counterexample(
 
 def check_smarandache_ratio(limit: int) -> ConjectureReport:
     """q/p <= 5/3 for every pair with p < limit, by exact integer comparison."""
+    # imported here: at module level every CLI start would pay for it
+    from fractions import Fraction
+
     if limit < 7:
         raise ValueError("limit must be >= 7")
     t0 = time.perf_counter()
     report = _pair_report("smarandache-ratio", f"pairs with p < {limit}")
-    best: Optional[tuple] = None  # (n, p, q) of the exact max ratio
+    best: Optional[tuple] = None  # (q/p exact, -n, p, q): ties to the least n
     for blk in gaps.pair_blocks(2, limit):
         report.checked_count += blk.p.size
         # the integer margin 5p - 3q is exact: no pair is near-threshold
         _settle(report, blk, 5 * blk.p - 3 * blk.q, 0, None)
         i = int(np.argmax(blk.q / blk.p))
-        cand = (blk.n0 + i, int(blk.p[i]), int(blk.q[i]))
-        if best is None or _ratio_beats(cand, best):
+        p, q = int(blk.p[i]), int(blk.q[i])
+        cand = (Fraction(q, p), -(blk.n0 + i), p, q)
+        if best is None or cand > best:
             best = cand
-    report.extremes["max_ratio_pair"] = best
-    report.extremes["max_ratio_exact"] = f"{best[2]}/{best[1]}"
+    _, neg_n, p, q = best
+    report.extremes["max_ratio_pair"] = (-neg_n, p, q)
+    report.extremes["max_ratio_exact"] = f"{q}/{p}"
     return _timed(report, t0)
-
-
-def _ratio_beats(cand: tuple, best: tuple) -> bool:
-    # exact cross-multiplied comparison; ties keep the smaller index
-    lhs = cand[2] * best[1]
-    rhs = best[2] * cand[1]
-    if lhs != rhs:
-        return lhs > rhs
-    return cand[0] < best[0]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -117,17 +117,6 @@ class ExtremeTracker:
     max_andrica: Optional[GapRecord] = None
     max_ratio: Optional[GapRecord] = None
 
-    _METRICS = ("gap", "cramer_ratio", "andrica", "ratio")
-
-    def observe(
-        self, rec: GapRecord, metrics: Iterable[str] = _METRICS
-    ) -> None:
-        for metric in metrics:
-            field = f"max_{metric}"
-            cur = getattr(self, field)
-            if cur is None or _beats(rec, cur, metric):
-                setattr(self, field, rec)
-
     def observe_block(
         self, blk: PairBlock, metrics: Mapping[str, np.ndarray]
     ) -> None:
@@ -139,11 +128,12 @@ class ExtremeTracker:
         an empty array skips the metric.
         """
         records: dict[int, GapRecord] = {}  # one record per observed pair
-        for metric in self._METRICS:
-            values = metrics[metric]
+        for metric, values in metrics.items():
             if not values.size:
                 continue
             offset = blk.p.size - values.size
+            field = f"max_{metric}"
+            best = getattr(self, field)
             # observe every index tied (to float fuzz) with the block max so
             # the winner never depends on how blocks were partitioned
             top = values.max()
@@ -152,11 +142,9 @@ class ExtremeTracker:
                 if j not in records:
                     records[j] = GapRecord.from_pair(
                         blk.n0 + j, int(blk.p[j]), int(blk.q[j]))
-                self.observe(records[j], (metric,))
-
-
-def _beats(a: GapRecord, b: GapRecord, metric: str) -> bool:
-    va, vb = getattr(a, metric), getattr(b, metric)
-    if va != vb:
-        return va > vb
-    return a.n < b.n
+                rec = records[j]
+                # the largest value wins; ties go to the smallest n
+                if best is None or ((getattr(rec, metric), -rec.n)
+                                    > (getattr(best, metric), -best.n)):
+                    best = rec
+            setattr(self, field, best)

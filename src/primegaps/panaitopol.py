@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 from . import sieve
 
-DEFAULT_DEPTH_CAP = 20  # factorial growth makes deeper terms useless here
-
 
 @dataclass(frozen=True)
 class CoefficientTable:

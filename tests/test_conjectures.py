@@ -419,17 +419,25 @@ class TestPartitionInvarianceInterval:
         assert normalized(cj.check_brocard(200)) == want
 
 
-def _reference_observe_block(tracker, blk):
+def _reference_observe_block(best, blk):
     # ExtremeTracker.observe_block before metrics could be passed in: each
-    # candidate record is observed for all four metrics
+    # candidate record is observed for all four metrics.  `best` maps each
+    # metric to its record: the larger value wins, an equal value the
+    # smaller n
     p = blk.p.astype(np.float64)
     q = blk.q.astype(np.float64)
     gap = blk.q - blk.p
     for values in (gap, gap / np.log(p) ** 2, np.sqrt(q) - np.sqrt(p), q / p):
         top = values.max()
         for i in np.flatnonzero(values >= top - 1e-12 * abs(top)):
-            tracker.observe(gaps.GapRecord.from_pair(
-                blk.n0 + int(i), int(blk.p[i]), int(blk.q[i])))
+            rec = gaps.GapRecord.from_pair(
+                blk.n0 + int(i), int(blk.p[i]), int(blk.q[i]))
+            for metric in ("gap", "cramer_ratio", "andrica", "ratio"):
+                cur = best.get(metric)
+                value = getattr(rec, metric)
+                if (cur is None or value > getattr(cur, metric)
+                        or value == getattr(cur, metric) and rec.n < cur.n):
+                    best[metric] = rec
 
 
 def _reference_strict_margin(bound, n, p, q):
@@ -455,14 +463,13 @@ def reference_gap_bounds(limit, which=cj.GAP_BOUNDS, start=2):
     which = tuple(w for w in cj.GAP_BOUNDS if w in set(which))
     report = cj.ConjectureReport(
         "gap-bounds:" + ",".join(which), f"pairs with {start} <= p < {limit}")
-    tracker = gaps.ExtremeTracker()
-    floor_tracker = gaps.ExtremeTracker()
+    best, floor_best = {}, {}
     for blk in gaps.pair_blocks(start, limit):
-        _reference_observe_block(tracker, blk)
+        _reference_observe_block(best, blk)
         above = np.flatnonzero(blk.p >= cj.KOURBATOV_FLOOR)
         if above.size:
             i0 = int(above[0])
-            _reference_observe_block(floor_tracker, gaps.PairBlock(
+            _reference_observe_block(floor_best, gaps.PairBlock(
                 blk.n0 + i0, blk.p[i0:], blk.q[i0:]))
         p = blk.p.astype(np.float64)
         q = blk.q.astype(np.float64)
@@ -501,10 +508,10 @@ def reference_gap_bounds(limit, which=cj.GAP_BOUNDS, start=2):
             for i in np.flatnonzero(mask & (margins <= 0.0)):
                 report.violations.append(
                     (bound, blk.n0 + int(i), int(blk.p[i]), int(blk.q[i])))
-    report.extremes["max_cramer_ratio"] = floor_tracker.max_cramer_ratio
-    report.extremes["max_andrica"] = tracker.max_andrica
-    report.extremes["max_gap"] = tracker.max_gap
-    report.extremes["max_ratio"] = tracker.max_ratio
+    report.extremes["max_cramer_ratio"] = floor_best.get("cramer_ratio")
+    report.extremes["max_andrica"] = best.get("andrica")
+    report.extremes["max_gap"] = best.get("gap")
+    report.extremes["max_ratio"] = best.get("ratio")
     return report.finalize()
 
 

@@ -5,13 +5,19 @@ import enum
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from primegaps import cli, report
 from primegaps import bounds, conjectures, exponent_solver, gaps, panaitopol
+from primegaps.bounds import Precision, Status, Verdict
+from primegaps.conjectures import ConjectureReport, ReportStatus
 from primegaps.witnesses import WitnessStore
 
 
@@ -444,3 +450,104 @@ def test_cli_surface_is_pinned():
                    for name, opts in CLI_OPTIONS.items()}
     assert {o for a in parser._actions for o in a.option_strings} == {
         "-h", "--help"}
+
+
+# ---------------------------------------------------------------------------
+# one path from subcommand to exit code
+
+EXIT_CASES = {
+    "report-all-hold": (ConjectureReport("c", "r"), 0),
+    "report-violation": (
+        ConjectureReport("c", "r", status=ReportStatus.VIOLATION_FOUND), 1),
+    "report-incomplete": (
+        ConjectureReport("c", "r", status=ReportStatus.INCOMPLETE), 3),
+    "verdict-holds": (Verdict(Status.HOLDS, 1.0, Precision.FAST), 0),
+    "verdict-fails": (
+        Verdict(Status.FAILS, -1.0, Precision.STRICT, (190,)), 1),
+    "verdict-uncertain": (Verdict(Status.UNCERTAIN, 0.0, Precision.STRICT), 3),
+    "d-witness": (conjectures.DWitness(4, 7, 11, 0.43, 0.25), 1),
+    "crossover": (bounds.CrossoverResult("sqrt-vs-2log", 5, 100, 4), 0),
+    "exponent": (exponent_solver.ExponentSolution(
+        7, 11, 0.52, 0.0, 40, (0.5, 0.6)), 0),
+    "coefficients": (panaitopol.CoefficientTable((1, 3, 13)), 0),
+    "rows": ([panaitopol.PiApproxResult(10**4, 1, 1200.0, 1229, 0.02)], 0),
+    "no-rows": ([], 0),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_CASES)
+def test_exit_code_of_every_payload_type(case):
+    payload, code = EXIT_CASES[case]
+    assert cli._exit_code(payload) == code
+
+
+# the checker each verify name must reach, and how it is called at
+# --limit 100 with every other option at its default
+VERIFY_CALLS = {
+    "legendre": ("check_legendre", (100,), {}),
+    "oppermann": ("check_oppermann", (100,), {}),
+    "brocard": ("check_brocard", (100,), {}),
+    "andrica": ("check_gap_bounds", (100, ("andrica",)), {"start": 2}),
+    "kourbatov": ("check_gap_bounds", (100, ("kourbatov",)), {"start": 2}),
+    "firoozbakht": (
+        "check_gap_bounds", (100, ("firoozbakht",)), {"start": 2}),
+    "cramer": ("check_gap_bounds", (100, ("cramer",)), {"start": 2}),
+    "gap-bounds": (
+        "check_gap_bounds", (100, conjectures.GAP_BOUNDS), {"start": 2}),
+    "smarandache-ratio": ("check_smarandache_ratio", (100,), {}),
+    "smarandache-b": ("check_smarandache_B", (100, 0.5), {}),
+    "smarandache-c": ("check_smarandache_C", (100, 2), {}),
+    "smarandache-d": ("find_smarandache_D_counterexample", (0.5, 1), {}),
+    "shanks-trend": ("check_shanks_trend", (100, 10**4), {}),
+}
+
+
+def test_verify_dispatches_each_name_to_its_checker(monkeypatch, tmp_path):
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    (arg,) = [a for a in sub.choices["verify"]._actions
+              if a.dest == "conjecture"]
+    assert tuple(arg.choices) == tuple(cli.VERIFY) == tuple(VERIFY_CALLS)
+
+    calls = []
+    canned = ConjectureReport("canned", "none").finalize()
+
+    def spy(name):
+        def checker(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            return canned
+        return checker
+
+    for name in dir(conjectures):
+        if name.startswith(("check_", "find_")):
+            monkeypatch.setattr(conjectures, name, spy(name))
+    out = tmp_path / "out.json"
+    for name, want in VERIFY_CALLS.items():
+        calls.clear()
+        argv = ["verify", name, "--limit", "100", "--format", "json",
+                "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert calls == [want], name
+        assert json.loads(out.read_text())["conjecture_id"] == "canned"
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("verify legendre --limit 100", 0),
+    ("verify smarandache-d --a 0.4", 1),
+    ("verify legendre --limit 0", 2),
+    ("verify smarandache-d --a 0.4 --n-start 10000001", 3),
+])
+def test_exit_code_leaves_the_process(argv, code):
+    # `python -m primegaps.cli` must carry main's return value out through
+    # sys.exit, not only return it in-process
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-m", "primegaps.cli", *argv.split(), "--no-timing"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == code, done.stderr
+    if code == 2:
+        assert done.stderr == "error: n_max must be >= 1\n"
