@@ -143,7 +143,6 @@ class ExtremeTracker:
                     records[j] = GapRecord.from_pair(
                         blk.n0 + j, int(blk.p[j]), int(blk.q[j]))
                 rec = records[j]
-                # the largest value wins; ties go to the smallest n
                 if best is None or ((getattr(rec, metric), -rec.n)
                                     > (getattr(best, metric), -best.n)):
                     best = rec
