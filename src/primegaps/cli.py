@@ -50,31 +50,52 @@ def _smarandache_d(args):
 
 
 # Every entry looks its checker up on the module when it runs, so a wrapper
-# installed on the module attribute (for tracing) sees the call.
+# installed on the module attribute (for tracing) sees the call.  Next to it
+# stand the options its checker reads; typing any other is refused.
 VERIFY = {
-    "legendre": lambda a: conjectures.check_legendre(a.limit),
-    "oppermann": lambda a: conjectures.check_oppermann(a.limit),
-    "brocard": lambda a: conjectures.check_brocard(a.limit),
-    "andrica": _gap_check,
-    "kourbatov": _gap_check,
-    "firoozbakht": _gap_check,
-    "cramer": _gap_check,
-    "gap-bounds": _gap_check,
-    "smarandache-ratio": lambda a: conjectures.check_smarandache_ratio(a.limit),
-    "smarandache-b": lambda a: conjectures.check_smarandache_B(a.limit, a.a),
-    "smarandache-c": lambda a: conjectures.check_smarandache_C(a.limit, a.k),
-    "smarandache-d": _smarandache_d,
-    "shanks-trend": lambda a: conjectures.check_shanks_trend(a.limit, a.window),
+    "legendre": (lambda a: conjectures.check_legendre(a.limit), ("limit",)),
+    "oppermann": (lambda a: conjectures.check_oppermann(a.limit), ("limit",)),
+    "brocard": (lambda a: conjectures.check_brocard(a.limit), ("limit",)),
+    "andrica": (_gap_check, ("limit", "start")),
+    "kourbatov": (_gap_check, ("limit", "start")),
+    "firoozbakht": (_gap_check, ("limit", "start")),
+    "cramer": (_gap_check, ("limit", "start")),
+    "gap-bounds": (_gap_check, ("limit", "start")),
+    "smarandache-ratio": (
+        lambda a: conjectures.check_smarandache_ratio(a.limit), ("limit",)),
+    "smarandache-b": (
+        lambda a: conjectures.check_smarandache_B(a.limit, a.a),
+        ("limit", "a")),
+    "smarandache-c": (
+        lambda a: conjectures.check_smarandache_C(a.limit, a.k),
+        ("limit", "k")),
+    "smarandache-d": (_smarandache_d, ("a", "n_start")),
+    "shanks-trend": (
+        lambda a: conjectures.check_shanks_trend(a.limit, a.window),
+        ("limit", "window")),
 }
 CONJECTURES = tuple(VERIFY)
 # the checkers that take --start
-GAP_CHECKS = tuple(name for name, run in VERIFY.items() if run is _gap_check)
+GAP_CHECKS = tuple(name for name, (_, reads) in VERIFY.items()
+                   if "start" in reads)
+# every verify option and its value when not typed (--start: see _gap_check)
+VERIFY_DEFAULTS = {"limit": 10**6, "start": None, "a": 0.5, "k": 2,
+                   "n_start": 1, "window": 10**4}
 
 
 def _verify(args):
-    if args.start is not None and args.conjecture not in GAP_CHECKS:
+    run, reads = VERIFY[args.conjecture]
+    unread = [option for option in VERIFY_DEFAULTS
+              if getattr(args, option) is not None and option not in reads]
+    if "start" in unread:
         raise ValueError("--start applies only to the gap-bound checks")
-    return VERIFY[args.conjecture](args)
+    if unread:
+        raise ValueError(f"--{unread[0].replace('_', '-')} does not apply "
+                         f"to {args.conjecture}")
+    for option, default in VERIFY_DEFAULTS.items():
+        if getattr(args, option) is None:
+            setattr(args, option, default)
+    return run(args)
 
 
 def _solve_pair(args):
@@ -129,18 +150,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="run a conjecture checker over a range")
     p.add_argument("conjecture", choices=CONJECTURES)
-    p.add_argument("--limit", type=int, default=10**6,
+    # no parser defaults: _verify tells a typed option from an untyped one
+    # and applies VERIFY_DEFAULTS
+    p.add_argument("--limit", type=int,
                    help="upper bound on p (pair scans) or n (interval scans)")
-    p.add_argument("--start", type=int, default=None,
+    p.add_argument("--start", type=int,
                    help="lower bound on p for gap-bound scans")
-    p.add_argument("--a", type=float, default=0.5,
+    p.add_argument("--a", type=float,
                    help="exponent for smarandache-b / smarandache-d")
-    p.add_argument("--k", type=int, default=2,
-                   help="root order for smarandache-c")
-    p.add_argument("--n-start", type=int, default=1,
+    p.add_argument("--k", type=int, help="root order for smarandache-c")
+    p.add_argument("--n-start", type=int,
                    help="first prime index for smarandache-d")
-    p.add_argument("--window", type=int, default=10**4,
-                   help="window size for shanks-trend")
+    p.add_argument("--window", type=int, help="window size for shanks-trend")
 
     p = sub.add_parser("crossover", parents=[common],
                        help="find the least threshold from which a "

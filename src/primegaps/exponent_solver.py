@@ -1,4 +1,4 @@
-"""Solve q^x - p^x = 1 for consecutive prime pairs and scan for extremes.
+"""Solve q^x - p^x = 1 for consecutive prime pairs and find the extremes.
 
 f(x) = q^x - p^x - 1 is strictly increasing in x for q > p >= 2, so a sign
 bracket pins down the unique root; bisection keeps the bracket valid
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import mpmath as mp
 import numpy as np
@@ -64,92 +64,52 @@ def solve_exponent(p: int, q: int) -> ExponentSolution:
     return ExponentSolution(p, q, x, residual, iterations, (lo, hi))
 
 
-# pairs per bisection batch in the min/max scans; after the first batch
-# most pairs are dropped before bisection, so a small batch keeps the
-# unpruned first one cheap
-SCAN_BATCH = 4096
-# a pair whose root lies beyond the current best by more than this cannot
-# come within the 1e-9 tie window of _argmin_beats: the binary64 error of
-# q^t - p^t, divided by f'(t) >= ln q, moves a root by far less
+# a pair whose root is at most the best has q^t - p^t - 1 of at least
+# PRUNE_MARGIN * ln q at t = best + PRUNE_MARGIN (f is convex with
+# f' >= ln q at its root), far above the binary64 error of q^t - p^t, so
+# the pruning test below never drops it
 PRUNE_MARGIN = 1e-6
 
 
-def _roots(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Vectorized bisection of q^x - p^x = 1 for the pairs (p[i], q[i]).
+def min_exponent(limit: int) -> Tuple[ExponentSolution, int]:
+    """The pair with p < limit whose exponent root is smallest (ties to the
+    smaller p), and the number of pairs scanned.
 
-    60 halvings of [0, 1] reach ~1e-18 interval width, beyond float64
-    resolution.
-    """
-    pf = p.astype(np.float64)
-    qf = q.astype(np.float64)
-    lo = np.zeros(pf.size)
-    hi = np.ones(pf.size)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        neg = qf**mid - pf**mid < 1.0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-    x = 0.5 * (lo + hi)
-    # gap-1 pairs sit exactly at x = 1
-    x[q - p == 1] = 1.0
-    return x
-
-
-def _extreme_root(limit: int, sign: float) -> Tuple[tuple, int]:
-    """The pair with p < limit whose root x minimizes sign * x, as
-    (sign * x, p, q), and the number of pairs scanned.
-
-    f(x) = q^x - p^x - 1 increases in x, so a root lies at or below t
-    exactly when q^t - p^t >= 1.  Once a best root exists, only the pairs
-    whose root can still come within PRUNE_MARGIN of it are bisected.
+    A descent from (2, 3), whose root 1 is the largest (see max_exponent):
+    f increases in x, so a root lies at or below t exactly when
+    q^t - p^t >= 1.  Each block keeps the pairs that pass that test at
+    t = best + PRUNE_MARGIN, solves the one with the largest q^t - p^t,
+    drops it and re-tests the rest, until none is left.
     """
     if limit < 3:
         raise ValueError("limit must be >= 3")
-    best: Optional[tuple] = None  # (sign * x, p, q)
+    best = solve_exponent(2, 3)
     count = 0
     for blk in gaps.pair_blocks(2, limit):
         count += blk.p.size
-        for s in range(0, blk.p.size, SCAN_BATCH):
-            p = blk.p[s : s + SCAN_BATCH]
-            q = blk.q[s : s + SCAN_BATCH]
-            if best is not None:
-                t = sign * best[0] + sign * PRUNE_MARGIN  # x_best, widened
-                d = q.astype(np.float64) ** t - p.astype(np.float64) ** t
-                # root <= t (min scan) or root >= t (max scan)
-                keep = np.flatnonzero(d >= 1.0 if sign > 0 else d <= 1.0)
-                if not keep.size:
-                    continue
-                p, q = p[keep], q[keep]
-            key = sign * _roots(p, q)
-            top = key.min()
-            for i in np.flatnonzero(key <= top + 1e-12):
-                cand = (float(key[i]), int(p[i]), int(q[i]))
-                if best is None or _argmin_beats(cand, best, negate=sign < 0):
-                    best = cand
+        p, q = blk.p, blk.q
+        while True:
+            t = best.x + PRUNE_MARGIN
+            d = q.astype(np.float64) ** t - p.astype(np.float64) ** t
+            keep = d >= 1.0
+            p, q, d = p[keep], q[keep], d[keep]
+            if not p.size:
+                break
+            i = int(np.argmax(d))
+            sol = solve_exponent(int(p[i]), int(q[i]))
+            if (sol.x, sol.p) < (best.x, best.p):
+                best = sol
+            p, q = np.delete(p, i), np.delete(q, i)
     return best, count
 
 
-def min_exponent(limit: int) -> Tuple[ExponentSolution, int]:
-    """The pair with p < limit whose exponent root is smallest, and the
-    number of pairs scanned."""
-    best, count = _extreme_root(limit, 1.0)
-    return solve_exponent(best[1], best[2]), count
-
-
 def max_exponent(limit: int) -> ExponentSolution:
-    """The pair with p < limit whose exponent root is largest."""
-    best, _ = _extreme_root(limit, -1.0)
-    return solve_exponent(best[1], best[2])
+    """The pair with p < limit whose exponent root is largest: (2, 3).
 
-
-def _argmin_beats(cand: tuple, best: tuple, negate: bool) -> bool:
-    # near-ties get refined with scalar bisection before comparing;
-    # exact ties go to the smaller p
-    kc, kb = cand[0], best[0]
-    if abs(kc - kb) <= 1e-9:
-        s = -1.0 if negate else 1.0
-        kc = s * solve_exponent(cand[1], cand[2]).x
-        kb = s * solve_exponent(best[1], best[2]).x
-    if kc != kb:
-        return kc < kb
-    return cand[1] < best[1]
+    Its root is exactly 1, since q - p = 1.  Every other pair of
+    consecutive primes is a pair of odd primes, so q - p >= 2 and
+    f(1) = q - p - 1 > 0; f increases in x, so its root lies below 1.
+    """
+    if limit < 3:
+        raise ValueError("limit must be >= 3")
+    return solve_exponent(2, 3)

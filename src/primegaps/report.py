@@ -30,17 +30,7 @@ def _round15(v: float) -> float:
     return float(f"{v:.15g}")
 
 
-_JSON_SCALARS = frozenset((int, str, bool, type(None)))
-
-
 def to_jsonable(obj: Any) -> Any:
-    # exact-type checks first: witness lists hold many tuples of plain ints
-    # and strings, which need no walk through the ladder below
-    kind = type(obj)
-    if kind in _JSON_SCALARS:
-        return obj
-    if kind is tuple and set(map(type, obj)) <= _JSON_SCALARS:
-        return list(obj)
     if isinstance(obj, float):
         return _round15(obj)
     if isinstance(obj, enum.Enum):

@@ -63,16 +63,16 @@ def base_sieve(limit: int) -> np.ndarray:
 
 
 @functools.cache
-def _pattern() -> np.ndarray:
-    """Two periods of the odd-index mask with every odd multiple of
-    PATTERN_PRIMES struck (the primes themselves too); entry i stands for
-    the odd number 2i + 1.  Two periods hold a period-long slice at every
-    phase."""
-    pattern = np.ones(2 * PATTERN_PERIOD, dtype=bool)
-    for p in PATTERN_PRIMES:
-        pattern[p // 2 :: p] = False
-    pattern.flags.writeable = False  # shared by every prime_blocks call
-    return pattern
+def _odd_mask(primes: tuple) -> np.ndarray:
+    """Two periods of the odd-index mask with every odd multiple of `primes`
+    struck (the primes themselves too); entry i stands for the odd number
+    2i + 1 and the period is the primes' product.  Two periods hold a
+    period-long slice at every phase."""
+    mask = np.ones(2 * math.prod(primes), dtype=bool)
+    for p in primes:
+        mask[p // 2 :: p] = False
+    mask.flags.writeable = False  # shared by every call
+    return mask
 
 
 def _odd_offsets(lo: int, primes: np.ndarray) -> np.ndarray:
@@ -107,7 +107,7 @@ def prime_blocks(lo: int, hi: int) -> Iterator[np.ndarray]:
     base = base[base > PATTERN_PRIMES[-1]]
     plist = base.tolist()
     nxt = _odd_offsets(lo, base)
-    pattern = _pattern()
+    pattern = _odd_mask(PATTERN_PRIMES)
     mask = np.empty(min(SEGMENT_ODDS, (hi - lo + 1) // 2), dtype=bool)
     span = 2 * SEGMENT_ODDS
     for seg_lo in range(lo, hi, span):
@@ -228,23 +228,6 @@ JAESCHKE_4 = (1_122_004_669_633, (2, 13, 23, 1662803))
 SINCLAIR = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
-@functools.cache
-def _filters() -> tuple:
-    """(period, mask) per residue table: the 3..17 pattern, then one per
-    FILTER_GROUPS entry.  Each mask holds two periods of the odd-index mask
-    with every odd multiple of its primes struck, so a window of up to a
-    period's length can start at any phase."""
-    out = [(PATTERN_PERIOD, _pattern())]
-    for group in FILTER_GROUPS:
-        period = math.prod(group)
-        mask = np.ones(2 * period, dtype=bool)
-        for p in group:
-            mask[p // 2 :: p] = False
-        mask.flags.writeable = False
-        out.append((period, mask))
-    return tuple(out)
-
-
 def _sprp_u32(n: np.ndarray, base: int) -> np.ndarray:
     """Whether each odd n (uint64, base < n < 2^32) is a strong probable
     prime to `base`.  Every residue and every power of `base` multiplied
@@ -349,7 +332,8 @@ def capped_counts(a, b, cap: int) -> np.ndarray:
     rows = np.flatnonzero((counts < cap) & (b > floor))
     start = (floor[rows] + 1) | 1  # the first odd above a and 61; b > floor,
     left = (b[rows] - start) // 2 + 1  # so neither wraps: odd candidates
-    filters = _filters()
+    filters = [(math.prod(g), _odd_mask(g))
+               for g in (PATTERN_PRIMES, *FILTER_GROUPS)]
     phases = [((start // 2) % period).astype(np.int32)
               for period, _ in filters]
     k = np.arange(WINDOW_ODDS, dtype=np.int32)

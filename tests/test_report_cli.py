@@ -175,8 +175,8 @@ class TestCsvRows:
 
 
 def ladder_to_jsonable(obj):
-    """to_jsonable as it was before its exact-type fast path; a witness
-    store is read as the sequence of tuples it is."""
+    """An independent copy of to_jsonable's type ladder; a witness store is
+    read as the sequence of tuples it is."""
     if isinstance(obj, float):
         return report._round15(obj)
     if isinstance(obj, enum.Enum):
@@ -192,6 +192,8 @@ def ladder_to_jsonable(obj):
 
 
 class TestJsonFastPath:
+    # to_json renders a witness store from its columns: the text must be
+    # what json.dumps makes of the ladder's reading of the same payload
     @pytest.mark.parametrize("payload", [
         lambda: conjectures.check_smarandache_B(10**5, 0.85),
         lambda: conjectures.check_gap_bounds(10**5),
@@ -482,7 +484,8 @@ def test_exit_code_of_every_payload_type(case):
 
 
 # the checker each verify name must reach, and how it is called at
-# --limit 100 with every other option at its default
+# --limit 100 (smarandache-d reads no --limit) with every other option at
+# its default
 VERIFY_CALLS = {
     "legendre": ("check_legendre", (100,), {}),
     "oppermann": ("check_oppermann", (100,), {}),
@@ -525,11 +528,33 @@ def test_verify_dispatches_each_name_to_its_checker(monkeypatch, tmp_path):
     out = tmp_path / "out.json"
     for name, want in VERIFY_CALLS.items():
         calls.clear()
-        argv = ["verify", name, "--limit", "100", "--format", "json",
-                "--out", str(out)]
+        limit = [] if name == "smarandache-d" else ["--limit", "100"]
+        argv = ["verify", name, *limit, "--format", "json", "--out", str(out)]
         assert cli.main(argv) == 0
         assert calls == [want], name
         assert json.loads(out.read_text())["conjecture_id"] == "canned"
+
+
+# a typed value for every verify option but --start, which has its own
+# message (test_start_refused_outside_the_gap_bounds)
+OPTION_VALUES = {"limit": "100", "a": "0.4", "k": "3", "n_start": "5",
+                 "window": "10"}
+
+
+@pytest.mark.parametrize("name, option", [
+    (name, option) for name, (_, reads) in cli.VERIFY.items()
+    for option in OPTION_VALUES if option not in reads])
+def test_option_a_conjecture_does_not_read_is_refused(monkeypatch, capsys,
+                                                      name, option):
+    from primegaps import sieve
+
+    monkeypatch.setattr(gaps, "pair_blocks", None)  # no work may start
+    monkeypatch.setattr(sieve, "prime_blocks", None)
+    monkeypatch.setattr(sieve, "capped_counts", None)
+    flag = "--" + option.replace("_", "-")
+    assert cli.main(["verify", name, flag, OPTION_VALUES[option]]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {flag} does not apply to {name}\n"
 
 
 @pytest.mark.parametrize("argv, code", [

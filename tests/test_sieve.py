@@ -276,6 +276,16 @@ def test_pattern_primes_restored_at_every_small_cut(monkeypatch):
             assert got == primes_trial(lo, hi), (lo, hi)
 
 
+def test_prime_blocks_builds_only_the_pattern_mask():
+    # the 19..53 residue tables serve capped_counts alone
+    sieve._odd_mask.cache_clear()
+    list(sieve.prime_blocks(2, 10**5))
+    assert sieve._odd_mask.cache_info().currsize == 1
+    mask = sieve._odd_mask(sieve.PATTERN_PRIMES)
+    odd = np.arange(1, 2 * mask.size, 2)
+    assert (mask == (np.gcd(odd, sieve.PATTERN_PERIOD) == 1)).all()
+
+
 def odd_offsets_exact(lo, p):
     """Python-int form of the offset: the first odd multiple of p that is
     >= max(lo, p^2), in odd steps from the odd number lo."""
