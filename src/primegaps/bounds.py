@@ -1,4 +1,5 @@
-"""Inequality evaluators, a tri-state decision engine, and integer scanners.
+"""Inequality evaluators, the gap-bound catalog, a tri-state decision engine,
+and integer scanners.
 
 Every comparison goes through the same policy, `settle`: a binary64 margin
 strictly inside its window is re-evaluated once at 30 significant digits with
@@ -124,15 +125,13 @@ def kourbatov_bound(p: float) -> float:
     """
     if p < 2:
         raise ValueError(f"kourbatov_bound requires p >= 2, got {p}")
-    lp = math.log(p)
-    return lp * lp - lp - 1.0
+    return GAP_BOUNDS["kourbatov"].log_bound(math.log(p))
 
 
 def andrica_check(p: int, q: int) -> Verdict:
     """Holds iff sqrt(q) - sqrt(p) < 1 for the consecutive pair (p, q)."""
     _require_pair(p, q)
-    fast = 1.0 - (math.sqrt(q) - math.sqrt(p))
-    return decide(fast, lambda: 1 - (mp.sqrt(q) - mp.sqrt(p)), witness=(p, q))
+    return GAP_BOUNDS["andrica"].verdict(1, p, q, witness=(p, q))
 
 
 def firoozbakht_check(n: int, p: int, q: int) -> Verdict:
@@ -140,14 +139,7 @@ def firoozbakht_check(n: int, p: int, q: int) -> Verdict:
     _require_pair(p, q)
     if n < 1:
         raise ValueError("prime index must be >= 1")
-    lhs = n * math.log(q)
-    rhs = (n + 1) * math.log(p)
-    return decide(
-        rhs - lhs,
-        lambda: (n + 1) * mp.log(p) - n * mp.log(q),
-        scale=max(lhs, rhs),
-        witness=(n, p, q),
-    )
+    return GAP_BOUNDS["firoozbakht"].verdict(n, p, q, witness=(n, p, q))
 
 
 def log_sq_vs_two_sqrt(x: float) -> float:
@@ -183,6 +175,99 @@ def recompute_smarandache9_constants(a0: float) -> dict:
 def _require_pair(p: int, q: int) -> None:
     if q <= p or p < 2:
         raise ValueError(f"({p}, {q}) is not an ascending prime pair")
+
+
+# ---------------------------------------------------------------------------
+# the gap bounds: the gap g = q - p of consecutive primes p < q against a
+# bound B, one catalog entry per bound
+
+
+KOURBATOV_FLOOR = 29  # p_10; the bounds of Kourbatov and Cramer hold from here
+
+# Relative slack under a binary64 bound B before it is floored to an integer
+# threshold.  Below 2^63, B is built from float(p) and float(n), each within
+# u = 2^-53 relative, and from L = ln p >= ln 2, which a libm log within 4
+# ulps gives to within 10u relative; then a few more roundings.  So L^2 is
+# within 21u, and p L / n within 14u.  L^2 - L - 1 is within
+# 23u (L^2 + L + 1), which is at most 52u of it from L = ln 29 on.  Every B
+# is thus within 100u < 1.2e-14 of its exact value, relative, and
+# B - GAP_SLACK |B| lies below the exact value.
+GAP_SLACK = 1e-9
+
+
+def _int_below(b: float) -> int:
+    """An integer below the exact value of which b is the binary64 value."""
+    return math.floor(b - GAP_SLACK * abs(b))
+
+
+@dataclass(frozen=True)
+class GapBound:
+    """One bound on the gap g = q - p after the n-th prime p.
+
+    It is asserted for p >= floor.  threshold(p0, n1) is an int T such that
+    every pair with p >= p0, n <= n1 and g < T holds, exactly: a block of
+    pairs whose gaps all lie below it holds without a float margin.
+    fast(n, p, q) takes arrays of pairs, n as float64 and p, q as int64, and
+    returns their binary64 margins (positive = holds) and the scale of each
+    (None for 1), whose `settle` window is FAST_REL_TOL * max(scale, 1);
+    strict(n, p, q) is the margin of one pair in mpmath.  log_bound is B as
+    a function of ln p, for the bounds g < B(ln p) of p alone.
+    """
+
+    id: str
+    floor: int
+    threshold: Callable[[int, int], int]
+    fast: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
+    strict: Callable[[int, int, int], "mp.mpf"]
+    log_bound: Optional[Callable] = None
+
+    def verdict(self, n: int, p: int, q: int, witness: tuple) -> Verdict:
+        """The bound at the one pair (n, p, q), decided by `decide`."""
+        margins, scale = self.fast(np.array([n], dtype=np.float64),
+                                   np.array([p], dtype=np.int64),
+                                   np.array([q], dtype=np.int64))
+        return decide(float(margins[0]), lambda: self.strict(n, p, q),
+                      1.0 if scale is None else float(scale[0]), witness)
+
+
+def _log_gap_bound(id: str, floor: int, log_bound: Callable) -> GapBound:
+    """The bound g < log_bound(ln p), which rises with p from p = floor on,
+    so that its value at a block's first p bounds the whole block."""
+    return GapBound(
+        id, floor,
+        lambda p0, n1: _int_below(log_bound(math.log(p0))),
+        lambda n, p, q: (log_bound(np.log(p)) - (q - p), None),
+        lambda n, p, q: log_bound(mp.log(p)) - (q - p),
+        log_bound,
+    )
+
+
+def _firoozbakht_fast(n, p, q):
+    scale = n * np.log(q)
+    return (n + 1.0) * np.log(p) - scale, scale
+
+
+GAP_BOUNDS = {b.id: b for b in (
+    GapBound(
+        "andrica", 2,
+        # sqrt(q) - sqrt(p) < 1 iff (g - 1)^2 < 4p, in integers; m =
+        # isqrt(4 p0 - 1) is the largest m with m^2 < 4 p0, so every
+        # g <= m + 1 holds from p0 on, and (g - 1)^2 = 4p never does
+        lambda p0, n1: math.isqrt(4 * p0 - 1) + 2,
+        lambda n, p, q: (1.0 - (np.sqrt(q) - np.sqrt(p)), None),
+        lambda n, p, q: 1 - (mp.sqrt(q) - mp.sqrt(p)),
+    ),
+    _log_gap_bound("kourbatov", KOURBATOV_FLOOR, lambda lp: lp * lp - lp - 1),
+    GapBound(
+        "firoozbakht", 2,
+        # q^(1/(n+1)) < p^(1/n) iff n ln(1 + g/p) < ln p, and ln(1 + x) < x,
+        # so g <= p ln p / n holds; that rises with p and falls with n
+        lambda p0, n1: _int_below(p0 * math.log(p0) / n1),
+        _firoozbakht_fast,
+        lambda n, p, q: (n + 1) * mp.log(p) - n * mp.log(q),
+    ),
+    _log_gap_bound("cramer", KOURBATOV_FLOOR, lambda lp: lp * lp),
+)}
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ from typing import Callable, Iterable, Optional, Sequence
 import mpmath as mp
 import numpy as np
 
-from . import gaps, sieve
-from .bounds import FAST_REL_TOL, STRICT_DPS, STRICT_REL_TOL, settle
+from . import bounds, gaps, sieve
+from .bounds import (FAST_REL_TOL, KOURBATOV_FLOOR, STRICT_DPS, STRICT_REL_TOL,
+                     settle)
 from .witnesses import WitnessStore
 
 
@@ -197,16 +198,7 @@ def check_brocard(n_max: int) -> ConjectureReport:
 # ---------------------------------------------------------------------------
 # pair conjectures: each pair of consecutive primes p, q against a bound
 
-GAP_BOUNDS = ("andrica", "kourbatov", "firoozbakht", "cramer")
-KOURBATOV_FLOOR = 29  # p_10; the gap bound is asserted only from here
-
-# strict margin of each gap bound at the pair (n, p, q); positive = holds
-_STRICT_GAP_MARGIN = {
-    "andrica": lambda n, p, q: 1 - (mp.sqrt(q) - mp.sqrt(p)),
-    "kourbatov": lambda n, p, q: mp.log(p) ** 2 - mp.log(p) - 1 - (q - p),
-    "cramer": lambda n, p, q: mp.log(p) ** 2 - (q - p),
-    "firoozbakht": lambda n, p, q: (n + 1) * mp.log(p) - n * mp.log(q),
-}
+GAP_BOUNDS = tuple(bounds.GAP_BOUNDS)
 
 
 def _settle(report, blk, margins, window, strict, lead=None,
@@ -253,58 +245,41 @@ def check_gap_bounds(
 def _check_block(report, tracker, blk, which) -> None:
     """Feed one pair block to the tracker and check it against each bound.
 
-    The block's primes go to float once, as p followed by the last q, so
-    one log and one sqrt serve both ends of every pair: shifted by one,
-    they are log q and sqrt q.
+    The block is decided on its exact int64 gaps g = q - p.  Each bound
+    gives the block one integer threshold, at its first p and last n, below
+    which every gap provably holds (`bounds.GapBound`); a block whose
+    largest gap lies below every threshold needs no float at all.  Only the
+    pairs at or above a threshold get binary64 margins, decided by
+    `bounds.settle`, so every violation and uncertain verdict comes from
+    those margins.
     """
-    size = blk.p.size
-    pq = np.empty(size + 1)
-    pq[:-1] = blk.p
-    pq[-1] = blk.q[-1]
-    log_pq = np.log(pq)
-    log_p, log_q = log_pq[:-1], log_pq[1:]
-    gap = pq[1:] - pq[:-1]
-    lp2 = log_p**2
+    gap = blk.q - blk.p
     # the bounds of Kourbatov and Cramer hold from p = 29 on; p ascends, so
     # the pairs below that floor are a prefix of the block
-    i0 = int(np.searchsorted(blk.p, KOURBATOV_FLOOR))
-    sqrt_pq = np.sqrt(pq)
-    andrica = sqrt_pq[1:] - sqrt_pq[:-1]
-    del sqrt_pq
-    metrics = {
-        "gap": gap,
-        "cramer_ratio": gap[i0:] / lp2[i0:],
-        "andrica": andrica,
-        "ratio": pq[1:] / pq[:-1],
-    }
-    tracker.observe_block(blk, metrics)
-    del metrics, pq
-    for bound in which:
-        scale = None
-        first = 0  # index of the first pair the bound applies to
-        if bound == "andrica":
-            margins = np.subtract(1.0, andrica, out=andrica)
-        elif bound == "kourbatov":
-            margins = lp2 - log_p
-            margins -= 1.0
-            margins -= gap
-            first = i0
-        elif bound == "cramer":
-            margins = lp2 - gap
-            first = i0
-        else:  # firoozbakht
-            ns = blk.n0 + np.arange(size, dtype=np.float64)
-            scale = ns * log_q
-            ns += 1.0
-            margins = np.multiply(ns, log_p, out=ns)
-            margins -= scale
+    tracker.observe_block(blk, gap, int(blk.p.searchsorted(KOURBATOV_FLOOR)))
+    top = int(gap.max())
+    n1 = blk.n0 + gap.size - 1
+    for name in which:
+        bound = bounds.GAP_BOUNDS[name]
+        first = int(blk.p.searchsorted(bound.floor))
+        report.checked_count += gap.size - first
+        report.skipped_count += first
+        if first == gap.size:
+            continue
+        threshold = bound.threshold(int(blk.p[first]), n1)
+        if top < threshold:
+            continue
+        at = first + np.flatnonzero(gap[first:] >= threshold)
+        p, q = blk.p[at], blk.q[at]
+        margins, scale = bound.fast((blk.n0 + at).astype(np.float64), p, q)
         window = (FAST_REL_TOL if scale is None
                   else FAST_REL_TOL * np.maximum(scale, 1.0))
-        margins[:first] = np.inf  # the skipped pairs hold trivially
-        report.checked_count += size - first
-        report.skipped_count += first
-        _settle(report, blk, margins, window, _STRICT_GAP_MARGIN[bound],
-                bound, scale)
+        fails, uncertain, _ = settle(
+            margins, window,
+            lambda i: bound.strict(blk.n0 + int(at[i]), int(p[i]), int(q[i])),
+            scale)
+        _capture(report.violations, blk, at[fails], name)
+        _capture(report.uncertain, blk, at[uncertain], name)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -108,6 +108,32 @@ def _next_prime_after(p: int) -> int:
         width *= 2
 
 
+# Each metric of a pair with gap g is g f + c, where f falls with p.  A run
+# of pairs with p in [p0, p1] and every q <= q1 gives (f_lo, f_hi, c, err):
+# every binary64 value of the metric at gap g, numpy's or GapRecord's, lies
+# within err of [(g f_lo + c)(1 - r), (g f_hi + c)(1 + r)], where r, a few
+# dozen units of u = 2^-53, covers the rounding of the values and of f_lo
+# and f_hi.  sqrt(q) - sqrt(p) cancels: each root is within 1.5 u sqrt(q1)
+# of its own, and their difference is exact (Sterbenz), hence its err.
+# Next to it, the metric's values at arrays of pairs (g, p, q), as the
+# tracker compares them.
+_METRICS = {
+    "gap": (lambda p0, p1, q1: (1.0, 1.0, 0.0, 0.0),
+            lambda g, p, q: g),
+    "cramer_ratio": (lambda p0, p1, q1: (math.log(p1) ** -2,
+                                         math.log(p0) ** -2, 0.0, 0.0),
+                     lambda g, p, q: g / np.log(p) ** 2),
+    "andrica": (lambda p0, p1, q1: (0.5 / math.sqrt(q1), 0.5 / math.sqrt(p0),
+                                    0.0, 2.0**-50 * math.sqrt(q1)),
+                lambda g, p, q: np.sqrt(q) - np.sqrt(p)),
+    "ratio": (lambda p0, p1, q1: (1.0 / p1, 1.0 / p0, 1.0, 0.0),
+              lambda g, p, q: q / p),
+}
+# Relative slack of the candidate rule of ExtremeTracker.observe_block: the
+# tie rule's 1e-12, twice r, and the rounding of the rule itself.
+CANDIDATE_SLACK = 1e-11
+
+
 @dataclass
 class ExtremeTracker:
     """Records attaining the maximum of each metric; ties go to smallest n."""
@@ -117,28 +143,39 @@ class ExtremeTracker:
     max_andrica: Optional[GapRecord] = None
     max_ratio: Optional[GapRecord] = None
 
-    def observe_block(
-        self, blk: PairBlock, metrics: Mapping[str, np.ndarray]
-    ) -> None:
-        """Observe every pair of `blk`.
+    def observe_block(self, blk: PairBlock, gap: np.ndarray,
+                      cramer_from: int = 0) -> None:
+        """Observe every pair of `blk`, whose gaps q - p are `gap`, and
+        its Cramer ratio from pair `cramer_from` on.
 
-        `metrics` maps each metric name to its values, already computed by
-        the caller.  An array shorter than the block holds the values of its
-        last pairs only, and only those pairs are observed for that metric;
-        an empty array skips the metric.
+        For each metric, the pairs tied (to float fuzz) with the block's
+        largest value are observed, so that the winner never depends on how
+        blocks were cut.  The values are computed only where they can
+        matter: by `_METRICS`, no pair of a block whose largest gap bounds
+        every value below the metric's record can beat it, and every pair
+        tied with the block's top has a gap of at least `cut`.
         """
         records: dict[int, GapRecord] = {}  # one record per observed pair
-        for metric, values in metrics.items():
-            if not values.size:
+        whole = int(gap.max())
+        for metric, (factors, values) in _METRICS.items():
+            s = cramer_from if metric == "cramer_ratio" else 0
+            if s == gap.size:
                 continue
-            offset = blk.p.size - values.size
             field = f"max_{metric}"
             best = getattr(self, field)
-            # observe every index tied (to float fuzz) with the block max so
-            # the winner never depends on how blocks were partitioned
-            top = values.max()
-            for i in np.flatnonzero(values >= top - 1e-12 * abs(top)):
-                j = offset + int(i)
+            top_gap = whole if s == 0 else int(gap[s:].max())
+            f_lo, f_hi, c, err = factors(
+                int(blk.p[s]), int(blk.p[-1]), int(blk.q[-1]))
+            if best is not None and ((top_gap * f_hi + c)
+                                     * (1 + CANDIDATE_SLACK) + err
+                                     < getattr(best, metric)):
+                continue
+            cut = ((top_gap * f_lo + c) * (1 - CANDIDATE_SLACK)
+                   - 2 * err - c) / f_hi
+            at = s + np.flatnonzero(gap[s:] >= cut)
+            vals = values(gap[at], blk.p[at], blk.q[at])
+            top = vals.max()
+            for j in at[vals >= top - 1e-12 * abs(top)].tolist():
                 if j not in records:
                     records[j] = GapRecord.from_pair(
                         blk.n0 + j, int(blk.p[j]), int(blk.q[j]))

@@ -35,21 +35,40 @@ class TestKourbatovBound:
         assert bounds.kourbatov_bound(p) < math.log(p) ** 2
 
 
+def catalog_margins(bound, n, p, q):
+    """The fast margin, its scale and the 50-digit strict margin of one
+    pair, read from the catalog entry of `bound`."""
+    entry = bounds.GAP_BOUNDS[bound]
+    fast, scale = entry.fast(np.array([float(n)]), np.array([p]),
+                             np.array([q]))
+    with mp.workdps(50):
+        strict = entry.strict(n, p, q)
+    return float(fast[0]), scale, strict
+
+
 class TestAndricaCheck:
+    """andrica_check reads the catalog entry: its margin is the entry's
+    fast margin, and the entry's threshold and strict margin agree."""
+
+    @staticmethod
+    def holds(p, q, margin, abs_):
+        v = bounds.andrica_check(p, q)
+        assert v.status is Status.HOLDS and v.witness is None
+        assert v.margin == pytest.approx(margin, abs=abs_)
+        fast, scale, strict = catalog_margins("andrica", 1, p, q)
+        assert v.margin == fast and scale is None
+        assert strict == pytest.approx(margin, abs=abs_)
+        # (q - p - 1)^2 < 4p: the block rule holds each of them
+        assert q - p < bounds.GAP_BOUNDS["andrica"].threshold(p, 1)
+
     def test_7_11(self):
-        v = bounds.andrica_check(7, 11)
-        assert v.status is Status.HOLDS
-        assert v.margin == pytest.approx(1 - 0.670873, abs=1e-6)
+        self.holds(7, 11, 1 - 0.670873, 1e-6)
 
     def test_2_3(self):
-        v = bounds.andrica_check(2, 3)
-        assert v.holds
-        assert v.margin == pytest.approx(1 - (math.sqrt(3) - math.sqrt(2)))
+        self.holds(2, 3, 1 - (math.sqrt(3) - math.sqrt(2)), 1e-15)
 
     def test_113_127(self):
-        v = bounds.andrica_check(113, 127)
-        assert v.holds
-        assert v.margin == pytest.approx(1 - 0.6392, abs=1e-4)
+        self.holds(113, 127, 1 - 0.6392, 1e-4)
 
     def test_bad_pair(self):
         with pytest.raises(ValueError):
@@ -57,17 +76,28 @@ class TestAndricaCheck:
 
 
 class TestFiroozbakhtCheck:
+    """firoozbakht_check reads the catalog entry, as andrica_check does."""
+
+    @staticmethod
+    def holds(n, p, q):
+        assert p ** (1 / n) > q ** (1 / (n + 1))
+        v = bounds.firoozbakht_check(n, p, q)
+        assert v.status is Status.HOLDS and v.witness is None
+        fast, scale, strict = catalog_margins("firoozbakht", n, p, q)
+        assert v.margin == fast > 0 and strict > 0
+        assert scale[0] == pytest.approx(n * math.log(q))
+        # p ln p / n is below each of these small gaps: the block rule
+        # leaves them to the margins
+        assert q - p >= bounds.GAP_BOUNDS["firoozbakht"].threshold(p, n)
+
     def test_4_7_11(self):
-        # 7^(1/4) = 1.6266 > 11/7 = 1.571
-        v = bounds.firoozbakht_check(4, 7, 11)
-        assert v.holds
-        assert 7 ** 0.25 > 11 / 7
+        self.holds(4, 7, 11)  # 7^(1/4) = 1.6266 > 11/7 = 1.571
 
     def test_1_2_3(self):
-        assert bounds.firoozbakht_check(1, 2, 3).holds  # ln 3 < 2 ln 2
+        self.holds(1, 2, 3)  # ln 3 < 2 ln 2
 
     def test_2_3_5(self):
-        assert bounds.firoozbakht_check(2, 3, 5).holds  # 25 < 27
+        self.holds(2, 3, 5)  # 25 < 27
 
     def test_equivalent_rearrangements_agree(self):
         # deciding via n ln q < (n+1) ln p must match the power form
@@ -79,6 +109,59 @@ class TestFiroozbakhtCheck:
             with mp.workdps(40):
                 direct = mp.power(p, mp.mpf(n + 1) / n) - q
             assert v.holds == (direct > 0)
+
+
+@st.composite
+def block_and_pair(draw):
+    """(p0, n1, n, p): a block whose first p is p0 and last n is n1, and a
+    pair (n, p) in it, with 29 <= p0 <= p < 2^63 - 2000 and n <= p; n is
+    often about the index of p, or the last n of the block."""
+    p = draw(st.integers(29, 2**63 - 2001))
+    p0 = p - draw(st.one_of(st.just(0), st.integers(0, min(p - 29, 10**6)),
+                            st.integers(0, p - 29)))
+    n = draw(st.one_of(st.integers(1, p), st.just(max(1, p // 44))))
+    n1 = n + draw(st.one_of(st.just(0), st.integers(0, 10**6)))
+    return p0, n1, n, p
+
+
+class TestGapBoundThresholds:
+    """A block threshold only ever decides "holds", and only where the
+    strict margin is positive."""
+
+    @given(block_and_pair(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_threshold_holds_only_where_the_bound_does(self, block, data):
+        p0, n1, n, p = block
+        for bound in bounds.GAP_BOUNDS.values():
+            threshold = bound.threshold(p0, n1)
+            # the largest gaps the threshold holds, which are the tightest,
+            # up to q - p = 2000
+            g = min(threshold - 1, 2000) - data.draw(
+                st.integers(0, 2), label=bound.id)
+            if g < 1:
+                continue
+            assert g < threshold
+            with mp.workdps(50):
+                assert bound.strict(n, p, p + g) > 0, (bound.id, n, p, g)
+
+    @given(st.integers(6, 3037000498), st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_andrica_equality_is_never_held(self, k, below):
+        # sqrt((k+1)^2) - sqrt(k^2) = 1 exactly: (g - 1)^2 = 4p, whose
+        # strict margin is zero, so the verdict must come out uncertain
+        p, q = k * k, (k + 1) ** 2
+        andrica = bounds.GAP_BOUNDS["andrica"]
+        assert not q - p < andrica.threshold(max(p - below, 2), 1)
+        with mp.workdps(50):
+            assert andrica.strict(1, p, q) == 0
+
+    def test_kourbatov_threshold_reads_its_bound(self):
+        # floor((ln p)^2 - ln p - 1): 6.97 at p = 29, 17.62 at 127
+        kourbatov = bounds.GAP_BOUNDS["kourbatov"]
+        assert kourbatov.threshold(29, 10) == 6
+        assert kourbatov.threshold(127, 31) == 17
+        assert bounds.kourbatov_bound(127) == kourbatov.log_bound(
+            math.log(127))
 
 
 class TestPointwiseCurves:

@@ -533,13 +533,17 @@ class TestGapBoundsAgainstReference:
                 if limit <= cj.KOURBATOV_FLOOR:
                     assert got.extremes["max_cramer_ratio"] is None
 
-    @pytest.mark.parametrize("start", [2, 29, 10**4])
-    def test_small_slices(self, monkeypatch, start):
-        monkeypatch.setattr(gaps, "PAIR_SLICE", 5)
+    @pytest.mark.parametrize("pairs, limit, start", [
+        *(pytest.param(5, 10**5, st, id=str(st)) for st in (2, 29, 10**4)),
+        *(pytest.param(1, 10**5, st, id=f"{st}-pairs1")
+          for st in (2, 29, 10**4)),
+        pytest.param(5, 10**11 + 10**5, 10**11, id="1e11")])
+    def test_small_slices(self, monkeypatch, pairs, limit, start):
+        monkeypatch.setattr(gaps, "PAIR_SLICE", pairs)
         for odds in (1024, 4096):
             monkeypatch.setattr(sieve, "SEGMENT_ODDS", odds)
-            got = cj.check_gap_bounds(10**5, start=start)
-            want = reference_gap_bounds(10**5, start=start)
+            got = cj.check_gap_bounds(limit, start=start)
+            want = reference_gap_bounds(limit, start=start)
             assert normalized(got) == normalized(want)
 
     def test_violations_and_near_threshold_pairs(self, monkeypatch):
@@ -558,6 +562,22 @@ class TestGapBoundsAgainstReference:
         assert normalized(got) == normalized(want)
         assert got.uncertain and got.violations
         assert {w[0] for w in got.violations} == set(cj.GAP_BOUNDS)
+
+
+def test_far_window_makes_no_strict_evaluation(monkeypatch):
+    # at 1e11 a heuristic window sent every Firoozbakht margin to mpmath;
+    # the integer gap against each block's threshold decides every pair
+    entries = []
+    workdps = mp.workdps
+
+    def counted(*args, **kwargs):
+        entries.append(args)
+        return workdps(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "workdps", counted)
+    r = cj.check_gap_bounds(10**11 + 10**6, start=10**11)
+    assert r.status is ReportStatus.ALL_HOLD and r.checked_count > 10**5
+    assert entries == []
 
 
 class TestIntervalChunks:

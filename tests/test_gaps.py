@@ -17,19 +17,10 @@ def records(lo, hi):
             for i, (p, q) in enumerate(zip(blk.p.tolist(), blk.q.tolist()))]
 
 
-def block_metrics(blk):
-    """Every metric of every pair of `blk`, for ExtremeTracker.observe_block."""
-    p = blk.p.astype(np.float64)
-    q = blk.q.astype(np.float64)
-    gap = blk.q - blk.p
-    return {"gap": gap, "cramer_ratio": gap / np.log(p) ** 2,
-            "andrica": np.sqrt(q) - np.sqrt(p), "ratio": q / p}
-
-
 def tracked(lo, hi):
     tracker = gaps.ExtremeTracker()
     for blk in gaps.pair_blocks(lo, hi):
-        tracker.observe_block(blk, block_metrics(blk))
+        tracker.observe_block(blk, blk.q - blk.p)
     return tracker
 
 
@@ -117,6 +108,59 @@ def test_track_extremes_small_limits():
     t = tracked(2, 3)
     assert (t.max_gap.p, t.max_gap.q) == (2, 3)
     assert t.max_gap is t.max_andrica is t.max_ratio is t.max_cramer_ratio
+
+
+def largest_by_metric(blocks, cramer_floor):
+    """Each metric's record over every pair of `blocks`, by brute force:
+    the largest value, and of equal values the smallest n."""
+    best = {}
+    for blk in blocks:
+        for i, (p, q) in enumerate(zip(blk.p.tolist(), blk.q.tolist())):
+            rec = gaps.GapRecord.from_pair(blk.n0 + i, p, q)
+            for metric in ("gap", "cramer_ratio", "andrica", "ratio"):
+                if metric == "cramer_ratio" and p < cramer_floor:
+                    continue
+                key = (getattr(rec, metric), -rec.n)
+                if metric not in best or key > best[metric][0]:
+                    best[metric] = (key, rec)
+    return {metric: rec for metric, (_, rec) in best.items()}
+
+
+@given(st.one_of(st.integers(2, 10**4), st.integers(2, 2**62)),
+       st.lists(st.one_of(st.integers(1, 400), st.integers(1, 10**6)),
+                min_size=1, max_size=300),
+       st.integers(1, 64), st.integers(2, 60))
+@settings(max_examples=150, deadline=None)
+def test_tracker_finds_the_record_of_every_metric(start, steps, size, floor):
+    # an ascending run cut into blocks of `size` pairs; the tracker computes
+    # the metrics of a few candidate pairs only, yet finds every record
+    values = np.cumsum([start] + steps)
+    p, q = values[:-1], values[1:]
+    blocks = [gaps.PairBlock(1 + s, p[s:s + size], q[s:s + size])
+              for s in range(0, p.size, size)]
+    tracker = gaps.ExtremeTracker()
+    for blk in blocks:
+        tracker.observe_block(blk, blk.q - blk.p,
+                              int(blk.p.searchsorted(floor)))
+    want = largest_by_metric(blocks, floor)
+    for metric in ("gap", "cramer_ratio", "andrica", "ratio"):
+        assert getattr(tracker, f"max_{metric}") == want.get(metric), metric
+
+
+@pytest.mark.parametrize("pairs, lo, hi", [
+    (1000, 10**4, 10**5), (300, 10**5, 3 * 10**5),
+    (gaps.PAIR_SLICE, 2, 10**6)])
+def test_tracker_finds_the_records_of_the_primes(monkeypatch, pairs, lo, hi):
+    # blocks that span a wide range of p, whose records can lie anywhere
+    monkeypatch.setattr(gaps, "PAIR_SLICE", pairs)
+    blocks = list(gaps.pair_blocks(lo, hi))
+    tracker = gaps.ExtremeTracker()
+    for blk in blocks:
+        tracker.observe_block(blk, blk.q - blk.p,
+                              int(blk.p.searchsorted(cj.KOURBATOV_FLOOR)))
+    want = largest_by_metric(blocks, cj.KOURBATOV_FLOOR)
+    for metric in ("gap", "cramer_ratio", "andrica", "ratio"):
+        assert getattr(tracker, f"max_{metric}") == want[metric], metric
 
 
 def test_andrica_below_one_to_1e6():
