@@ -17,6 +17,8 @@ from typing import Callable, Optional
 import mpmath as mp
 import numpy as np
 
+from .sieve import MAX_VALUE
+
 FAST_REL_TOL = 1e-9
 STRICT_DPS = 30
 STRICT_REL_TOL = 1e-25
@@ -175,6 +177,8 @@ def recompute_smarandache9_constants(a0: float) -> dict:
 def _require_pair(p: int, q: int) -> None:
     if q <= p or p < 2:
         raise ValueError(f"({p}, {q}) is not an ascending prime pair")
+    if q > MAX_VALUE:  # the catalog takes pairs as int64
+        raise ValueError(f"q = {q} exceeds 2^63 - 1")
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,8 @@ class TestAndricaCheck:
     def test_bad_pair(self):
         with pytest.raises(ValueError):
             bounds.andrica_check(11, 7)
+        with pytest.raises(ValueError, match="exceeds 2"):
+            bounds.andrica_check(2**63 - 25, 2**63 + 1)
 
 
 class TestFiroozbakhtCheck:

@@ -17,10 +17,13 @@ def records(lo, hi):
             for i, (p, q) in enumerate(zip(blk.p.tolist(), blk.q.tolist()))]
 
 
-def tracked(lo, hi):
+def tracked(blocks, cramer_floor=2):
+    """An ExtremeTracker that observed `blocks`, the Cramer ratio of the
+    pairs from p = cramer_floor on."""
     tracker = gaps.ExtremeTracker()
-    for blk in gaps.pair_blocks(lo, hi):
-        tracker.observe_block(blk, blk.q - blk.p)
+    for blk in blocks:
+        tracker.observe_block(blk, blk.q - blk.p,
+                              int(blk.p.searchsorted(cramer_floor)))
     return tracker
 
 
@@ -105,7 +108,7 @@ def test_track_extremes_small_limits():
     assert (t["max_ratio"].p, t["max_ratio"].q) == (3, 5)
     assert t["max_ratio"].ratio == 5 / 3
 
-    t = tracked(2, 3)
+    t = tracked(gaps.pair_blocks(2, 3))
     assert (t.max_gap.p, t.max_gap.q) == (2, 3)
     assert t.max_gap is t.max_andrica is t.max_ratio is t.max_cramer_ratio
 
@@ -138,10 +141,7 @@ def test_tracker_finds_the_record_of_every_metric(start, steps, size, floor):
     p, q = values[:-1], values[1:]
     blocks = [gaps.PairBlock(1 + s, p[s:s + size], q[s:s + size])
               for s in range(0, p.size, size)]
-    tracker = gaps.ExtremeTracker()
-    for blk in blocks:
-        tracker.observe_block(blk, blk.q - blk.p,
-                              int(blk.p.searchsorted(floor)))
+    tracker = tracked(blocks, floor)
     want = largest_by_metric(blocks, floor)
     for metric in ("gap", "cramer_ratio", "andrica", "ratio"):
         assert getattr(tracker, f"max_{metric}") == want.get(metric), metric
@@ -154,10 +154,7 @@ def test_tracker_finds_the_records_of_the_primes(monkeypatch, pairs, lo, hi):
     # blocks that span a wide range of p, whose records can lie anywhere
     monkeypatch.setattr(gaps, "PAIR_SLICE", pairs)
     blocks = list(gaps.pair_blocks(lo, hi))
-    tracker = gaps.ExtremeTracker()
-    for blk in blocks:
-        tracker.observe_block(blk, blk.q - blk.p,
-                              int(blk.p.searchsorted(cj.KOURBATOV_FLOOR)))
+    tracker = tracked(blocks, cj.KOURBATOV_FLOOR)
     want = largest_by_metric(blocks, cj.KOURBATOV_FLOOR)
     for metric in ("gap", "cramer_ratio", "andrica", "ratio"):
         assert getattr(tracker, f"max_{metric}") == want[metric], metric
