@@ -2,21 +2,23 @@
 coefficients, with json, csv, and text output.
 
 Each subcommand is an entry of `COMMANDS`, a function from the parsed
-arguments to a payload; `main` serializes that payload once and maps it to
-an exit code with `_exit_code`: 0 everything held (or informational command
-completed), 1 a violation or counterexample was found, 3 incomplete or
-undecidable at strict precision.  2 is a usage or domain error or any other
-failure that is not a verdict (including a range too large to fit in
-memory).
+arguments to a payload; `main` writes that payload's text once (in chunks
+when it holds many witnesses) and maps the payload to an exit code with
+`_exit_code`: 0 everything held (or informational command completed), 1 a
+violation or counterexample was found, 3 incomplete or undecidable at
+strict precision.  2 is a usage or domain error or any other failure that
+is not a verdict (including a range too large to fit in memory).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import traceback
 
-from . import bounds, conjectures, exponent_solver, panaitopol, report
+from . import (bounds, conjectures, exponent_solver, panaitopol, report,
+               witnesses)
 from .bounds import NoCrossoverError, Status
 from .conjectures import ConjectureReport, DWitness, ReportStatus
 from .sieve import CapacityError
@@ -195,23 +197,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# most characters handed to one write: a text stream encodes what it is
-# given whole, so a larger slice would cost one more copy of its size
-WRITE_SLICE = 1 << 20
-
-
 def _emit(payload, args) -> None:
-    text = report.serialize(payload, args.format, no_timing=args.no_timing)
-    if args.out is None:
-        _write(sys.stdout, text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _write(fh, text)
-
-
-def _write(fh, text: str) -> None:
-    for i in range(0, len(text), WRITE_SLICE):
-        fh.write(text[i:i + WRITE_SLICE])
+    """Write the payload's text to stdout or to `--out`.  The text of more
+    than one chunk of witnesses is written chunk by chunk, as
+    `report.render` makes it; a shorter text gains nothing from that and
+    comes whole from `report.serialize`, whose bytes tracing counts."""
+    held = sum(len(getattr(payload, name, ()))
+               for name in ("violations", "uncertain"))
+    chunks = (report.render(payload, args.format, no_timing=args.no_timing)
+              if held > witnesses.CHUNK else
+              [report.serialize(payload, args.format,
+                                no_timing=args.no_timing)])
+    with (contextlib.nullcontext(sys.stdout) if args.out is None
+          else open(args.out, "w", encoding="utf-8")) as fh:
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def main(argv=None) -> int:

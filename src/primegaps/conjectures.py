@@ -27,7 +27,8 @@ class ConjectureReport:
     """Aggregate outcome of one conjecture scan over a finite range.
 
     Witnesses are tuples, in a list or, for the pair checkers, in a
-    `WitnessStore`; either is sorted when the report is finalized.
+    `WitnessStore`; finalizing the report sorts a list and orders a store's
+    leads by name.
     """
 
     conjecture_id: str

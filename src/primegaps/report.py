@@ -2,7 +2,9 @@
 
 Output is deterministic for a fixed payload: field order is fixed by the
 dataclasses, floats are rounded to 15 significant digits, and timing can be
-replaced by a stable placeholder for byte-for-byte comparisons.
+replaced by a stable placeholder for byte-for-byte comparisons.  `render`
+yields the text in chunks, a witness store's rows a bounded number at a
+time; `serialize` joins them.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import dataclasses
 import enum
 import io
 import json
-from typing import Any, Optional
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -53,22 +55,26 @@ def strip_timing(payload: Any) -> Any:
     return payload
 
 
-def to_json(payload: Any) -> str:
+def _json(payload: Any) -> Iterator[str]:
     if not isinstance(payload, ConjectureReport):
-        return json.dumps(to_jsonable(payload), indent=2) + "\n"
-    # field by field, so that a witness store is rendered from its columns
-    pieces = ["{"]
+        yield json.dumps(to_jsonable(payload), indent=2) + "\n"
+        return
+    # field by field, so that a witness store is rendered from its rows
+    sep = "{"
     for f in dataclasses.fields(payload):
         value = getattr(payload, f.name)
-        pieces.append(f"\n  {json.dumps(f.name)}: ")
+        yield f"{sep}\n  {json.dumps(f.name)}: "
         if isinstance(value, WitnessStore):
-            pieces += _json_witnesses(value)
+            yield from _json_witnesses(value)
         else:
-            pieces.append(json.dumps(to_jsonable(value), indent=2)
-                          .replace("\n", "\n  "))
-        pieces.append(",")
-    pieces[-1] = "\n}\n"
-    return "".join(pieces)
+            yield (json.dumps(to_jsonable(value), indent=2)
+                   .replace("\n", "\n  "))
+        sep = ","
+    yield "\n}\n"
+
+
+def to_json(payload: Any) -> str:
+    return "".join(_json(payload))
 
 
 _CSV_VIOLATION_HEADER = [
@@ -82,48 +88,47 @@ def _format_rows(row: str, sep: str, rows: np.ndarray) -> str:
     return sep.join([row] * len(rows)) % tuple(rows.ravel().tolist())
 
 
-def _witness_csv(header: str, base: list, witnesses) -> Optional[str]:
-    """`header` then the CSV rows `base + [witness cell]`, one per witness
-    of a store: the summary fields are encoded once, and the cells, made
-    from the store's rows and joined once, get them by one replace.
-
-    None for witnesses in any other container, or when a lead name holds a
-    character csv would quote.
-    """
-    if not isinstance(witnesses, WitnessStore):
-        return None
+def _csv_line(fields: list) -> str:
+    """The fields as csv.writer writes them, without the line end."""
     line = io.StringIO()
-    csv.writer(line, lineterminator="\n").writerow(base + [""])
-    prefix = line.getvalue()[:-1]  # the summary fields and a comma
-    chunks = [header[:-1]]
-    for lead, rows in witnesses.runs():
+    csv.writer(line, lineterminator="\n").writerow(fields)
+    return line.getvalue()[:-1]
+
+
+def _witness_csv(prefix: str, store: WitnessStore) -> Iterator[str]:
+    """The CSV rows `prefix` + witness cell, one per witness of `store`, a
+    chunk of at most `CHUNK` rows at a time: the cells are formatted from
+    the store's rows and joined, and one replace puts `prefix` before each.
+    """
+    for lead, rows in store.runs():
         cell = "%d %d %d"
         if lead is not None:
-            # a superset of what csv.writer quotes on any Python version
-            if set(lead) & set(',"\r\n'):
-                return None
-            cell = lead.replace("%", "%%") + " " + cell
-        chunks.append(_format_rows(cell, "\n", rows))
-    chunks.append("")
-    body = "\n".join(chunks)
-    del chunks  # freed before the replace makes the whole text
-    # the header's newline and every row's but the last's start a row
-    return body.replace("\n", "\n" + prefix, len(witnesses))
+            # encoded as csv.writer encodes the cell: digits and spaces
+            # never change how a field is quoted
+            cell = _csv_line([lead.replace("%", "%%") + " " + cell])
+        if "\n" in cell:  # a quoted lead holding a line break
+            yield _format_rows(prefix.replace("%", "%%") + cell + "\n", "",
+                               rows)
+            continue
+        body = _format_rows(cell, "\n", rows) + "\n"
+        yield prefix + body.replace("\n", "\n" + prefix, len(rows) - 1)
 
 
-def _json_witnesses(store: WitnessStore) -> list:
+def _json_witnesses(store: WitnessStore) -> Iterator[str]:
     """Pieces of the text json.dumps(to_jsonable(...), indent=2) gives
-    `store` as the value of a top-level field."""
+    `store` as the value of a top-level field, one per chunk of rows."""
     if not store:
-        return ["[]"]
-    pieces = []
+        yield "[]"
+        return
+    sep = "[\n"
     for lead, rows in store.runs():
         items = [] if lead is None else [json.dumps(lead).replace("%", "%%")]
         row = ("    [\n      " + ",\n      ".join(items + ["%d"] * 3)
                + "\n    ]")
-        pieces += [",\n", _format_rows(row, ",\n", rows)]
-    pieces[0] = "[\n"
-    return [*pieces, "\n  ]"]
+        yield sep
+        yield _format_rows(row, ",\n", rows)
+        sep = ",\n"
+    yield "\n  ]"
 
 
 def _csv_cell(value: Any) -> Any:
@@ -138,7 +143,7 @@ def _csv_cell(value: Any) -> Any:
     return value
 
 
-def to_csv(payload: Any) -> str:
+def _csv(payload: Any) -> Iterator[str]:
     """A conjecture report is one row per witness and a coefficient table
     one row per index; any other dataclass, or list of them, is a header of
     its field names (less those marked `csv: False`) and a row per record."""
@@ -153,12 +158,13 @@ def to_csv(payload: Any) -> str:
         ]
         if not payload.violations:
             w.writerow(base + [""])
-        else:
-            text = _witness_csv(buf.getvalue(), base, payload.violations)
-            if text is not None:
-                return text
-            for v in payload.violations:
-                w.writerow(base + [" ".join(str(x) for x in v)])
+        elif isinstance(payload.violations, WitnessStore):
+            yield buf.getvalue()
+            yield from _witness_csv(_csv_line(base + [""]),
+                                    payload.violations)
+            return
+        for v in payload.violations:
+            w.writerow(base + [" ".join(str(x) for x in v)])
     elif isinstance(payload, CoefficientTable):
         w.writerow(["index", "k"])
         w.writerows(enumerate(payload.k, start=1))
@@ -173,7 +179,11 @@ def to_csv(payload: Any) -> str:
             w.writerow(names)
             for r in records:
                 w.writerow([_csv_cell(getattr(r, n)) for n in names])
-    return buf.getvalue()
+    yield buf.getvalue()
+
+
+def to_csv(payload: Any) -> str:
+    return "".join(_csv(payload))
 
 
 def to_text(payload: Any) -> str:
@@ -225,13 +235,20 @@ def to_text(payload: Any) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def serialize(payload: Any, fmt: str, no_timing: bool = False) -> str:
+def render(payload: Any, fmt: str, no_timing: bool = False) -> Iterator[str]:
+    """The text of `payload` in `fmt`, in chunks: a witness store's rows
+    come at most `witnesses.CHUNK` to a chunk, so the text is never held
+    whole.  An unknown format is refused here, before any chunk is made."""
     if no_timing:
         payload = strip_timing(payload)
     if fmt == "json":
-        return to_json(payload)
+        return _json(payload)
     if fmt == "csv":
-        return to_csv(payload)
+        return _csv(payload)
     if fmt == "text":
-        return to_text(payload)
+        return iter([to_text(payload)])
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def serialize(payload: Any, fmt: str, no_timing: bool = False) -> str:
+    return "".join(render(payload, fmt, no_timing))

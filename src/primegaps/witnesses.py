@@ -1,100 +1,157 @@
-"""Columnar witness store: the failing or uncertain pairs of a pair scan.
+"""Witness store: the failing or uncertain pairs of a pair scan.
 
 A pair scan can find a witness at nearly every pair it checks (Smarandache
-B at a = 0.85 finds 603 560 below 2e7), so witnesses are held as rows of
-int64 (n, p, q), 24 bytes each, plus a one-byte code for the name that
-leads each witness (the gap bound, for `check_gap_bounds`).  Read back, the
-store is a sequence of plain tuples (n, p, q) or (lead, n, p, q) of Python
-ints and strs that compares equal to a list of the same tuples.
+B at a = 0.85 finds 603 560 below 2e7 and 4 285 133 below 2e8), so
+witnesses are held as rows of int64 (n, p, q), 24 bytes each, in one run
+per name that leads them (the gap bound, for `check_gap_bounds`; the other
+pair checkers have one run, without a lead).  Every pair scan adds a lead's
+witnesses in ascending n, so each run is already in the order of its tuples,
+and putting the store in order only orders its leads by name.  The first
+`MEMORY_ROWS` rows stay in memory; the rows added past them go to an
+anonymous temporary file and are read back `CHUNK` rows at a time, so
+memory stays bounded at any witness count.
+
+Read back, the store is a sequence of plain tuples (n, p, q) or
+(lead, n, p, q) of Python ints and strs that compares equal to a list of
+the same tuples.
 """
 
 from __future__ import annotations
 
+import bisect
+import io
 import operator
+import tempfile
 from collections.abc import Sequence
 from typing import Iterator, Optional
 
 import numpy as np
 
-_EMPTY_ROWS = np.empty((0, 3), dtype=np.int64)
-_EMPTY_CODES = np.empty(0, dtype=np.uint8)
 # witnesses turned into tuples, or into text, at a time
 CHUNK = 1 << 14
+# rows a store holds in memory (24 MiB); it files the rows added past them
+MEMORY_ROWS = 1 << 20
+
+
+class _Run:
+    """One lead's witnesses in ascending n, as parts in capture order: each
+    part is an array of rows in memory or the index of its first row in the
+    store's file."""
+
+    __slots__ = ("parts", "ends", "last")
+
+    def __init__(self):
+        self.parts: list = []
+        self.ends = [0]  # ends[k]: the rows in parts[:k]
+        self.last = 0  # n of the last witness
+
+    def __len__(self) -> int:
+        return self.ends[-1]
+
+
+def _tuples(lead: Optional[str], rows: np.ndarray) -> list:
+    head = () if lead is None else (lead,)
+    return [(*head, *r) for r in rows.tolist()]
 
 
 class WitnessStore(Sequence):
-    """Witnesses in capture order until `sort`, which puts them in the order
-    `list.sort` gives the same tuples; read-only apart from `add`.
+    """Witnesses by lead, the leads in capture order until `sort`, which
+    puts them in the order `list.sort` gives the same tuples; read-only
+    apart from `add`.
 
     One store holds witnesses with a lead or without one, not both: like a
     list of such tuples, a store of both cannot be sorted.
     """
 
     def __init__(self):
-        self._parts: list = []  # (code, rows) not yet in the columns
-        self._names: list = []  # lead names; a code indexes this list
-        self._rows = _EMPTY_ROWS  # (size, 3) int64: n, p, q
-        self._codes = _EMPTY_CODES
+        self._runs: dict = {}  # lead name -> _Run
+        self._held = 0  # rows in memory
+        self._file = None  # the rows added past MEMORY_ROWS
+        self._filed = 0  # rows in the file
 
     def add(self, n, p, q, lead: Optional[str] = None) -> None:
         """Append the witnesses (lead, n[i], p[i], q[i]), or (n[i], p[i],
-        q[i]) when lead is None; n, p and q are aligned int arrays."""
-        if lead not in self._names:
-            self._names.append(lead)
+        q[i]) when lead is None; n, p and q are aligned int arrays, and n
+        ascends past the lead's last witness."""
         rows = np.column_stack((n, p, q)).astype(np.int64, copy=False)
-        self._parts.append((self._names.index(lead), rows))
-
-    def _collect(self) -> None:
-        """Move the added parts into the columns, in capture order."""
-        if self._parts:
-            codes, rows = zip(*self._parts)
-            self._codes = np.concatenate((self._codes, np.repeat(
-                np.array(codes, dtype=np.uint8), [len(r) for r in rows])))
-            self._rows = np.concatenate((self._rows, *rows))
-            self._parts = []
+        if not len(rows):
+            return
+        n = rows[:, 0]
+        run = self._runs.get(lead)
+        if run is not None and n[0] <= run.last or np.any(n[1:] <= n[:-1]):
+            raise ValueError(f"witnesses of {lead!r} must ascend in n past "
+                             f"the last one added")
+        if run is None:
+            run = self._runs[lead] = _Run()
+        if self._held + len(rows) <= MEMORY_ROWS:
+            run.parts.append(rows)
+            self._held += len(rows)
+        else:
+            if self._file is None:
+                self._file = tempfile.TemporaryFile()
+            self._file.seek(0, io.SEEK_END)
+            self._file.write(rows)
+            run.parts.append(self._filed)
+            self._filed += len(rows)
+        run.ends.append(len(run) + len(rows))
+        run.last = int(n[-1])
 
     def sort(self) -> None:
         """Order the witnesses as `list.sort` orders their tuples: by lead
-        name, then n, p and q.  Sorting twice changes nothing."""
-        self._collect()
-        names = self._names
-        rank = np.empty(len(names), dtype=np.uint8)
-        rank[sorted(range(len(names)), key=names.__getitem__)] = range(
-            len(names))
-        rows = self._rows
-        order = np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0],
-                            rank[self._codes]))
-        self._rows, self._codes = rows[order], self._codes[order]
+        name, then n, in which each run already ascends."""
+        self._runs = dict(sorted(self._runs.items(),
+                                 key=operator.itemgetter(0)))
 
-    def runs(self) -> Iterator[tuple]:
-        """Yield (lead, rows): the witnesses in stored order as (k, 3) int64
-        arrays of n, p, q, at most `CHUNK` rows each, one lead to each."""
-        self._collect()
-        ends = [0, *(np.flatnonzero(np.diff(self._codes)) + 1).tolist(),
-                len(self._rows)]
-        for a, b in zip(ends, ends[1:]):
-            for s in range(a, b, CHUNK):
-                lead = self._names[self._codes[a]]
-                yield lead, self._rows[s:min(s + CHUNK, b)]
+    def runs(self, lo: int = 0, hi: Optional[int] = None) -> Iterator[tuple]:
+        """Yield (lead, rows): witnesses lo to hi in stored order as (k, 3)
+        int64 arrays of n, p, q, at most `CHUNK` rows each, one lead to
+        each.  Only the parts that hold them are read."""
+        hi = len(self) if hi is None else hi
+        s = 0
+        for lead, run in self._runs.items():
+            a, b = max(lo - s, 0), min(hi - s, len(run))
+            s += len(run)
+            for c in range(a, b, CHUNK):
+                yield lead, self._read(run, c, min(c + CHUNK, b))
 
-    def _tuples(self, rows: np.ndarray, codes: np.ndarray) -> list:
-        leads = [() if x is None else (x,) for x in self._names]
-        return [(*leads[c], *r) for c, r in zip(codes.tolist(), rows.tolist())]
+    def _read(self, run: _Run, a: int, b: int) -> np.ndarray:
+        """Rows a to b of `run`."""
+        k = bisect.bisect_right(run.ends, a) - 1
+        pieces = []
+        while a < b:
+            start, part = run.ends[k], run.parts[k]
+            lo, hi = a - start, min(b, run.ends[k + 1]) - start
+            if isinstance(part, np.ndarray):
+                pieces.append(part[lo:hi])
+            else:
+                rows = np.empty((hi - lo, 3), dtype=np.int64)
+                self._file.seek((part + lo) * rows.itemsize * 3)
+                if self._file.readinto(rows) != rows.nbytes:
+                    raise OSError("the witness file ended early")
+                pieces.append(rows)
+            a, k = start + hi, k + 1
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
     def __len__(self) -> int:
-        self._collect()
-        return len(self._rows)
+        return self._held + self._filed
 
     def __getitem__(self, i):
-        self._collect()
-        if isinstance(i, slice):
-            return self._tuples(self._rows[i], self._codes[i])
-        (item,) = self._tuples(self._rows[i][None], self._codes[i][None])
-        return item
+        if not isinstance(i, slice):
+            k = range(len(self))[i]  # an IndexError as a list gives it
+            (item,) = self[k:k + 1]
+            return item
+        picked = range(len(self))[i]
+        if not picked:
+            return []
+        # the rows from the least index picked to the greatest
+        lo = min(picked[0], picked[-1])
+        span = [t for lead, rows in self.runs(
+            lo, max(picked[0], picked[-1]) + 1) for t in _tuples(lead, rows)]
+        return span[picked[0] - lo::picked.step]
 
     def __iter__(self):
-        for s in range(0, len(self), CHUNK):
-            yield from self[s:s + CHUNK]
+        for lead, rows in self.runs():
+            yield from _tuples(lead, rows)
 
     def __eq__(self, other):
         if not isinstance(other, (list, WitnessStore)):

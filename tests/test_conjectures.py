@@ -464,7 +464,16 @@ def reference_gap_bounds(limit, which=cj.GAP_BOUNDS, start=2):
     report = cj.ConjectureReport(
         "gap-bounds:" + ",".join(which), f"pairs with {start} <= p < {limit}")
     best, floor_best = {}, {}
-    for blk in gaps.pair_blocks(start, limit):
+    # the whole pair stream as one block, so that the cost per block is paid
+    # once whatever the PAIR_SLICE
+    stream = list(gaps.pair_blocks(start, limit))
+    for a, b in zip(stream, stream[1:]):
+        assert b.n0 == a.n0 + a.p.size
+    whole = [gaps.PairBlock(stream[0].n0,
+                            np.concatenate([b.p for b in stream]),
+                            np.concatenate([b.q for b in stream]))
+             ] if stream else []
+    for blk in whole:
         _reference_observe_block(best, blk)
         above = np.flatnonzero(blk.p >= cj.KOURBATOV_FLOOR)
         if above.size:

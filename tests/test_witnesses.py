@@ -16,10 +16,12 @@ from primegaps import cli, conjectures, gaps, report, witnesses
 from primegaps.witnesses import WitnessStore
 
 # the gap bounds, and names that csv quotes or %-formatting would read
-LEADS = (*conjectures.GAP_BOUNDS, "50%s", 'say "x", y')
-# a pair block of up to 12 pairs and the indices of the pairs captured
+LEADS = (*conjectures.GAP_BOUNDS, "50%s", 'say "x", y', "line\nbreak")
+# a pair block of up to 12 pairs, the indices of the pairs captured, and
+# how far past the last block of its lead it starts: each lead's blocks
+# ascend, as a pair scan makes them, while the leads interleave freely
 blocks = st.integers(0, 12).flatmap(lambda size: st.tuples(
-    st.integers(1, 10**12),
+    st.integers(0, 10**12),
     st.lists(st.integers(2, 2**62), min_size=size, max_size=size),
     st.lists(st.integers(2, 2**62), min_size=size, max_size=size),
     st.sets(st.integers(0, max(size - 1, 0)), max_size=size),
@@ -29,12 +31,14 @@ blocks = st.integers(0, 12).flatmap(lambda size: st.tuples(
 def captured(draws, leads, pick):
     """A store and a list given the same blocks: each block's witnesses
     under the lead `pick` chooses, or under none when `leads` is empty."""
-    store, plain = WitnessStore(), []
-    for k, (n0, ps, qs, chosen) in enumerate(draws):
+    store, plain, ends = WitnessStore(), [], {}
+    for k, (skip, ps, qs, chosen) in enumerate(draws):
+        lead = leads[pick[k] % len(leads)] if leads else None
+        n0 = ends.get(lead, 1) + skip
+        ends[lead] = n0 + len(ps)
         blk = gaps.PairBlock(n0, np.array(ps, dtype=np.int64),
                              np.array(qs, dtype=np.int64))
         idx = np.array(sorted(chosen), dtype=np.intp)
-        lead = leads[pick[k] % len(leads)] if leads else None
         conjectures._capture(store, blk, idx, lead)
         plain += [(*(() if lead is None else (lead,)), n0 + i, ps[i], qs[i])
                   for i in idx.tolist()]
@@ -49,14 +53,17 @@ def per_row_csv(rep):
 
 
 class TestStoreAgainstLists:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(draws=st.lists(blocks, max_size=6),
            leads=st.lists(st.sampled_from(LEADS), max_size=4, unique=True),
            pick=st.lists(st.integers(0, 3), min_size=6, max_size=6),
-           chunk=st.integers(1, 5))
+           chunk=st.integers(1, 5),
+           held=st.one_of(st.just(witnesses.MEMORY_ROWS), st.integers(0, 6)))
     def test_finalized_store_is_the_sorted_list(self, draws, leads, pick,
-                                                chunk):
-        with mock.patch.object(witnesses, "CHUNK", chunk):
+                                                chunk, held):
+        # `held` rows in memory, the rest in the store's file
+        with mock.patch.object(witnesses, "CHUNK", chunk), \
+                mock.patch.object(witnesses, "MEMORY_ROWS", held):
             self.check_store(draws, leads, pick)
 
     def check_store(self, draws, leads, pick):
@@ -106,29 +113,84 @@ class TestStoreAgainstLists:
             conjectures.GAP_BOUNDS)
 
 
+class TestAscendingRuns:
+    def test_a_lead_that_goes_back_is_refused(self):
+        store = WitnessStore()
+        store.add(np.array([5, 9]), np.array([11, 23]), np.array([13, 29]),
+                  "andrica")
+        # another lead has a run of its own
+        store.add(np.array([2]), np.array([3]), np.array([5]), "cramer")
+        for n in ([9], [7], [12, 10], [10, 10]):
+            with pytest.raises(ValueError, match="ascend"):
+                store.add(np.array(n), np.array(n), np.array(n), "andrica")
+        with pytest.raises(ValueError, match="ascend"):
+            WitnessStore().add(np.array([3, 2]), np.array([5, 3]),
+                               np.array([7, 5]))
+        # a refused part leaves the store as it was
+        store.add(np.array([10]), np.array([29]), np.array([31]), "andrica")
+        store.sort()
+        assert store == [("andrica", 5, 11, 13), ("andrica", 9, 23, 29),
+                         ("andrica", 10, 29, 31), ("cramer", 2, 3, 5)]
+
+    def test_a_part_per_pair_gives_the_same_store(self, monkeypatch):
+        want = conjectures.check_smarandache_B(10**4, 0.85).violations
+        monkeypatch.setattr(gaps, "PAIR_SLICE", 1)
+        got = conjectures.check_smarandache_B(10**4, 0.85).violations
+        assert len(got) > 900 and got == want and list(got) == sorted(got)
+
+
 class TestOutputMemory:
-    def test_csv_peak_stays_near_the_text(self):
+    @pytest.mark.parametrize("held", [witnesses.MEMORY_ROWS, 1000])
+    def test_text_reads_only_what_it_prints(self, monkeypatch, held):
+        monkeypatch.setattr(witnesses, "MEMORY_ROWS", held)
         rep = conjectures.check_smarandache_B(2 * 10**6, 0.85)
+        assert len(rep.violations) > 80_000
         tracemalloc.start()
         try:
-            text = report.to_csv(rep)
+            text = report.to_text(rep)
+            last = rep.violations[-1]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(rep.violations) > 80_000
-        # the text and its joined witness cells; a buffer copied out
-        # whole, as by StringIO.getvalue, takes twice the text
-        assert peak < 1.5 * len(text)
+        listed = list(rep.violations)
+        assert text.count("violation:") == 20 and last == listed[-1]
+        assert text.startswith(report.to_text(dataclasses.replace(
+            rep, violations=listed)))
+        # 21 witnesses: far below one copy of the store's 24-byte rows
+        assert peak < 24 * len(listed) / 50
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rendering_peak_does_not_grow_with_the_witnesses(
+            self, monkeypatch, fmt):
+        monkeypatch.setattr(witnesses, "CHUNK", 1 << 10)
+        peaks = []
+        for limit in (5 * 10**5, 2 * 10**6):
+            rep = conjectures.check_smarandache_B(limit, 0.85)
+            tracemalloc.start()
+            try:
+                size = sum(len(chunk) for chunk in report.render(rep, fmt))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        # 3.4 times the witnesses, and a few chunks of text either way
+        assert peaks[1] < 1.5 * peaks[0] and peaks[1] < size / 8
 
     @pytest.mark.parametrize("to_file", [False, True])
-    def test_emit_writes_the_serialized_text_in_slices(
-            self, monkeypatch, tmp_path, to_file):
+    @pytest.mark.parametrize("chunk", [100, witnesses.CHUNK])
+    def test_emit_writes_each_rendered_chunk(
+            self, monkeypatch, tmp_path, to_file, chunk):
         argv = ["verify", "smarandache-b", "--limit", "20000", "--a", "0.85",
                 "--format", "csv", "--no-timing"]
-        want = report.serialize(conjectures.check_smarandache_B(20000, 0.85),
-                                "csv", no_timing=True)
-        monkeypatch.setattr(cli, "WRITE_SLICE", 1000)
-        assert len(want) > 10 * cli.WRITE_SLICE
+        monkeypatch.setattr(witnesses, "CHUNK", chunk)
+        rep = conjectures.check_smarandache_B(20000, 0.85)
+        want = list(report.render(rep, "csv", no_timing=True))
+        # past one chunk of witnesses, each chunk as it is made; up to
+        # one chunk, the text whole
+        if len(rep.violations) <= chunk:
+            want = ["".join(want)]
+        else:
+            assert len(want) > 10
         writes = []
 
         class Recorder:
@@ -136,7 +198,7 @@ class TestOutputMemory:
                 self.fh = fh
 
             def write(self, s):
-                writes.append(len(s))
+                writes.append(s)
                 return self.fh.write(s)
 
             def __enter__(self):
@@ -154,5 +216,4 @@ class TestOutputMemory:
             monkeypatch.setattr(sys, "stdout", Recorder(sink))
         assert cli.main(argv) == cli.EXIT_VIOLATION
         got = out.read_text(encoding="utf-8") if to_file else sink.getvalue()
-        assert got == want
-        assert max(writes) == 1000 and sum(writes) == len(want)
+        assert got == "".join(want) and writes == want
