@@ -100,21 +100,6 @@ def _verdict(i: int, fast: float, settled: tuple, witness) -> Verdict:
                    None if status is Status.HOLDS else witness)
 
 
-def decide(
-    fast_margin: float,
-    strict_margin_fn: Callable[[], "mp.mpf"],
-    scale: float = 1.0,
-    witness: Optional[tuple] = None,
-) -> Verdict:
-    """Turn one signed margin into a Verdict by `settle`, with the window
-    FAST_REL_TOL relative to scale (the size of the compared quantities
-    when they are large)."""
-    window = FAST_REL_TOL * max(abs(scale), 1.0)
-    settled = settle(np.array([fast_margin]), window,
-                     lambda i: strict_margin_fn(), scale)
-    return _verdict(0, fast_margin, settled, witness)
-
-
 # ---------------------------------------------------------------------------
 # pointwise evaluators
 
@@ -195,7 +180,9 @@ KOURBATOV_FLOOR = 29  # p_10; the bounds of Kourbatov and Cramer hold from here
 # within 21u, and p L / n within 14u.  L^2 - L - 1 is within
 # 23u (L^2 + L + 1), which is at most 52u of it from L = ln 29 on.  Every B
 # is thus within 100u < 1.2e-14 of its exact value, relative, and
-# B - GAP_SLACK |B| lies below the exact value.
+# B - GAP_SLACK |B| lies below the exact value.  So is bound(n) p^(1-e) / e
+# of a power bound, within 60u: p^(1-e) is within 50u even where 1 - e or
+# e = 1/k is rounded, since (1 - e) ln p < 44.
 GAP_SLACK = 1e-9
 
 
@@ -212,10 +199,10 @@ class GapBound:
     every pair with p >= p0, n <= n1 and g < T holds, exactly: a block of
     pairs whose gaps all lie below it holds without a float margin.
     fast(n, p, q) takes arrays of pairs, n as float64 and p, q as int64, and
-    returns their binary64 margins (positive = holds) and the scale of each
-    (None for 1), whose `settle` window is FAST_REL_TOL * max(scale, 1);
-    strict(n, p, q) is the margin of one pair in mpmath.  log_bound is B as
-    a function of ln p, for the bounds g < B(ln p) of p alone.
+    returns their binary64 margins (positive = holds), the `settle` window
+    of each and their scale (None for 1); strict(n, p, q) is the margin of
+    one pair in mpmath.  log_bound is B as a function of ln p, for the
+    bounds g < B(ln p) of p alone.
     """
 
     id: str
@@ -226,12 +213,37 @@ class GapBound:
     log_bound: Optional[Callable] = None
 
     def verdict(self, n: int, p: int, q: int, witness: tuple) -> Verdict:
-        """The bound at the one pair (n, p, q), decided by `decide`."""
-        margins, scale = self.fast(np.array([n], dtype=np.float64),
-                                   np.array([p], dtype=np.int64),
-                                   np.array([q], dtype=np.int64))
-        return decide(float(margins[0]), lambda: self.strict(n, p, q),
-                      1.0 if scale is None else float(scale[0]), witness)
+        """The bound at the one pair (n, p, q), decided by `settle`."""
+        margins, window, scale = self.fast(np.array([n], dtype=np.float64),
+                                           np.array([p], dtype=np.int64),
+                                           np.array([q], dtype=np.int64))
+        settled = settle(margins, window, lambda i: self.strict(n, p, q),
+                         scale)
+        return _verdict(0, float(margins[0]), settled, witness)
+
+    def settle_block(self, blk, gap: np.ndarray) -> tuple:
+        """The ascending indices of the failing and of the uncertain pairs
+        of the pair block `blk`, whose int64 gaps q - p are `gap`.
+
+        The pairs below the floor, a prefix of the block, are not tested.
+        The threshold at the first tested p and the last n holds every
+        smaller gap, so only the pairs at or above it get float margins,
+        decided by `settle`, and a block whose gaps all lie below needs none.
+        """
+        first = int(blk.p.searchsorted(self.floor))
+        threshold = (None if first == gap.size else
+                     self.threshold(int(blk.p[first]), blk.n0 + gap.size - 1))
+        if threshold is None or gap.max() < threshold:
+            return np.empty(0, np.intp), np.empty(0, np.intp)
+        at = first + np.flatnonzero(gap[first:] >= threshold)
+        p, q = blk.p[at], blk.q[at]
+        margins, window, scale = self.fast((blk.n0 + at).astype(np.float64),
+                                           p, q)
+        fails, uncertain, _ = settle(
+            margins, window,
+            lambda i: self.strict(blk.n0 + int(at[i]), int(p[i]), int(q[i])),
+            scale)
+        return at[fails], at[uncertain]
 
 
 def _log_gap_bound(id: str, floor: int, log_bound: Callable) -> GapBound:
@@ -240,7 +252,7 @@ def _log_gap_bound(id: str, floor: int, log_bound: Callable) -> GapBound:
     return GapBound(
         id, floor,
         lambda p0, n1: _int_below(log_bound(math.log(p0))),
-        lambda n, p, q: (log_bound(np.log(p)) - (q - p), None),
+        lambda n, p, q: (log_bound(np.log(p)) - (q - p), FAST_REL_TOL, None),
         lambda n, p, q: log_bound(mp.log(p)) - (q - p),
         log_bound,
     )
@@ -248,7 +260,8 @@ def _log_gap_bound(id: str, floor: int, log_bound: Callable) -> GapBound:
 
 def _firoozbakht_fast(n, p, q):
     scale = n * np.log(q)
-    return (n + 1.0) * np.log(p) - scale, scale
+    return ((n + 1.0) * np.log(p) - scale,
+            FAST_REL_TOL * np.maximum(scale, 1.0), scale)
 
 
 GAP_BOUNDS = {b.id: b for b in (
@@ -258,7 +271,7 @@ GAP_BOUNDS = {b.id: b for b in (
         # isqrt(4 p0 - 1) is the largest m with m^2 < 4 p0, so every
         # g <= m + 1 holds from p0 on, and (g - 1)^2 = 4p never does
         lambda p0, n1: math.isqrt(4 * p0 - 1) + 2,
-        lambda n, p, q: (1.0 - (np.sqrt(q) - np.sqrt(p)), None),
+        lambda n, p, q: (1.0 - (np.sqrt(q) - np.sqrt(p)), FAST_REL_TOL, None),
         lambda n, p, q: 1 - (mp.sqrt(q) - mp.sqrt(p)),
     ),
     _log_gap_bound("kourbatov", KOURBATOV_FLOOR, lambda lp: lp * lp - lp - 1),
@@ -272,6 +285,44 @@ GAP_BOUNDS = {b.id: b for b in (
     ),
     _log_gap_bound("cramer", KOURBATOV_FLOOR, lambda lp: lp * lp),
 )}
+
+
+# binary64 error of q^e - p^e relative to the larger term: a few ulps for
+# each pow and the subtraction (Higham, forward error of pow), with room
+POW_DIFF_REL_ERR = 8 * 2.0**-52
+
+
+def power_gap_bound(e: float, bound_of_n: Callable,
+                    strict: Callable[[int, int, int], "mp.mpf"]) -> GapBound:
+    """The bound q^e - p^e < bound_of_n(n), for an exponent e in (0, 1) and
+    a bound that does not rise with n; strict(n, p, q) is its margin.
+
+    By the mean value theorem q^e - p^e = e x^(e-1) g for some x in (p, q),
+    below e p^(e-1) g: every g <= bound(n1) p0^(1-e) / e holds from p0 on
+    (capped at 2^63, past every gap, where a tiny e overflows it).  A
+    margin's window is the binary64 error bound of q^e - p^e, at least
+    FAST_REL_TOL."""
+    def fast(n, p, q):
+        q_e = q**e
+        return (bound_of_n(n) - (q_e - p**e),
+                np.maximum(FAST_REL_TOL, POW_DIFF_REL_ERR * q_e), None)
+
+    return GapBound(
+        f"q^e - p^e, e = {e!r}", 2,
+        lambda p0, n1: _int_below(
+            min(bound_of_n(n1) * p0 ** (1 - e) / e, 2.0**63)),
+        fast, strict)
+
+
+# q/p <= 5/3 iff 3g <= 2p: every g <= 2 p0 / 3 holds from p0 on, and
+# g = 2 p0 // 3 + 1 fails at p0.  The int64 margin 5p - 3q is exact, so its
+# window is 0: no pair is escalated, and the tie at (3, 5) holds.
+RATIO_BOUND = GapBound(
+    "smarandache-ratio", 2,
+    lambda p0, n1: 2 * p0 // 3 + 1,
+    lambda n, p, q: (5 * p - 3 * q, 0, None),
+    lambda n, p, q: 5 * p - 3 * q,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -77,9 +77,6 @@ VERIFY = {
         ("limit", "window")),
 }
 CONJECTURES = tuple(VERIFY)
-# the checkers that take --start
-GAP_CHECKS = tuple(name for name, (_, reads) in VERIFY.items()
-                   if "start" in reads)
 # every verify option and its value when not typed (--start: see _gap_check)
 VERIFY_DEFAULTS = {"limit": 10**6, "start": None, "a": 0.5, "k": 2,
                    "n_start": 1, "window": 10**4}

@@ -5,14 +5,13 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import mpmath as mp
 import numpy as np
 
 from . import bounds, gaps, sieve
-from .bounds import (FAST_REL_TOL, KOURBATOV_FLOOR, STRICT_DPS, STRICT_REL_TOL,
-                     settle)
+from .bounds import KOURBATOV_FLOOR, STRICT_DPS
 from .witnesses import WitnessStore
 
 
@@ -202,16 +201,25 @@ def check_brocard(n_max: int) -> ConjectureReport:
 GAP_BOUNDS = tuple(bounds.GAP_BOUNDS)
 
 
-def _settle(report, blk, margins, window, strict, lead=None,
-            scale=None) -> None:
-    """Record the pairs of `blk` that `bounds.settle` finds failing or
-    uncertain, strict margins given by strict(n, p, q); witnesses are
-    (lead, n, p, q), or (n, p, q) when lead is None."""
-    fails, uncertain, _ = settle(
-        margins, window,
-        lambda i: strict(blk.n0 + i, int(blk.p[i]), int(blk.q[i])), scale)
-    _capture(report.violations, blk, fails, lead)
-    _capture(report.uncertain, blk, uncertain, lead)
+def _checked_blocks(report, lo: int, hi: int, leads: dict):
+    """Yield each block of pairs with lo <= p < hi and its int64 gaps
+    q - p, once it is decided against every bound of `leads`.
+
+    `leads` maps each lead to a `bounds.GapBound`: the pairs from the
+    bound's floor on are counted as checked and those below it as skipped,
+    and its failing and uncertain pairs are captured as witnesses
+    (lead, n, p, q), or (n, p, q) when the lead is None.
+    """
+    for blk in gaps.pair_blocks(lo, hi):
+        gap = blk.q - blk.p
+        for lead, bound in leads.items():
+            first = int(blk.p.searchsorted(bound.floor))
+            report.checked_count += gap.size - first
+            report.skipped_count += first
+            fails, uncertain = bound.settle_block(blk, gap)
+            _capture(report.violations, blk, fails, lead)
+            _capture(report.uncertain, blk, uncertain, lead)
+        yield blk, gap
 
 
 def check_gap_bounds(
@@ -234,53 +242,17 @@ def check_gap_bounds(
         "gap-bounds:" + ",".join(which), f"pairs with {start} <= p < {limit}"
     )
     tracker = gaps.ExtremeTracker()
-    for blk in gaps.pair_blocks(start, limit):
-        _check_block(report, tracker, blk, which)
+    leads = {name: bounds.GAP_BOUNDS[name] for name in which}
+    for blk, gap in _checked_blocks(report, start, limit, leads):
+        # the bounds of Kourbatov and Cramer hold from p = 29 on; p ascends,
+        # so the pairs below that floor are a prefix of the block
+        tracker.observe_block(
+            blk, gap, int(blk.p.searchsorted(KOURBATOV_FLOOR)))
     report.extremes["max_cramer_ratio"] = tracker.max_cramer_ratio
     report.extremes["max_andrica"] = tracker.max_andrica
     report.extremes["max_gap"] = tracker.max_gap
     report.extremes["max_ratio"] = tracker.max_ratio
     return _timed(report, t0)
-
-
-def _check_block(report, tracker, blk, which) -> None:
-    """Feed one pair block to the tracker and check it against each bound.
-
-    The block is decided on its exact int64 gaps g = q - p.  Each bound
-    gives the block one integer threshold, at its first p and last n, below
-    which every gap provably holds (`bounds.GapBound`); a block whose
-    largest gap lies below every threshold needs no float at all.  Only the
-    pairs at or above a threshold get binary64 margins, decided by
-    `bounds.settle`, so every violation and uncertain verdict comes from
-    those margins.
-    """
-    gap = blk.q - blk.p
-    # the bounds of Kourbatov and Cramer hold from p = 29 on; p ascends, so
-    # the pairs below that floor are a prefix of the block
-    tracker.observe_block(blk, gap, int(blk.p.searchsorted(KOURBATOV_FLOOR)))
-    top = int(gap.max())
-    n1 = blk.n0 + gap.size - 1
-    for name in which:
-        bound = bounds.GAP_BOUNDS[name]
-        first = int(blk.p.searchsorted(bound.floor))
-        report.checked_count += gap.size - first
-        report.skipped_count += first
-        if first == gap.size:
-            continue
-        threshold = bound.threshold(int(blk.p[first]), n1)
-        if top < threshold:
-            continue
-        at = first + np.flatnonzero(gap[first:] >= threshold)
-        p, q = blk.p[at], blk.q[at]
-        margins, scale = bound.fast((blk.n0 + at).astype(np.float64), p, q)
-        window = (FAST_REL_TOL if scale is None
-                  else FAST_REL_TOL * np.maximum(scale, 1.0))
-        fails, uncertain, _ = settle(
-            margins, window,
-            lambda i: bound.strict(blk.n0 + int(at[i]), int(p[i]), int(q[i])),
-            scale)
-        _capture(report.violations, blk, at[fails], name)
-        _capture(report.uncertain, blk, at[uncertain], name)
 
 
 # ---------------------------------------------------------------------------
@@ -331,37 +303,26 @@ def check_shanks_trend(limit: int, window: int) -> list[TrendRow]:
 # Smarandache family
 
 
-# binary64 error of q^e - p^e relative to the larger term: a few ulps for
-# each pow and the subtraction (Higham, forward error of pow), with room
-POW_DIFF_REL_ERR = 8 * 2.0**-52
+def _scan_power_gap(report: ConjectureReport, limit: int, e: float,
+                    bound_of_n, strict) -> None:
+    """Check `bounds.power_gap_bound(e, bound_of_n, strict)` on every pair
+    with p < limit, and record the largest q^e - p^e, ties to the least n.
 
-
-def _pow_window(q_e: np.ndarray) -> np.ndarray:
-    """Fast-path window of a margin holding q^e - p^e: its binary64 error
-    bound, or FAST_REL_TOL where that is larger."""
-    return np.maximum(FAST_REL_TOL, POW_DIFF_REL_ERR * q_e)
-
-
-def _scan_power_gap(
-    report: ConjectureReport,
-    limit: int,
-    e: float,
-    bound: float,
-    strict_margin: Callable[[int, int, int], mp.mpf],
-) -> None:
-    """Check q^e - p^e < bound on every pair with p < limit.
-
-    The fast margin bound - (q^e - p^e) is re-decided by
-    `strict_margin(n, p, q)` at STRICT_DPS inside `_pow_window`.
-    """
+    In a block from p0 to q1, q^e - p^e = e x^(e-1) g with x in (p, q) lies
+    in [e q1^(e-1) g, e p0^(e-1) g], and its binary64 value within
+    POW_DIFF_REL_ERR q1^e of it: a gap below `cut` cannot tie the value at
+    the block's largest gap."""
+    bound = bounds.power_gap_bound(e, bound_of_n, strict)
     worst = None  # (-value, n, p, q): max of q^e - p^e
-    for blk in gaps.pair_blocks(2, limit):
-        q_e = blk.q**e
-        vals = q_e - blk.p**e
-        report.checked_count += vals.size
-        _settle(report, blk, bound - vals, _pow_window(q_e), strict_margin)
-        i = int(np.argmax(vals))
-        cand = (-float(vals[i]), blk.n0 + i, int(blk.p[i]), int(blk.q[i]))
+    for blk, gap in _checked_blocks(report, 2, limit, {None: bound}):
+        p0, q1 = int(blk.p[0]), int(blk.q[-1])
+        cut = (int(gap.max()) * (p0 / q1) ** (1 - e) * (1 - bounds.GAP_SLACK)
+               - 2 * bounds.POW_DIFF_REL_ERR * q1 / e)
+        at = np.flatnonzero(gap >= cut)
+        vals = blk.q[at]**e - blk.p[at]**e
+        j = int(np.argmax(vals))
+        i = int(at[j])
+        cand = (-float(vals[j]), blk.n0 + i, int(blk.p[i]), int(blk.q[i]))
         if worst is None or cand < worst:
             worst = cand
     report.extremes["max_value"] = -worst[0]
@@ -379,7 +340,7 @@ def check_smarandache_B(limit: int, a: float) -> ConjectureReport:
     report = _pair_report("smarandache-b", f"pairs with p < {limit}, a={a!r}")
     a_mp = mp.mpf(repr(a))
     _scan_power_gap(
-        report, limit, a, 1.0,
+        report, limit, a, lambda n: 1.0,
         lambda n, p, q: 1 - (mp.power(q, a_mp) - mp.power(p, a_mp)),
     )
     return _timed(report, t0)
@@ -394,7 +355,7 @@ def check_smarandache_C(limit: int, k: int) -> ConjectureReport:
     t0 = time.perf_counter()
     report = _pair_report("smarandache-c", f"pairs with p < {limit}, k={k}")
     _scan_power_gap(
-        report, limit, 1.0 / k, 2.0 / k,
+        report, limit, 1.0 / k, lambda n: 2.0 / k,
         lambda n, p, q: mp.mpf(2) / k - (mp.root(q, k) - mp.root(p, k)),
     )
     return _timed(report, t0)
@@ -419,8 +380,8 @@ def find_smarandache_D_counterexample(
 ) -> Optional[DWitness]:
     """Least index n >= n_start with q^a - p^a >= 1/n, or None.
 
-    The margins 1/n - (q^a - p^a) of each block of pairs are decided by
-    `bounds.settle` inside `_pow_window`.  None means no witness up to the
+    Each block of pairs, cut at the cap, is decided against the bound
+    1/n by `bounds.GapBound.settle_block`.  None means no witness up to the
     cap, or an uncertain pair before the first failure, where the least n
     is unknown.
     """
@@ -433,22 +394,22 @@ def find_smarandache_D_counterexample(
     a = float(a)  # a numpy float's repr is not an mpf literal
     p0 = sieve.nth_prime(n_start)
     a_mp = mp.mpf(repr(a))
+    bound = bounds.power_gap_bound(
+        a, lambda n: 1.0 / n, lambda n, p, q: mp.mpf(1) / n
+        - (mp.power(q, a_mp) - mp.power(p, a_mp)))
     # one lazy stream up to a bound past p_cap: segments are sieved only
     # as the scan reaches them, so a small witness stays cheap
     for blk in gaps.pair_blocks(p0, sieve._nth_prime_bound(cap) + 1):
         if blk.n0 > cap:
             return None
-        p, q = blk.p[:cap + 1 - blk.n0], blk.q[:cap + 1 - blk.n0]
-        q_a = q**a
-        margins = 1.0 / (blk.n0 + np.arange(p.size)) - (q_a - p**a)
-        fails, uncertain, _ = settle(
-            margins, _pow_window(q_a), lambda i: mp.mpf(1) / (blk.n0 + i)
-            - (mp.power(int(q[i]), a_mp) - mp.power(int(p[i]), a_mp)))
+        blk = gaps.PairBlock(blk.n0, blk.p[:cap + 1 - blk.n0],
+                             blk.q[:cap + 1 - blk.n0])
+        fails, uncertain = bound.settle_block(blk, blk.q - blk.p)
         if uncertain.size and not (fails.size and fails[0] < uncertain[0]):
             return None
         if fails.size:
             i = int(fails[0])
-            n, pn, qn = blk.n0 + i, int(p[i]), int(q[i])
+            n, pn, qn = blk.n0 + i, int(blk.p[i]), int(blk.q[i])
             with mp.workdps(STRICT_DPS):
                 value = mp.power(qn, a_mp) - mp.power(pn, a_mp)
             return DWitness(n, pn, qn, float(value), 1.0 / n)
@@ -465,10 +426,8 @@ def check_smarandache_ratio(limit: int) -> ConjectureReport:
     t0 = time.perf_counter()
     report = _pair_report("smarandache-ratio", f"pairs with p < {limit}")
     best: Optional[tuple] = None  # (q/p exact, -n, p, q): ties to the least n
-    for blk in gaps.pair_blocks(2, limit):
-        report.checked_count += blk.p.size
-        # the integer margin 5p - 3q is exact: no pair is near-threshold
-        _settle(report, blk, 5 * blk.p - 3 * blk.q, 0, None)
+    for blk, _ in _checked_blocks(report, 2, limit,
+                                  {None: bounds.RATIO_BOUND}):
         i = int(np.argmax(blk.q / blk.p))
         p, q = int(blk.p[i]), int(blk.q[i])
         cand = (Fraction(q, p), -(blk.n0 + i), p, q)

@@ -73,10 +73,6 @@ def _json(payload: Any) -> Iterator[str]:
     yield "\n}\n"
 
 
-def to_json(payload: Any) -> str:
-    return "".join(_json(payload))
-
-
 _CSV_VIOLATION_HEADER = [
     "conjecture_id", "range", "checked_count", "skipped_count",
     "status", "duration", "witness",
@@ -180,10 +176,6 @@ def _csv(payload: Any) -> Iterator[str]:
             for r in records:
                 w.writerow([_csv_cell(getattr(r, n)) for n in names])
     yield buf.getvalue()
-
-
-def to_csv(payload: Any) -> str:
-    return "".join(_csv(payload))
 
 
 def to_text(payload: Any) -> str:

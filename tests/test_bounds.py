@@ -39,8 +39,8 @@ def catalog_margins(bound, n, p, q):
     """The fast margin, its scale and the 50-digit strict margin of one
     pair, read from the catalog entry of `bound`."""
     entry = bounds.GAP_BOUNDS[bound]
-    fast, scale = entry.fast(np.array([float(n)]), np.array([p]),
-                             np.array([q]))
+    fast, _, scale = entry.fast(np.array([float(n)]), np.array([p]),
+                                np.array([q]))
     with mp.workdps(50):
         strict = entry.strict(n, p, q)
     return float(fast[0]), scale, strict
@@ -126,16 +126,43 @@ def block_and_pair(draw):
     return p0, n1, n, p
 
 
+def power_bounds(e, k):
+    """`bounds.power_gap_bound` for q^e - p^e < 1 (Smarandache B),
+    q^(1/k) - p^(1/k) < 2/k (C) and q^e - p^e < 1/n (D), each with its
+    strict margin written out here."""
+    e_mp = mp.mpf(repr(e))
+
+    def diff(p, q):
+        return mp.power(q, e_mp) - mp.power(p, e_mp)
+
+    return [
+        bounds.power_gap_bound(e, lambda n: 1.0,
+                               lambda n, p, q: 1 - diff(p, q)),
+        bounds.power_gap_bound(
+            1.0 / k, lambda n: 2.0 / k,
+            lambda n, p, q: mp.mpf(2) / k - (mp.root(q, k) - mp.root(p, k))),
+        bounds.power_gap_bound(e, lambda n: 1.0 / n,
+                               lambda n, p, q: mp.mpf(1) / n - diff(p, q)),
+    ]
+
+
+EXPONENTS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
 class TestGapBoundThresholds:
     """A block threshold only ever decides "holds", and only where the
     strict margin is positive."""
 
-    @given(block_and_pair(), st.data())
+    @given(block_and_pair(), EXPONENTS, st.integers(2, 1000), st.data())
     @settings(max_examples=300, deadline=None)
-    def test_threshold_holds_only_where_the_bound_does(self, block, data):
+    def test_threshold_holds_only_where_the_bound_does(self, block, e, k,
+                                                       data):
         p0, n1, n, p = block
-        for bound in bounds.GAP_BOUNDS.values():
+        for bound in (*bounds.GAP_BOUNDS.values(), *power_bounds(e, k),
+                      bounds.RATIO_BOUND):
             threshold = bound.threshold(p0, n1)
+            if bound is bounds.RATIO_BOUND:  # tight: g = T fails at p0
+                assert 3 * (p0 + threshold) > 5 * p0
             # the largest gaps the threshold holds, which are the tightest,
             # up to q - p = 2000
             g = min(threshold - 1, 2000) - data.draw(
@@ -144,7 +171,10 @@ class TestGapBoundThresholds:
                 continue
             assert g < threshold
             with mp.workdps(50):
-                assert bound.strict(n, p, p + g) > 0, (bound.id, n, p, g)
+                margin = bound.strict(n, p, p + g)
+            # q/p <= 5/3 is not strict: its exact margin 5p - 3q holds at 0
+            assert margin > 0 or (bound is bounds.RATIO_BOUND
+                                  and margin == 0), (bound.id, n, p, g)
 
     @given(st.integers(6, 3037000498), st.integers(0, 10**6))
     @settings(max_examples=200, deadline=None)
@@ -394,23 +424,25 @@ class TestChunkedScans:
 
 class TestTriStateEngine:
     def test_decided_fast_margin(self):
-        v = bounds.decide(0.5, lambda: mp.mpf("0.5"))
+        v = bounds.andrica_check(7, 11)  # margin 0.33
         assert v.status is Status.HOLDS and v.precision_used is Precision.FAST
 
     def test_escalates_to_strict(self):
-        v = bounds.decide(1e-12, lambda: mp.mpf("1e-12"))
-        assert v.status is Status.HOLDS
-        assert v.precision_used is Precision.STRICT
+        fails, uncertain, values = bounds.settle(
+            np.array([1e-12]), bounds.FAST_REL_TOL, lambda i: mp.mpf("1e-12"))
+        assert not fails.size and not uncertain.size  # holds
+        assert values == {0: 1e-12}  # at strict precision
 
     def test_uncertain_when_strict_cannot_separate(self):
-        v = bounds.decide(0.0, lambda: mp.mpf("1e-30"), witness=(0,))
-        assert v.status is Status.UNCERTAIN
-        assert v.witness == (0,)
+        fails, uncertain, values = bounds.settle(
+            np.array([0.0]), bounds.FAST_REL_TOL, lambda i: mp.mpf("1e-30"))
+        assert uncertain.tolist() == [0] and not fails.size
+        assert values == {0: 1e-30}
 
     def test_exactly_zero_strict_margin_is_uncertain(self):
-        v = bounds.decide(0.0, lambda: mp.mpf(0), witness=(0,))
+        v = bounds.andrica_check(256, 289)  # sqrt(289) - sqrt(256) = 1
         assert v.status is Status.UNCERTAIN
-        assert v.margin == 0.0 and v.witness == (0,)
+        assert v.margin == 0.0 and v.witness == (256, 289)
 
     def test_nan_margin_is_decided_strictly(self):
         fails, uncertain, values = bounds.settle(
@@ -419,9 +451,9 @@ class TestTriStateEngine:
         assert values == {0: -1.0}
 
     def test_fails_carry_witness(self):
-        v = bounds.decide(-0.25, lambda: mp.mpf("-0.25"), witness=(7,))
+        v = bounds.andrica_check(7, 29)  # sqrt(29) - sqrt(7) = 2.74
         assert v.status is Status.FAILS
-        assert v.witness == (7,)
+        assert v.witness == (7, 29)
 
     def test_fast_and_strict_agree_near_boundaries(self):
         # sampled near-threshold soundness: both routes must agree whenever

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from primegaps import conjectures as cj
-from primegaps import gaps, sieve
+from primegaps import bounds, gaps, sieve
 from primegaps.conjectures import ReportStatus
 from conftest import primes_trial
 
@@ -275,6 +275,29 @@ class TestSmarandacheC:
             cj.check_smarandache_C(100, 1)
 
 
+class TestPowerGapExtremes:
+    """max_value is the first argmax of q^e - p^e over the whole pair
+    stream, however it is cut into blocks."""
+
+    @pytest.mark.parametrize("check, arg, e", [
+        (cj.check_smarandache_B, 0.5, 0.5),
+        (cj.check_smarandache_B, 0.85, 0.85),
+        (cj.check_smarandache_C, 2, 1.0 / 2),
+        (cj.check_smarandache_C, 3, 1.0 / 3)])
+    def test_first_argmax_of_the_stream(self, monkeypatch, check, arg, e):
+        monkeypatch.setattr(sieve, "SEGMENT_ODDS", 1024)
+        stream = list(gaps.pair_blocks(2, 10**5))
+        p = np.concatenate([b.p for b in stream])
+        q = np.concatenate([b.q for b in stream])
+        vals = q**e - p**e
+        i = int(np.argmax(vals))
+        for pairs in (1, 7, gaps.PAIR_SLICE):
+            monkeypatch.setattr(gaps, "PAIR_SLICE", pairs)
+            r = check(10**5, arg)
+            assert r.extremes["max_value"] == vals[i]
+            assert r.extremes["max_value_pair"] == (i + 1, p[i], q[i])
+
+
 class TestSmarandacheD:
     def test_witness_for_a_04(self):
         w = cj.find_smarandache_D_counterexample(0.4, 1)
@@ -334,7 +357,7 @@ class TestSmarandacheD:
             self, monkeypatch):
         blk = gaps.PairBlock(1, np.array([256, 289]), np.array([289, 361]))
         monkeypatch.setattr(gaps, "pair_blocks", lambda lo, hi: iter([blk]))
-        monkeypatch.setattr(cj, "settle", lambda *args: (
+        monkeypatch.setattr(bounds, "settle", lambda *args: (
             np.array([0]), np.array([1]), {}))
         w = cj.find_smarandache_D_counterexample(0.5)
         assert (w.n, w.p, w.q, w.value) == (1, 256, 289, 1.0)
@@ -503,13 +526,13 @@ def reference_gap_bounds(limit, which=cj.GAP_BOUNDS, start=2):
                 mask = np.ones(p.size, dtype=bool)
             report.checked_count += int(mask.sum())
             report.skipped_count += int(p.size - mask.sum())
-            tol = cj.FAST_REL_TOL * (
+            tol = bounds.FAST_REL_TOL * (
                 np.maximum(scale, 1.0) if scale is not None else 1.0)
             for i in np.flatnonzero(mask & (np.abs(margins) < tol)):
                 n, pi, qi = blk.n0 + int(i), int(blk.p[i]), int(blk.q[i])
                 strict = _reference_strict_margin(bound, n, pi, qi)
                 s = max(float(scale[i]) if scale is not None else 1.0, 1.0)
-                if abs(strict) < cj.STRICT_REL_TOL * s:
+                if abs(strict) < bounds.STRICT_REL_TOL * s:
                     report.uncertain.append((bound, n, pi, qi))
                 elif strict <= 0:
                     report.violations.append((bound, n, pi, qi))

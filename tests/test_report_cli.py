@@ -24,7 +24,7 @@ from primegaps.witnesses import WitnessStore
 class TestSerialization:
     def test_empty_violations_json(self):
         rep = conjectures.check_smarandache_ratio(100)
-        doc = report.to_json(rep)
+        doc = report.serialize(rep, "json")
         data = json.loads(doc)
         assert data["status"] == "AllHold"
         assert data["violations"] == []
@@ -32,13 +32,13 @@ class TestSerialization:
 
     def test_violation_status_json(self):
         rep = conjectures.check_smarandache_B(128, 0.9)
-        data = json.loads(report.to_json(rep))
+        data = json.loads(report.serialize(rep, "json"))
         assert data["status"] == "ViolationFound"
         assert [30, 113, 127] in data["violations"]
 
     def test_csv_error_table_has_header_plus_rows(self):
         rows = panaitopol.error_table([10**4], [0, 1, 2])
-        text = report.to_csv(rows)
+        text = report.serialize(rows, "csv")
         lines = text.strip().split("\n")
         assert len(lines) == 4
         assert lines[0] == "x,terms,approx,exact,rel_error"
@@ -46,12 +46,13 @@ class TestSerialization:
     def test_csv_needs_dataclass_records(self):
         for payload in (7, [1, 2], ["a"]):
             with pytest.raises(TypeError, match="no CSV layout"):
-                report.to_csv(payload)
-        assert report.to_csv([]) == ""  # no record to take a header from
+                report.serialize(payload, "csv")
+        # no record to take a header from
+        assert report.serialize([], "csv") == ""
 
     def test_csv_quoting_is_rfc4180(self):
         rep = conjectures.check_smarandache_B(100, 0.5)
-        text = report.to_csv(rep)
+        text = report.serialize(rep, "csv")
         # the range field contains a comma and must be quoted
         assert '"pairs with p < 100, a=0.5"' in text
 
@@ -130,7 +131,7 @@ class TestCsvRows:
         assert len(payloads[0].violations) > 1000
         assert payloads[2].violations == []
         for rep in payloads:
-            assert first_difference(report.to_csv(rep),
+            assert first_difference(report.serialize(rep, "csv"),
                                     per_row_csv(rep)) is None
 
     def test_summary_fields_with_quotes_commas_and_percent(self):
@@ -138,7 +139,7 @@ class TestCsvRows:
             'odd"id', 'p < 10, "a" = 100% %s %d', checked_count=3,
             violations=[(1, 2, 3), (2, 3, 5)], duration=0.25,
         ).finalize()
-        text = report.to_csv(rep)
+        text = report.serialize(rep, "csv")
         assert first_difference(text, per_row_csv(rep)) is None
         assert '"p < 10, ""a"" = 100% %s %d"' in text
 
@@ -152,7 +153,7 @@ class TestCsvRows:
     ])
     def test_witnesses_needing_quotes_fall_back(self, violations):
         rep = conjectures.ConjectureReport("x", "r", violations=violations)
-        assert first_difference(report.to_csv(rep),
+        assert first_difference(report.serialize(rep, "csv"),
                                 per_row_csv(rep)) is None
 
     def test_captured_witnesses_are_plain_and_round_trip(self, monkeypatch):
@@ -170,7 +171,7 @@ class TestCsvRows:
             for v in rep.violations:
                 assert type(v) is tuple
                 assert {type(x) for x in v} <= {int, str}
-            data = json.loads(report.to_json(rep))
+            data = json.loads(report.serialize(rep, "json"))
             assert data["violations"] == [list(v) for v in rep.violations]
 
 
@@ -192,8 +193,8 @@ def ladder_to_jsonable(obj):
 
 
 class TestJsonFastPath:
-    # to_json renders a witness store from its columns: the text must be
-    # what json.dumps makes of the ladder's reading of the same payload
+    # the JSON text of a witness store is rendered from its columns: it
+    # must be what json.dumps makes of the ladder's reading of the payload
     @pytest.mark.parametrize("payload", [
         lambda: conjectures.check_smarandache_B(10**5, 0.85),
         lambda: conjectures.check_gap_bounds(10**5),
@@ -205,7 +206,7 @@ class TestJsonFastPath:
     def test_json_identical_to_ladder(self, payload):
         payload = report.strip_timing(payload())
         want = json.dumps(ladder_to_jsonable(payload), indent=2) + "\n"
-        assert report.to_json(payload) == want
+        assert report.serialize(payload, "json") == want
 
 
 class TestCliExitCodes:
@@ -263,7 +264,8 @@ class TestCliExitCodes:
         assert cli.main(argv + ["--limit", "3"]) == 0  # pair (2, 3)
 
     @pytest.mark.parametrize(
-        "name", [c for c in cli.CONJECTURES if c not in cli.GAP_CHECKS])
+        "name", [c for c, (_, reads) in cli.VERIFY.items()
+                 if "start" not in reads])
     def test_start_refused_outside_the_gap_bounds(self, monkeypatch, capsys,
                                                   name):
         from primegaps import sieve

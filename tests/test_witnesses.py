@@ -49,7 +49,7 @@ def per_row_csv(rep):
     """The CSV of `rep` written by csv.writer, one row per witness."""
     rep = dataclasses.replace(rep, violations=list(rep.violations))
     with mock.patch.object(report, "_witness_csv", lambda *args: None):
-        return report.to_csv(rep)
+        return report.serialize(rep, "csv")
 
 
 class TestStoreAgainstLists:
@@ -91,9 +91,9 @@ class TestStoreAgainstLists:
         for fmt in ("json", "csv", "text"):
             assert (report.serialize(rep, fmt)
                     == report.serialize(listed, fmt)), fmt
-        assert report.to_json(rep) == json.dumps(
+        assert report.serialize(rep, "json") == json.dumps(
             report.to_jsonable(listed), indent=2) + "\n"
-        assert report.to_csv(rep) == per_row_csv(listed)
+        assert report.serialize(rep, "csv") == per_row_csv(listed)
 
     def test_empty_store_serializes_as_an_empty_list(self):
         stored = conjectures._pair_report("x", "r").finalize()
