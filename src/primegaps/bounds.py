@@ -269,9 +269,11 @@ GAP_BOUNDS = {b.id: b for b in (
         "andrica", 2,
         # sqrt(q) - sqrt(p) < 1 iff (g - 1)^2 < 4p, in integers; m =
         # isqrt(4 p0 - 1) is the largest m with m^2 < 4 p0, so every
-        # g <= m + 1 holds from p0 on, and (g - 1)^2 = 4p never does
+        # g <= m + 1 holds from p0 on, and (g - 1)^2 = 4p never does.  The
+        # window is the binary64 error of sqrt(q) - sqrt(p), as in _METRICS
         lambda p0, n1: math.isqrt(4 * p0 - 1) + 2,
-        lambda n, p, q: (1.0 - (np.sqrt(q) - np.sqrt(p)), FAST_REL_TOL, None),
+        lambda n, p, q: (1.0 - (np.sqrt(q) - np.sqrt(p)),
+                         np.maximum(FAST_REL_TOL, 2.0**-50 * np.sqrt(q)), None),
         lambda n, p, q: 1 - (mp.sqrt(q) - mp.sqrt(p)),
     ),
     _log_gap_bound("kourbatov", KOURBATOV_FLOOR, lambda lp: lp * lp - lp - 1),

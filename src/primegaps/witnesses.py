@@ -6,9 +6,9 @@ witnesses are held as rows of int64 (n, p, q), 24 bytes each, in one run
 per name that leads them (the gap bound, for `check_gap_bounds`; the other
 pair checkers have one run, without a lead).  Every pair scan adds a lead's
 witnesses in ascending n, so each run is already in the order of its tuples,
-and putting the store in order only orders its leads by name.  The first
-`MEMORY_ROWS` rows stay in memory; the rows added past them go to an
-anonymous temporary file and are read back `CHUNK` rows at a time, so
+and putting the store in order only orders its leads by name.  Each run's
+rows lie back to back in an anonymous temporary file of its own, opened at
+the lead's first witness, and are read back `CHUNK` rows at a time, so
 memory stays bounded at any witness count.
 
 Read back, the store is a sequence of plain tuples (n, p, q) or
@@ -18,8 +18,6 @@ the same tuples.
 
 from __future__ import annotations
 
-import bisect
-import io
 import operator
 import tempfile
 from collections.abc import Sequence
@@ -29,24 +27,24 @@ import numpy as np
 
 # witnesses turned into tuples, or into text, at a time
 CHUNK = 1 << 14
-# rows a store holds in memory (24 MiB); it files the rows added past them
-MEMORY_ROWS = 1 << 20
 
 
 class _Run:
-    """One lead's witnesses in ascending n, as parts in capture order: each
-    part is an array of rows in memory or the index of its first row in the
-    store's file."""
+    """One lead's witnesses in ascending n: their rows back to back in an
+    anonymous temporary file, row i at byte 24 i."""
 
-    __slots__ = ("parts", "ends", "last")
+    __slots__ = ("file", "rows", "last")
 
     def __init__(self):
-        self.parts: list = []
-        self.ends = [0]  # ends[k]: the rows in parts[:k]
+        self.file = tempfile.TemporaryFile()
+        self.rows = 0
         self.last = 0  # n of the last witness
 
     def __len__(self) -> int:
-        return self.ends[-1]
+        return self.rows
+
+    def __del__(self):
+        self.file.close()
 
 
 def _tuples(lead: Optional[str], rows: np.ndarray) -> list:
@@ -65,9 +63,6 @@ class WitnessStore(Sequence):
 
     def __init__(self):
         self._runs: dict = {}  # lead name -> _Run
-        self._held = 0  # rows in memory
-        self._file = None  # the rows added past MEMORY_ROWS
-        self._filed = 0  # rows in the file
 
     def add(self, n, p, q, lead: Optional[str] = None) -> None:
         """Append the witnesses (lead, n[i], p[i], q[i]), or (n[i], p[i],
@@ -83,17 +78,10 @@ class WitnessStore(Sequence):
                              f"the last one added")
         if run is None:
             run = self._runs[lead] = _Run()
-        if self._held + len(rows) <= MEMORY_ROWS:
-            run.parts.append(rows)
-            self._held += len(rows)
-        else:
-            if self._file is None:
-                self._file = tempfile.TemporaryFile()
-            self._file.seek(0, io.SEEK_END)
-            self._file.write(rows)
-            run.parts.append(self._filed)
-            self._filed += len(rows)
-        run.ends.append(len(run) + len(rows))
+        # a read may have moved the file position: write at the run's end
+        run.file.seek(len(run) * rows.itemsize * 3)
+        run.file.write(rows)
+        run.rows += len(rows)
         run.last = int(n[-1])
 
     def sort(self) -> None:
@@ -105,7 +93,7 @@ class WitnessStore(Sequence):
     def runs(self, lo: int = 0, hi: Optional[int] = None) -> Iterator[tuple]:
         """Yield (lead, rows): witnesses lo to hi in stored order as (k, 3)
         int64 arrays of n, p, q, at most `CHUNK` rows each, one lead to
-        each.  Only the parts that hold them are read."""
+        each.  Only the rows that hold them are read."""
         hi = len(self) if hi is None else hi
         s = 0
         for lead, run in self._runs.items():
@@ -116,24 +104,14 @@ class WitnessStore(Sequence):
 
     def _read(self, run: _Run, a: int, b: int) -> np.ndarray:
         """Rows a to b of `run`."""
-        k = bisect.bisect_right(run.ends, a) - 1
-        pieces = []
-        while a < b:
-            start, part = run.ends[k], run.parts[k]
-            lo, hi = a - start, min(b, run.ends[k + 1]) - start
-            if isinstance(part, np.ndarray):
-                pieces.append(part[lo:hi])
-            else:
-                rows = np.empty((hi - lo, 3), dtype=np.int64)
-                self._file.seek((part + lo) * rows.itemsize * 3)
-                if self._file.readinto(rows) != rows.nbytes:
-                    raise OSError("the witness file ended early")
-                pieces.append(rows)
-            a, k = start + hi, k + 1
-        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        rows = np.empty((b - a, 3), dtype=np.int64)
+        run.file.seek(a * rows.itemsize * 3)
+        if run.file.readinto(rows) != rows.nbytes:
+            raise OSError("the witness file ended early")
+        return rows
 
     def __len__(self) -> int:
-        return self._held + self._filed
+        return sum(map(len, self._runs.values()))
 
     def __getitem__(self, i):
         if not isinstance(i, slice):

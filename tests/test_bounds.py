@@ -70,6 +70,17 @@ class TestAndricaCheck:
     def test_113_127(self):
         self.holds(113, 127, 1 - 0.6392, 1e-4)
 
+    def test_failure_within_the_root_error(self):
+        # (g - 1)^2 - 4p = 574 949 092 > 0, but each binary64 root near
+        # 2e17 is off by up to 3e-8, and the fast margin reads +6e-8: only
+        # the strict margin may decide it
+        p, q = 214797378458451888, 214797379385376651
+        assert (q - p - 1) ** 2 - 4 * p == 574_949_092
+        v = bounds.andrica_check(p, q)
+        assert v.status is Status.FAILS and v.precision_used is Precision.STRICT
+        assert v.margin == pytest.approx(-3.3459e-10, rel=1e-4)
+        assert v.witness == (p, q)
+
     def test_bad_pair(self):
         with pytest.raises(ValueError):
             bounds.andrica_check(11, 7)

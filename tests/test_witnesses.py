@@ -57,13 +57,10 @@ class TestStoreAgainstLists:
     @given(draws=st.lists(blocks, max_size=6),
            leads=st.lists(st.sampled_from(LEADS), max_size=4, unique=True),
            pick=st.lists(st.integers(0, 3), min_size=6, max_size=6),
-           chunk=st.integers(1, 5),
-           held=st.one_of(st.just(witnesses.MEMORY_ROWS), st.integers(0, 6)))
+           chunk=st.integers(1, 5))
     def test_finalized_store_is_the_sorted_list(self, draws, leads, pick,
-                                                chunk, held):
-        # `held` rows in memory, the rest in the store's file
-        with mock.patch.object(witnesses, "CHUNK", chunk), \
-                mock.patch.object(witnesses, "MEMORY_ROWS", held):
+                                                chunk):
+        with mock.patch.object(witnesses, "CHUNK", chunk):
             self.check_store(draws, leads, pick)
 
     def check_store(self, draws, leads, pick):
@@ -118,6 +115,7 @@ class TestAscendingRuns:
         store = WitnessStore()
         store.add(np.array([5, 9]), np.array([11, 23]), np.array([13, 29]),
                   "andrica")
+        assert store[-1] == ("andrica", 9, 23, 29)
         # another lead has a run of its own
         store.add(np.array([2]), np.array([3]), np.array([5]), "cramer")
         for n in ([9], [7], [12, 10], [10, 10]):
@@ -126,11 +124,20 @@ class TestAscendingRuns:
         with pytest.raises(ValueError, match="ascend"):
             WitnessStore().add(np.array([3, 2]), np.array([5, 3]),
                                np.array([7, 5]))
+        # reads move the file position; the next part still lands at the
+        # end of its run
+        assert list(store) == [("andrica", 5, 11, 13), ("andrica", 9, 23, 29),
+                               ("cramer", 2, 3, 5)]
+        assert store[0] == ("andrica", 5, 11, 13)
         # a refused part leaves the store as it was
         store.add(np.array([10]), np.array([29]), np.array([31]), "andrica")
+        assert store[-1] == ("cramer", 2, 3, 5)
+        assert store[1] == ("andrica", 9, 23, 29)
+        store.add(np.array([11]), np.array([31]), np.array([37]), "andrica")
         store.sort()
         assert store == [("andrica", 5, 11, 13), ("andrica", 9, 23, 29),
-                         ("andrica", 10, 29, 31), ("cramer", 2, 3, 5)]
+                         ("andrica", 10, 29, 31), ("andrica", 11, 31, 37),
+                         ("cramer", 2, 3, 5)]
 
     def test_a_part_per_pair_gives_the_same_store(self, monkeypatch):
         want = conjectures.check_smarandache_B(10**4, 0.85).violations
@@ -140,9 +147,24 @@ class TestAscendingRuns:
 
 
 class TestOutputMemory:
-    @pytest.mark.parametrize("held", [witnesses.MEMORY_ROWS, 1000])
-    def test_text_reads_only_what_it_prints(self, monkeypatch, held):
-        monkeypatch.setattr(witnesses, "MEMORY_ROWS", held)
+    def test_a_store_keeps_no_rows_in_memory(self):
+        parts, size = 50, 4096
+        n = np.arange(1, parts * size + 1, dtype=np.int64)
+        store = WitnessStore()
+        tracemalloc.start()
+        try:
+            for k in range(0, n.size, size):
+                part = n[k:k + size]
+                store.add(part, 2 * part, 3 * part)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(store) == n.size and store[-1] == (
+            n.size, 2 * n.size, 3 * n.size)
+        # a few parts at a time, far below the 24-byte rows added
+        assert peak < 24 * n.size / 10
+
+    def test_text_reads_only_what_it_prints(self):
         rep = conjectures.check_smarandache_B(2 * 10**6, 0.85)
         assert len(rep.violations) > 80_000
         tracemalloc.start()
