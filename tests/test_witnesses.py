@@ -164,7 +164,11 @@ class TestOutputMemory:
         # a few parts at a time, far below the 24-byte rows added
         assert peak < 24 * n.size / 10
 
-    def test_text_reads_only_what_it_prints(self):
+    # a chunk far above the store's witnesses, and one far below: a read
+    # takes the rows asked for, not a whole chunk
+    @pytest.mark.parametrize("chunk", [1 << 20, 1000])
+    def test_text_reads_only_what_it_prints(self, monkeypatch, chunk):
+        monkeypatch.setattr(witnesses, "CHUNK", chunk)
         rep = conjectures.check_smarandache_B(2 * 10**6, 0.85)
         assert len(rep.violations) > 80_000
         tracemalloc.start()
