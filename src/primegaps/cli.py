@@ -33,7 +33,7 @@ def _gap_check(args) -> ConjectureReport:
     which = conjectures.GAP_BOUNDS if name == "gap-bounds" else (name,)
     start = args.start if args.start is not None else 2
     if (args.start is not None and start < conjectures.KOURBATOV_FLOOR
-            and name in ("kourbatov", "cramer")):
+            and {"kourbatov", "cramer"} & set(which)):
         print(
             f"warning: --start {start} is below the validity floor "
             f"{conjectures.KOURBATOV_FLOOR}; sub-floor pairs are skipped,"

@@ -8,6 +8,7 @@ unconditionally, which Newton would not.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -42,6 +43,9 @@ def solve_exponent(p: int, q: int) -> ExponentSolution:
     """The unique x in (0, 1] with q^x - p^x = 1 for the pair (p, q)."""
     if q <= p or p < 2:
         raise ValueError(f"({p}, {q}) is not an ascending prime pair")
+    if q > sys.float_info.max:
+        raise ValueError(f"q has {q.bit_length()} bits, past binary64, "
+                         "in which the root is solved")
     if q - p == 1:
         # only (2, 3); f(1) = 0 exactly
         return ExponentSolution(p, q, 1.0, 0.0, 0, (1.0, 1.0))

@@ -57,8 +57,9 @@ class PairBlock:
     q: np.ndarray
 
 
-# first window sieved for the successor of a range's last prime; prime gaps
-# below 2^63 stay under 1600, so one window almost always suffices
+# span sieved past hi, so that one stream also holds the successor of the
+# range's last prime; prime gaps below 2^63 stay under 1600, so the stream
+# ends without a prime >= hi only where it is cut short by 2^63 - 1
 NEXT_PRIME_WINDOW = 2048
 # most pairs per block: a block's dozen float arrays then stay in the core's
 # cache and come from reused heap memory (on a 2-vCPU Xeon this halved the
@@ -70,42 +71,28 @@ def pair_blocks(lo: int, hi: int) -> Iterator[PairBlock]:
     """Stream consecutive-prime pairs (p, q) with lo <= p < hi, in blocks
     of at most PAIR_SLICE pairs, cut within each sieve segment.
 
-    q of the last pair is looked up past hi, so every p in range gets its
-    successor.  n0 of the first block is the prime index of its first p.
+    One sieve stream runs NEXT_PRIME_WINDOW past hi and is cut at its
+    first prime >= hi, so q of the last pair is that prime; a stream with
+    no prime >= hi raises CapacityError.  n0 of the first block is the
+    prime index of its first p.
     """
     rng = sieve.PrimeRange(lo, hi)
+    end = min(rng.hi + NEXT_PRIME_WINDOW, sieve.MAX_VALUE)
     n0 = sieve.prime_count(rng.lo - 1) + 1 if rng.lo > 2 else 1
     carry: Optional[int] = None
-    for block in sieve.prime_blocks(rng.lo, rng.hi):
+    for block in sieve.prime_blocks(rng.lo, end):
         if carry is not None:
             block = np.concatenate(([carry], block))
-        pairs = block.size - 1
+        cut = int(np.searchsorted(block, rng.hi))  # first prime >= hi
+        pairs = min(cut, block.size - 1)
         for s in range(0, pairs, PAIR_SLICE):
             e = min(s + PAIR_SLICE, pairs)
             yield PairBlock(n0=n0 + s, p=block[s:e], q=block[s + 1 : e + 1])
+        if cut < block.size:
+            return
         n0 += pairs
         carry = int(block[-1])
-    if carry is not None:
-        succ = _next_prime_after(carry)
-        yield PairBlock(
-            n0=n0,
-            p=np.array([carry], dtype=np.int64),
-            q=np.array([succ], dtype=np.int64),
-        )
-
-
-def _next_prime_after(p: int) -> int:
-    # sieve a small window past p and double it until a prime shows up;
-    # Bertrand guarantees one below 2p, so 2p + 2 caps the window
-    cap = 2 * p + 2
-    width = NEXT_PRIME_WINDOW
-    while True:
-        hi = min(p + 1 + width, cap)
-        for block in sieve.prime_blocks(p + 1, hi):
-            return int(block[0])
-        if hi == cap:
-            raise RuntimeError(f"no prime found after {p}")
-        width *= 2
+    raise sieve.CapacityError(f"no prime in [{rng.hi}, {end})")
 
 
 # Each metric of a pair with gap g is g f + c, where f falls with p.  A run

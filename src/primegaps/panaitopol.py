@@ -84,7 +84,8 @@ def pi_approx(x: int, terms: int) -> PiApproxResult:
 
 def error_table(x_values, terms_values) -> list[PiApproxResult]:
     """Cross-product of x and term counts, row-major by x then terms."""
-    depth = max(list(terms_values) + [1])
+    terms_values = list(terms_values)  # read once per x
+    depth = max(terms_values + [1])
     table = coefficients(depth)
     xs = [int(x) for x in x_values]
     # a few far-apart x: one sublinear count each beats a sieve to max(xs)

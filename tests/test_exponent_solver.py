@@ -44,6 +44,10 @@ class TestSolveExponent:
         with pytest.raises(ValueError):
             es.solve_exponent(11, 7)
 
+    def test_pair_past_binary64_refused(self):
+        with pytest.raises(ValueError, match="past binary64"):
+            es.solve_exponent(10**400, 10**400 + 2)
+
     def test_residual_bound(self):
         primes = primes_trial(2, 500)
         for p, q in zip(primes[:-1], primes[1:]):

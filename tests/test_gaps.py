@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primegaps import cli
 from primegaps import conjectures as cj
 from primegaps import gaps, sieve
 from conftest import primes_trial
@@ -174,17 +175,53 @@ NEXT_PRIME_CASES = (
 
 
 @pytest.mark.parametrize("p", NEXT_PRIME_CASES)
-def test_next_prime_after_matches_sympy(p):
+def test_next_prime_after_matches_sympy(monkeypatch, p):
+    # the stream of [lo, p + 1) ends on the last prime up to p and the
+    # next prime after it, which the same sieve stream finds past p + 1;
+    # at 64 odds the gap of 288 after 1294268491 spans several 128-wide
+    # segments
     sympy = pytest.importorskip("sympy")
-    assert gaps._next_prime_after(p) == sympy.nextprime(p)
+    last = sympy.prevprime(p + 1)
+    if p >= 10**11:  # n is not under test here; pi(1e12) takes seconds
+        monkeypatch.setattr(sieve, "prime_count", lambda x: 0)
+    for odds in (64, sieve.SEGMENT_ODDS):
+        # from 2 where that is cheap, so that segment ends fall on the cases
+        lo = 2 if p < 5000 or (odds > 64 and p < 1 << 22) else last - 256
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sieve, "SEGMENT_ODDS", odds)
+            blk = list(gaps.pair_blocks(lo, p + 1))[-1]
+        assert (blk.p[-1], blk.q[-1]) == (last, sympy.nextprime(last))
+        if p < 10**11:
+            assert blk.n0 + blk.p.size - 1 == sieve.prime_count(last)
 
 
-def test_next_prime_after_widens_its_window(monkeypatch):
-    sympy = pytest.importorskip("sympy")
-    monkeypatch.setattr(gaps, "NEXT_PRIME_WINDOW", 1)
-    # 128-wide segments: the widest window, past the gap of 288 after
-    # 1294268491, spans several of them
-    monkeypatch.setattr(sieve, "SEGMENT_ODDS", 64)
-    assert sympy.nextprime(1294268491) - 1294268491 > 2 * sieve.SEGMENT_ODDS
-    for p in (2, 3, 7, 23, 113, 1327, 31397, 1294268491):
-        assert gaps._next_prime_after(p) == sympy.nextprime(p)
+def test_a_stream_sieves_once(monkeypatch):
+    calls = []
+    prime_blocks = sieve.prime_blocks
+
+    def spy(lo, hi):
+        calls.append((lo, hi))
+        return prime_blocks(lo, hi)
+
+    monkeypatch.setattr(sieve, "prime_blocks", spy)
+    for lo, hi in [(2, 3), (11, 12), (2, 10**5), (1294268000, 1294268492)]:
+        calls.clear()
+        assert list(gaps.pair_blocks(lo, hi))
+        assert calls == [(lo, hi + gaps.NEXT_PRIME_WINDOW)]
+
+
+def test_a_stream_with_no_prime_past_hi_is_refused(monkeypatch, capsys):
+    prime_blocks = sieve.prime_blocks
+
+    def short(lo, hi):  # as a stream cut short by 2^63 - 1 would end
+        for block in prime_blocks(lo, hi):
+            if block[0] < 100:
+                yield block[block < 100]
+
+    monkeypatch.setattr(sieve, "prime_blocks", short)
+    with pytest.raises(sieve.CapacityError, match="no prime in"):
+        list(gaps.pair_blocks(2, 100))
+    assert cli.main(["verify", "gap-bounds", "--limit", "100"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no prime in [100, ")
+    assert err.count("\n") == 1

@@ -110,6 +110,12 @@ class TestErrorTable:
             (10**4, 0), (10**4, 1), (10**5, 0), (10**5, 1)
         ]
 
+    def test_iterators_give_the_rows_of_lists(self):
+        # each x reads every term count, so the counts must be read once
+        rows = pt.error_table([10**6, 10**4], [0, 2])
+        assert len(rows) == 4
+        assert pt.error_table(iter([10**6, 10**4]), iter([0, 2])) == rows
+
     def test_repeated_x_is_counted_once(self, monkeypatch):
         calls = []
         count = pt.sieve.prime_count

@@ -297,10 +297,15 @@ class TestCliExitCodes:
         assert capsys.readouterr().err.startswith("error: out of memory")
 
     def test_overflow_is_not_a_verdict(self, capsys):
-        # q does not fit in a float, so math.pow overflows
-        code = cli.main(["solve", "pair", "--p", "2", "--q", str(10**400)])
-        assert code == cli.EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error: OverflowError: ")
+        # q does not fit in a float, in which the root is bisected: refused
+        # in one line, not a traceback
+        for p in (2, 10**400):
+            code = cli.main(["solve", "pair", "--p", str(p),
+                             "--q", str(10**400 + 2)])
+            assert code == cli.EXIT_USAGE
+            assert capsys.readouterr().err == (
+                "error: q has 1329 bits, past binary64, in which the root is "
+                "solved\n")
 
     def test_runtime_error_is_not_a_verdict(self, monkeypatch, capsys):
         def no_root(p, q):
@@ -424,7 +429,15 @@ class TestCliExitCodes:
         assert code == 0
         assert "validity floor" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["kourbatov", "cramer"])
+    @pytest.mark.parametrize("name, warns", [
+        ("gap-bounds", True), ("cramer", True), ("andrica", False)])
+    def test_start_below_floor_warns_where_a_bound_has_one(
+            self, capsys, name, warns):
+        # gap-bounds runs kourbatov and cramer too, which skip p < 29
+        assert cli.main(["verify", name, "--limit", "100", "--start", "2"]) == 0
+        assert ("validity floor 29" in capsys.readouterr().err) == warns
+
+    @pytest.mark.parametrize("name", ["kourbatov", "cramer", "gap-bounds"])
     def test_default_start_does_not_warn(self, capsys, name):
         # without --start the scan skips the sub-floor pairs on its own;
         # a warning would name a flag that was never typed

@@ -3,8 +3,11 @@
 import dataclasses
 import io
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -243,3 +246,19 @@ class TestOutputMemory:
         assert cli.main(argv) == cli.EXIT_VIOLATION
         got = out.read_text(encoding="utf-8") if to_file else sink.getvalue()
         assert got == "".join(want) and writes == want
+
+
+def test_no_witness_file_is_left_open():
+    # each lead's run holds a temporary file; python -X dev reports any
+    # that is dropped unclosed
+    src = str(Path(witnesses.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "primegaps.cli", "verify",
+         "smarandache-b", "--limit", "100000", "--a", "0.85",
+         "--out", os.devnull],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == cli.EXIT_VIOLATION, done.stderr
+    assert "ResourceWarning" not in done.stderr
