@@ -31,6 +31,6 @@ from .conjectures import (
 from .exponent_solver import ExponentSolution, max_exponent, min_exponent, solve_exponent
 from .gaps import ExtremeTracker, GapRecord
 from .panaitopol import CoefficientTable, PiApproxResult, coefficients, error_table, pi_approx
-from .sieve import PrimeRange, nth_prime, prime_count
+from .sieve import nth_prime, prime_count
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -32,11 +32,11 @@ def _gap_check(args) -> ConjectureReport:
     name = args.conjecture
     which = conjectures.GAP_BOUNDS if name == "gap-bounds" else (name,)
     start = args.start if args.start is not None else 2
-    if (args.start is not None and start < conjectures.KOURBATOV_FLOOR
+    if (args.start is not None and start < bounds.KOURBATOV_FLOOR
             and {"kourbatov", "cramer"} & set(which)):
         print(
             f"warning: --start {start} is below the validity floor "
-            f"{conjectures.KOURBATOV_FLOOR}; sub-floor pairs are skipped,"
+            f"{bounds.KOURBATOV_FLOOR}; sub-floor pairs are skipped,"
             " not checked",
             file=sys.stderr,
         )

@@ -11,7 +11,7 @@ import mpmath as mp
 import numpy as np
 
 from . import bounds, gaps, sieve
-from .bounds import KOURBATOV_FLOOR, STRICT_DPS
+from .bounds import STRICT_DPS
 from .witnesses import WitnessStore
 
 
@@ -60,14 +60,6 @@ def _timed(report: ConjectureReport, t0: float) -> ConjectureReport:
 def _pair_report(conjecture_id: str, range_: str) -> ConjectureReport:
     return ConjectureReport(conjecture_id, range_, violations=WitnessStore(),
                             uncertain=WitnessStore())
-
-
-def _capture(out: WitnessStore, blk: gaps.PairBlock, idx: np.ndarray,
-             lead: Optional[str] = None) -> None:
-    """Add the witness (lead, n, p, q), or (n, p, q) without a lead, of each
-    pair of `blk` at `idx`."""
-    if idx.size:
-        out.add(blk.n0 + idx, blk.p[idx], blk.q[idx], lead)
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +193,17 @@ def check_brocard(n_max: int) -> ConjectureReport:
 GAP_BOUNDS = tuple(bounds.GAP_BOUNDS)
 
 
-def _checked_blocks(report, lo: int, hi: int, leads: dict):
-    """Yield each block of pairs with lo <= p < hi and its int64 gaps
-    q - p, once it is decided against every bound of `leads`.
+def _scan_pairs(report, lo: int, hi: int, leads: dict,
+                metrics: dict) -> gaps.ExtremeTracker:
+    """Decide every pair with lo <= p < hi against each bound of `leads`,
+    and return the `gaps.ExtremeTracker` of `metrics` that observed them.
 
     `leads` maps each lead to a `bounds.GapBound`: the pairs from the
     bound's floor on are counted as checked and those below it as skipped,
     and its failing and uncertain pairs are captured as witnesses
     (lead, n, p, q), or (n, p, q) when the lead is None.
     """
+    tracker = gaps.ExtremeTracker(metrics)
     for blk in gaps.pair_blocks(lo, hi):
         gap = blk.q - blk.p
         for lead, bound in leads.items():
@@ -217,9 +211,12 @@ def _checked_blocks(report, lo: int, hi: int, leads: dict):
             report.checked_count += gap.size - first
             report.skipped_count += first
             fails, uncertain = bound.settle_block(blk, gap)
-            _capture(report.violations, blk, fails, lead)
-            _capture(report.uncertain, blk, uncertain, lead)
-        yield blk, gap
+            for out, idx in ((report.violations, fails),
+                             (report.uncertain, uncertain)):
+                if idx.size:
+                    out.add(blk.n0 + idx, blk.p[idx], blk.q[idx], lead)
+        tracker.observe_block(blk, gap)
+    return tracker
 
 
 def check_gap_bounds(
@@ -241,17 +238,11 @@ def check_gap_bounds(
     report = _pair_report(
         "gap-bounds:" + ",".join(which), f"pairs with {start} <= p < {limit}"
     )
-    tracker = gaps.ExtremeTracker()
-    leads = {name: bounds.GAP_BOUNDS[name] for name in which}
-    for blk, gap in _checked_blocks(report, start, limit, leads):
-        # the bounds of Kourbatov and Cramer hold from p = 29 on; p ascends,
-        # so the pairs below that floor are a prefix of the block
-        tracker.observe_block(
-            blk, gap, int(blk.p.searchsorted(KOURBATOV_FLOOR)))
-    report.extremes["max_cramer_ratio"] = tracker.max_cramer_ratio
-    report.extremes["max_andrica"] = tracker.max_andrica
-    report.extremes["max_gap"] = tracker.max_gap
-    report.extremes["max_ratio"] = tracker.max_ratio
+    tracker = _scan_pairs(report, start, limit,
+                          {name: bounds.GAP_BOUNDS[name] for name in which},
+                          gaps.METRICS)
+    for name, best in tracker.records.items():
+        report.extremes[f"max_{name}"] = best and best[1]
     return _timed(report, t0)
 
 
@@ -306,27 +297,13 @@ def check_shanks_trend(limit: int, window: int) -> list[TrendRow]:
 def _scan_power_gap(report: ConjectureReport, limit: int, e: float,
                     bound_of_n, strict) -> None:
     """Check `bounds.power_gap_bound(e, bound_of_n, strict)` on every pair
-    with p < limit, and record the largest q^e - p^e, ties to the least n.
-
-    In a block from p0 to q1, q^e - p^e = e x^(e-1) g with x in (p, q) lies
-    in [e q1^(e-1) g, e p0^(e-1) g], and its binary64 value within
-    POW_DIFF_REL_ERR q1^e of it: a gap below `cut` cannot tie the value at
-    the block's largest gap."""
-    bound = bounds.power_gap_bound(e, bound_of_n, strict)
-    worst = None  # (-value, n, p, q): max of q^e - p^e
-    for blk, gap in _checked_blocks(report, 2, limit, {None: bound}):
-        p0, q1 = int(blk.p[0]), int(blk.q[-1])
-        cut = (int(gap.max()) * (p0 / q1) ** (1 - e) * (1 - bounds.GAP_SLACK)
-               - 2 * bounds.POW_DIFF_REL_ERR * q1 / e)
-        at = np.flatnonzero(gap >= cut)
-        vals = blk.q[at]**e - blk.p[at]**e
-        j = int(np.argmax(vals))
-        i = int(at[j])
-        cand = (-float(vals[j]), blk.n0 + i, int(blk.p[i]), int(blk.q[i]))
-        if worst is None or cand < worst:
-            worst = cand
-    report.extremes["max_value"] = -worst[0]
-    report.extremes["max_value_pair"] = worst[1:]
+    with p < limit, and record the largest q^e - p^e, ties to the least n."""
+    tracker = _scan_pairs(
+        report, 2, limit, {None: bounds.power_gap_bound(e, bound_of_n, strict)},
+        {"power": gaps.power_metric(e)})
+    value, rec = tracker.records["power"]
+    report.extremes["max_value"] = value
+    report.extremes["max_value_pair"] = (rec.n, rec.p, rec.q)
 
 
 def check_smarandache_B(limit: int, a: float) -> ConjectureReport:
@@ -418,22 +395,13 @@ def find_smarandache_D_counterexample(
 
 def check_smarandache_ratio(limit: int) -> ConjectureReport:
     """q/p <= 5/3 for every pair with p < limit, by exact integer comparison."""
-    # imported here: at module level every CLI start would pay for it
-    from fractions import Fraction
-
     if limit < 7:
         raise ValueError("limit must be >= 7")
     t0 = time.perf_counter()
     report = _pair_report("smarandache-ratio", f"pairs with p < {limit}")
-    best: Optional[tuple] = None  # (q/p exact, -n, p, q): ties to the least n
-    for blk, _ in _checked_blocks(report, 2, limit,
-                                  {None: bounds.RATIO_BOUND}):
-        i = int(np.argmax(blk.q / blk.p))
-        p, q = int(blk.p[i]), int(blk.q[i])
-        cand = (Fraction(q, p), -(blk.n0 + i), p, q)
-        if best is None or cand > best:
-            best = cand
-    _, neg_n, p, q = best
-    report.extremes["max_ratio_pair"] = (-neg_n, p, q)
-    report.extremes["max_ratio_exact"] = f"{q}/{p}"
+    tracker = _scan_pairs(report, 2, limit, {None: bounds.RATIO_BOUND},
+                          {"ratio": gaps.EXACT_RATIO})
+    _, rec = tracker.records["ratio"]
+    report.extremes["max_ratio_pair"] = (rec.n, rec.p, rec.q)
+    report.extremes["max_ratio_exact"] = f"{rec.q}/{rec.p}"
     return _timed(report, t0)

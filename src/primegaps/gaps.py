@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from . import sieve
+from . import bounds, sieve
 
 
 @dataclass(frozen=True)
@@ -76,14 +76,14 @@ def pair_blocks(lo: int, hi: int) -> Iterator[PairBlock]:
     no prime >= hi raises CapacityError.  n0 of the first block is the
     prime index of its first p.
     """
-    rng = sieve.PrimeRange(lo, hi)
-    end = min(rng.hi + NEXT_PRIME_WINDOW, sieve.MAX_VALUE)
-    n0 = sieve.prime_count(rng.lo - 1) + 1 if rng.lo > 2 else 1
+    sieve.check_range(lo, hi)
+    end = min(hi + NEXT_PRIME_WINDOW, sieve.MAX_VALUE)
+    n0 = sieve.prime_count(lo - 1) + 1 if lo > 2 else 1
     carry: Optional[int] = None
-    for block in sieve.prime_blocks(rng.lo, end):
+    for block in sieve.prime_blocks(lo, end):
         if carry is not None:
             block = np.concatenate(([carry], block))
-        cut = int(np.searchsorted(block, rng.hi))  # first prime >= hi
+        cut = int(np.searchsorted(block, hi))  # first prime >= hi
         pairs = min(cut, block.size - 1)
         for s in range(0, pairs, PAIR_SLICE):
             e = min(s + PAIR_SLICE, pairs)
@@ -92,7 +92,7 @@ def pair_blocks(lo: int, hi: int) -> Iterator[PairBlock]:
             return
         n0 += pairs
         carry = int(block[-1])
-    raise sieve.CapacityError(f"no prime in [{rng.hi}, {end})")
+    raise sieve.CapacityError(f"no prime in [{hi}, {end})")
 
 
 # Each metric of a pair with gap g is g f + c, where f falls with p.  A run
@@ -102,72 +102,106 @@ def pair_blocks(lo: int, hi: int) -> Iterator[PairBlock]:
 # dozen units of u = 2^-53, covers the rounding of the values and of f_lo
 # and f_hi.  sqrt(q) - sqrt(p) cancels: each root is within 1.5 u sqrt(q1)
 # of its own, and their difference is exact (Sterbenz), hence its err.
-# Next to it, the metric's values at arrays of pairs (g, p, q), as the
-# tracker compares them.
-_METRICS = {
-    "gap": (lambda p0, p1, q1: (1.0, 1.0, 0.0, 0.0),
-            lambda g, p, q: g),
-    "cramer_ratio": (lambda p0, p1, q1: (math.log(p1) ** -2,
-                                         math.log(p0) ** -2, 0.0, 0.0),
-                     lambda g, p, q: g / np.log(p) ** 2),
-    "andrica": (lambda p0, p1, q1: (0.5 / math.sqrt(q1), 0.5 / math.sqrt(p0),
-                                    0.0, 2.0**-50 * math.sqrt(q1)),
-                lambda g, p, q: np.sqrt(q) - np.sqrt(p)),
-    "ratio": (lambda p0, p1, q1: (1.0 / p1, 1.0 / p0, 1.0, 0.0),
-              lambda g, p, q: q / p),
+@dataclass(frozen=True)
+class Metric:
+    """One metric of the pairs (g, p, q) from p = floor on, as above.
+
+    factors(p0, p1, q1) gives (f_lo, f_hi, c, err) for a run of pairs, and
+    values(g, p, q) the binary64 values at arrays of pairs, which the
+    tracker compares.  beats(a, b) breaks ties: whether the record a
+    displaces the record b, each a (value, GapRecord) pair.
+    """
+
+    factors: Callable
+    values: Callable
+    beats: Callable
+    floor: int = 2
+
+
+def _by_field(name: str) -> Callable:
+    """The larger GapRecord field `name` beats, an equal one at a smaller n."""
+    return lambda a, b: ((getattr(a[1], name), -a[1].n)
+                         > (getattr(b[1], name), -b[1].n))
+
+
+# the extremes of the gap bounds
+METRICS = {
+    "cramer_ratio": Metric(
+        lambda p0, p1, q1: (math.log(p1) ** -2, math.log(p0) ** -2, 0.0, 0.0),
+        lambda g, p, q: g / np.log(p) ** 2,
+        _by_field("cramer_ratio"), bounds.KOURBATOV_FLOOR),
+    "andrica": Metric(
+        lambda p0, p1, q1: (0.5 / math.sqrt(q1), 0.5 / math.sqrt(p0),
+                            0.0, 2.0**-50 * math.sqrt(q1)),
+        lambda g, p, q: np.sqrt(q) - np.sqrt(p), _by_field("andrica")),
+    "gap": Metric(lambda p0, p1, q1: (1.0, 1.0, 0.0, 0.0),
+                  lambda g, p, q: g, _by_field("gap")),
+    "ratio": Metric(lambda p0, p1, q1: (1.0 / p1, 1.0 / p0, 1.0, 0.0),
+                    lambda g, p, q: q / p, _by_field("ratio")),
 }
+# q/p ranked exactly, in integers: q1 p2 against q2 p1
+EXACT_RATIO = replace(METRICS["ratio"], beats=lambda a, b: (
+    (a[1].q * b[1].p, -a[1].n) > (b[1].q * a[1].p, -b[1].n)))
+
+
+def power_metric(e: float) -> Metric:
+    """q^e - p^e for an exponent e in (0, 1), ranked by its numpy binary64
+    value.  By the mean value theorem it is e x^(e-1) g for some x in
+    (p, q), and that value lies within POW_DIFF_REL_ERR q^e of it."""
+    return Metric(
+        lambda p0, p1, q1: (e * q1 ** (e - 1), e * p0 ** (e - 1), 0.0,
+                            bounds.POW_DIFF_REL_ERR * q1**e),
+        lambda g, p, q: q**e - p**e,
+        lambda a, b: (a[0], -a[1].n) > (b[0], -b[1].n))
+
+
 # Relative slack of the candidate rule of ExtremeTracker.observe_block: the
 # tie rule's 1e-12, twice r, and the rounding of the rule itself.
 CANDIDATE_SLACK = 1e-11
 
 
-@dataclass
 class ExtremeTracker:
-    """Records attaining the maximum of each metric; ties go to smallest n."""
+    """The record of each metric of `metrics`, a dict of Metric by name:
+    `records[name]` is the (value, GapRecord) that beats every other pair
+    observed from the metric's floor on, or None before the first."""
 
-    max_gap: Optional[GapRecord] = None
-    max_cramer_ratio: Optional[GapRecord] = None
-    max_andrica: Optional[GapRecord] = None
-    max_ratio: Optional[GapRecord] = None
+    def __init__(self, metrics: dict):
+        self.metrics = metrics
+        self.records: dict = dict.fromkeys(metrics)
 
-    def observe_block(self, blk: PairBlock, gap: np.ndarray,
-                      cramer_from: int = 0) -> None:
-        """Observe every pair of `blk`, whose gaps q - p are `gap`, and
-        its Cramer ratio from pair `cramer_from` on.
+    def observe_block(self, blk: PairBlock, gap: np.ndarray) -> None:
+        """Observe every pair of `blk`, whose gaps q - p are `gap`.
 
         For each metric, the pairs tied (to float fuzz) with the block's
         largest value are observed, so that the winner never depends on how
         blocks were cut.  The values are computed only where they can
-        matter: by `_METRICS`, no pair of a block whose largest gap bounds
-        every value below the metric's record can beat it, and every pair
+        matter: by the metric's factors, no pair of a block whose largest
+        gap bounds every value below the record can beat it, and every pair
         tied with the block's top has a gap of at least `cut`.
         """
         records: dict[int, GapRecord] = {}  # one record per observed pair
         whole = int(gap.max())
-        for metric, (factors, values) in _METRICS.items():
-            s = cramer_from if metric == "cramer_ratio" else 0
+        for name, metric in self.metrics.items():
+            s = int(blk.p.searchsorted(metric.floor))
             if s == gap.size:
                 continue
-            field = f"max_{metric}"
-            best = getattr(self, field)
+            best = self.records[name]
             top_gap = whole if s == 0 else int(gap[s:].max())
-            f_lo, f_hi, c, err = factors(
+            f_lo, f_hi, c, err = metric.factors(
                 int(blk.p[s]), int(blk.p[-1]), int(blk.q[-1]))
             if best is not None and ((top_gap * f_hi + c)
-                                     * (1 + CANDIDATE_SLACK) + err
-                                     < getattr(best, metric)):
+                                     * (1 + CANDIDATE_SLACK) + err < best[0]):
                 continue
             cut = ((top_gap * f_lo + c) * (1 - CANDIDATE_SLACK)
                    - 2 * err - c) / f_hi
             at = s + np.flatnonzero(gap[s:] >= cut)
-            vals = values(gap[at], blk.p[at], blk.q[at])
+            vals = metric.values(gap[at], blk.p[at], blk.q[at])
             top = vals.max()
-            for j in at[vals >= top - 1e-12 * abs(top)].tolist():
+            near = vals >= top - 1e-12 * abs(top)
+            for j, value in zip(at[near].tolist(), vals[near].tolist()):
                 if j not in records:
                     records[j] = GapRecord.from_pair(
                         blk.n0 + j, int(blk.p[j]), int(blk.q[j]))
-                rec = records[j]
-                if best is None or ((getattr(rec, metric), -rec.n)
-                                    > (getattr(best, metric), -best.n)):
-                    best = rec
-            setattr(self, field, best)
+                if best is None or metric.beats((value, records[j]), best):
+                    best = (value, records[j])
+            self.records[name] = best

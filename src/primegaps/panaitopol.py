@@ -84,24 +84,15 @@ def pi_approx(x: int, terms: int) -> PiApproxResult:
 
 def error_table(x_values, terms_values) -> list[PiApproxResult]:
     """Cross-product of x and term counts, row-major by x then terms."""
-    terms_values = list(terms_values)  # read once per x
-    depth = max(terms_values + [1])
-    table = coefficients(depth)
-    xs = [int(x) for x in x_values]
+    terms_values = [int(t) for t in terms_values]  # read once, for every x
+    table = coefficients(max(terms_values + [1]))
+    # every approximation first, so that a bad x or term count is refused
+    # before any pi(x) is counted
+    rows = [(x, terms, approx_only(x, terms, table))
+            for x in map(int, x_values) for terms in terms_values]
     # a few far-apart x: one sublinear count each beats a sieve to max(xs)
-    exact_at = {x: sieve.prime_count(x) for x in dict.fromkeys(xs)}
-    rows = []
-    for x in xs:
-        exact = exact_at[x]
-        for terms in terms_values:
-            approx = approx_only(x, int(terms), table)
-            rows.append(
-                PiApproxResult(
-                    x=x,
-                    terms=int(terms),
-                    approx=approx,
-                    exact=exact,
-                    rel_error=abs(approx - exact) / exact,
-                )
-            )
-    return rows
+    exact_at = {x: sieve.prime_count(x)
+                for x in dict.fromkeys(x for x, _, _ in rows)}
+    return [PiApproxResult(x=x, terms=terms, approx=approx, exact=exact_at[x],
+                           rel_error=abs(approx - exact_at[x]) / exact_at[x])
+            for x, terms, approx in rows]

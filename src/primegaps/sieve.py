@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -36,18 +35,13 @@ class CapacityError(Exception):
     """Requested work exceeds the supported sieve range."""
 
 
-@dataclass(frozen=True)
-class PrimeRange:
-    """Half-open integer range [lo, hi) to be scanned for primes."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if not 0 <= self.lo < self.hi:
-            raise ValueError(f"invalid range [{self.lo}, {self.hi})")
-        if self.hi > MAX_VALUE:
-            raise CapacityError(f"range end {self.hi} exceeds 2^63-1")
+def check_range(lo: int, hi: int) -> None:
+    """Refuse a range [lo, hi) to scan for primes that is empty, starts
+    below 0 or ends past 2^63 - 1."""
+    if not 0 <= lo < hi:
+        raise ValueError(f"invalid range [{lo}, {hi})")
+    if hi > MAX_VALUE:
+        raise CapacityError(f"range end {hi} exceeds 2^63-1")
 
 
 def base_sieve(limit: int) -> np.ndarray:
@@ -92,8 +86,7 @@ def prime_blocks(lo: int, hi: int) -> Iterator[np.ndarray]:
     below the segment's end.  Every base prime's next offset is carried
     from one segment to the next, never recomputed.
     """
-    rng = PrimeRange(lo, hi)
-    lo, hi = rng.lo, rng.hi
+    check_range(lo, hi)
     if hi <= 2:
         return
     if lo <= 2:
@@ -358,12 +351,13 @@ def capped_counts(a, b, cap: int) -> np.ndarray:
     return counts
 
 
-# Loose upper bound for p_n, used only to size the nth_prime scan.
 def _nth_prime_bound(n: int) -> int:
+    """An integer above p_n: Rosser and Schoenfeld (1962) prove
+    p_n < n (ln n + ln ln n) for n >= 6, and p_5 = 11."""
     if n < 6:
         return 14
     ln = math.log(n)
-    return int(n * (ln + math.log(ln)) * 1.2) + 10
+    return math.ceil(n * (ln + math.log(ln)))
 
 
 def nth_prime(n: int) -> int:

@@ -498,7 +498,7 @@ def reference_gap_bounds(limit, which=cj.GAP_BOUNDS, start=2):
              ] if stream else []
     for blk in whole:
         _reference_observe_block(best, blk)
-        above = np.flatnonzero(blk.p >= cj.KOURBATOV_FLOOR)
+        above = np.flatnonzero(blk.p >= bounds.KOURBATOV_FLOOR)
         if above.size:
             i0 = int(above[0])
             _reference_observe_block(floor_best, gaps.PairBlock(
@@ -507,7 +507,7 @@ def reference_gap_bounds(limit, which=cj.GAP_BOUNDS, start=2):
         q = blk.q.astype(np.float64)
         gap = q - p
         log_p = np.log(p)
-        floor_ok = blk.p >= cj.KOURBATOV_FLOOR
+        floor_ok = blk.p >= bounds.KOURBATOV_FLOOR
         for bound in which:
             scale = None
             if bound == "andrica":
@@ -562,7 +562,7 @@ class TestGapBoundsAgainstReference:
                 got = cj.check_gap_bounds(limit, which, start=start)
                 want = reference_gap_bounds(limit, which, start=start)
                 assert normalized(got) == normalized(want), (which, odds)
-                if limit <= cj.KOURBATOV_FLOOR:
+                if limit <= bounds.KOURBATOV_FLOOR:
                     assert got.extremes["max_cramer_ratio"] is None
 
     @pytest.mark.parametrize("pairs, limit, start", [

@@ -1,13 +1,15 @@
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primegaps import cli
 from primegaps import conjectures as cj
-from primegaps import gaps, sieve
+from primegaps import bounds, gaps, sieve
 from conftest import primes_trial
 
 
@@ -18,14 +20,16 @@ def records(lo, hi):
             for i, (p, q) in enumerate(zip(blk.p.tolist(), blk.q.tolist()))]
 
 
-def tracked(blocks, cramer_floor=2):
-    """An ExtremeTracker that observed `blocks`, the Cramer ratio of the
-    pairs from p = cramer_floor on."""
-    tracker = gaps.ExtremeTracker()
+def tracked(blocks, cramer_floor=2, metrics=()):
+    """The records, by metric, of an ExtremeTracker of gaps.METRICS and of
+    `metrics` that observed `blocks`, the Cramer ratio of the pairs from
+    p = cramer_floor on; each a (value, GapRecord), or None."""
+    cramer = replace(gaps.METRICS["cramer_ratio"], floor=cramer_floor)
+    tracker = gaps.ExtremeTracker(
+        {**gaps.METRICS, "cramer_ratio": cramer, **dict(metrics)})
     for blk in blocks:
-        tracker.observe_block(blk, blk.q - blk.p,
-                              int(blk.p.searchsorted(cramer_floor)))
-    return tracker
+        tracker.observe_block(blk, blk.q - blk.p)
+    return tracker.records
 
 
 def test_gap_stream_small_range():
@@ -110,8 +114,9 @@ def test_track_extremes_small_limits():
     assert t["max_ratio"].ratio == 5 / 3
 
     t = tracked(gaps.pair_blocks(2, 3))
-    assert (t.max_gap.p, t.max_gap.q) == (2, 3)
-    assert t.max_gap is t.max_andrica is t.max_ratio is t.max_cramer_ratio
+    assert (t["gap"][1].p, t["gap"][1].q) == (2, 3)
+    assert t["gap"][1] is t["andrica"][1] is t["ratio"][1] is (
+        t["cramer_ratio"][1])
 
 
 def largest_by_metric(blocks, cramer_floor):
@@ -130,11 +135,18 @@ def largest_by_metric(blocks, cramer_floor):
     return {metric: rec for metric, (_, rec) in best.items()}
 
 
+POWERS = (1 / 3, 1 / 2, 0.85)
+
+
 @given(st.one_of(st.integers(2, 10**4), st.integers(2, 2**62)),
        st.lists(st.one_of(st.integers(1, 400), st.integers(1, 10**6)),
                 min_size=1, max_size=300),
        st.integers(1, 64), st.integers(2, 60))
 @settings(max_examples=150, deadline=None)
+# each q^e - p^e is 0 in binary64: a tie of every pair
+@example(start=2**62, steps=[1] * 40, size=7, floor=2)
+# the binary64 q/p of both pairs tie, and the exact q/p of the second wins
+@example(start=2**62, steps=[998912, 10**6], size=1, floor=2)
 def test_tracker_finds_the_record_of_every_metric(start, steps, size, floor):
     # an ascending run cut into blocks of `size` pairs; the tracker computes
     # the metrics of a few candidate pairs only, yet finds every record
@@ -142,10 +154,21 @@ def test_tracker_finds_the_record_of_every_metric(start, steps, size, floor):
     p, q = values[:-1], values[1:]
     blocks = [gaps.PairBlock(1 + s, p[s:s + size], q[s:s + size])
               for s in range(0, p.size, size)]
-    tracker = tracked(blocks, floor)
+    metrics = {e: gaps.power_metric(e) for e in POWERS}
+    got = tracked(blocks, floor, {"exact": gaps.EXACT_RATIO, **metrics})
     want = largest_by_metric(blocks, floor)
     for metric in ("gap", "cramer_ratio", "andrica", "ratio"):
-        assert getattr(tracker, f"max_{metric}") == want.get(metric), metric
+        assert (got[metric] and got[metric][1]) == want.get(metric), metric
+    # q^e - p^e: the largest numpy binary64 value, ties to the least n
+    for e in POWERS:
+        vals = q**e - p**e
+        i = int(np.argmax(vals))
+        value, rec = got[e]
+        assert (value, rec.n, rec.p, rec.q) == (vals[i], i + 1, p[i], q[i]), e
+    # q/p: the largest exact ratio, ties to the least n
+    i = max(range(p.size), key=lambda i: (Fraction(int(q[i]), int(p[i])), -i))
+    rec = got["exact"][1]
+    assert (rec.n, rec.p, rec.q) == (i + 1, p[i], q[i])
 
 
 @pytest.mark.parametrize("pairs, lo, hi", [
@@ -155,10 +178,10 @@ def test_tracker_finds_the_records_of_the_primes(monkeypatch, pairs, lo, hi):
     # blocks that span a wide range of p, whose records can lie anywhere
     monkeypatch.setattr(gaps, "PAIR_SLICE", pairs)
     blocks = list(gaps.pair_blocks(lo, hi))
-    tracker = tracked(blocks, cj.KOURBATOV_FLOOR)
-    want = largest_by_metric(blocks, cj.KOURBATOV_FLOOR)
+    got = tracked(blocks, bounds.KOURBATOV_FLOOR)
+    want = largest_by_metric(blocks, bounds.KOURBATOV_FLOOR)
     for metric in ("gap", "cramer_ratio", "andrica", "ratio"):
-        assert getattr(tracker, f"max_{metric}") == want[metric], metric
+        assert got[metric][1] == want[metric], metric
 
 
 def test_andrica_below_one_to_1e6():

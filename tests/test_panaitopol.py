@@ -116,6 +116,17 @@ class TestErrorTable:
         assert len(rows) == 4
         assert pt.error_table(iter([10**6, 10**4]), iter([0, 2])) == rows
 
+    def test_bad_input_is_refused_before_any_count(self, monkeypatch):
+        # pi(1e11) took about a second before these were refused
+        def refuse(x):
+            raise AssertionError(f"pi({x}) counted before the input check")
+
+        monkeypatch.setattr(pt.sieve, "prime_count", refuse)
+        with pytest.raises(ValueError, match="terms must be >= 0"):
+            pt.error_table([10**11], [-1])
+        with pytest.raises(ValueError, match="ln x <= 2"):
+            pt.error_table([10**11, 5], [1])
+
     def test_repeated_x_is_counted_once(self, monkeypatch):
         calls = []
         count = pt.sieve.prime_count

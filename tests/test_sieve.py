@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primegaps import sieve
+from primegaps import gaps, sieve
 from conftest import is_prime_trial, pi_trial, primes_trial
 
 
@@ -28,10 +28,11 @@ def test_primes_in_empty_window():
 
 
 def test_invalid_range_rejected():
-    with pytest.raises(ValueError):
-        sieve.PrimeRange(30, 10)
-    with pytest.raises(sieve.CapacityError):
-        sieve.PrimeRange(2, 2**63)
+    for stream in (sieve.prime_blocks, gaps.pair_blocks):
+        with pytest.raises(ValueError):
+            list(stream(30, 10))
+        with pytest.raises(sieve.CapacityError):
+            list(stream(2, 2**63))
 
 
 def test_prime_count_small():
@@ -50,6 +51,16 @@ def test_nth_prime_examples():
     assert sieve.nth_prime(31) == 127
     with pytest.raises(ValueError):
         sieve.nth_prime(0)
+
+
+def test_nth_prime_bound_lies_above_every_prime_to_1e6():
+    # Rosser and Schoenfeld's n (ln n + ln ln n), rounded up, and 14 below
+    # n = 6, against every sieved p_n with n <= 10^6 (p_1000000 = 15485863)
+    primes = np.concatenate(list(sieve.prime_blocks(2, 15485864)))
+    assert primes.size == 10**6
+    bound = [sieve._nth_prime_bound(n) for n in range(1, primes.size + 1)]
+    assert np.all(primes < np.array(bound))
+    assert sieve._nth_prime_bound(2001) == 19270  # the sieve of brocard 2000
 
 
 @given(st.integers(min_value=0, max_value=3000))

@@ -42,7 +42,7 @@ def captured(draws, leads, pick):
         blk = gaps.PairBlock(n0, np.array(ps, dtype=np.int64),
                              np.array(qs, dtype=np.int64))
         idx = np.array(sorted(chosen), dtype=np.intp)
-        conjectures._capture(store, blk, idx, lead)
+        store.add(blk.n0 + idx, blk.p[idx], blk.q[idx], lead)
         plain += [(*(() if lead is None else (lead,)), n0 + i, ps[i], qs[i])
                   for i in idx.tolist()]
     return store, plain
