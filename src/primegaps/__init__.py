@@ -11,9 +11,7 @@ from .bounds import (
     crossover_scan,
     firoozbakht_check,
     kourbatov_bound,
-    log_sq_vs_two_sqrt,
     monotone_scan,
-    smarandache9_margin,
 )
 from .conjectures import (
     ConjectureReport,

@@ -1,10 +1,12 @@
 """Inequality evaluators, the gap-bound catalog, a tri-state decision engine,
 and integer scanners.
 
-Every comparison goes through the same policy, `settle`: a binary64 margin
-strictly inside its window is re-evaluated once at 30 significant digits with
-mpmath, and if even that leaves a relative margin below STRICT_REL_TOL the
-verdict is Uncertain rather than a coin flip on rounding.
+Every comparison lhs > rhs goes through the same policy, `settle`: its
+binary64 margin lhs - rhs decides it unless it lies within TERM_REL_ERR
+(|lhs| + |rhs|) of 0, the margin's error bound; then it is re-evaluated once
+at 30 significant digits with mpmath, and if even that leaves a relative
+margin below STRICT_REL_TOL the verdict is Uncertain rather than a coin flip
+on rounding.
 """
 
 from __future__ import annotations
@@ -19,7 +21,24 @@ import numpy as np
 
 from .sieve import MAX_VALUE
 
-FAST_REL_TOL = 1e-9
+# The error bound of the binary64 terms (Higham, Accuracy and Stability of
+# Numerical Algorithms, ch. 3).  Each term of a `settle` margin, and each
+# bound that `_int_below` floors, is within 60u of its exact value, relative,
+# u = 2^-53.  float(p) of an int p < 2^63 is within u, n < 2^53 is exact,
+# sqrt is correctly rounded, and numpy's and libm's log and pow are taken
+# within 4 ulps, 8u.  So sqrt(x) is within 1.5u, and L = ln x, x >= 2,
+# within u / ln 2 + 8u < 10u; L^2 is within 21u, and L^2 - L - 1 within
+# 23u (L^2 + L + 1), at most 52u of it from L = ln 29 on.  A power x^a is
+# within |a| times the error of x, plus 8u, plus |ln x| times the error of
+# a: x^e, 0 < e < 1, x < 2^63 (ln x < 44), is within 31u where e is a
+# rounded decimal or 1/k, p^(1 - e) within 53u, L^2.3095 within 36u and
+# n^0.432852 within 16u.  Each further
+# product, quotient or sum of positive terms adds u: 2.5u for 1 + sqrt(p),
+# 11u for (n + 1) ln p, 32u for b(n) + p^e, 3u for 5p + 1, 14u for
+# p ln p / n and 57u for b(n) p^(1 - e) / e.  A margin lhs - rhs of two such
+# terms, rounded once more, is then within 62u (|lhs| + |rhs|) of the exact
+# one, and TERM_REL_ERR doubles that.
+TERM_REL_ERR = 128 * 2.0**-53
 STRICT_DPS = 30
 STRICT_REL_TOL = 1e-25
 
@@ -61,28 +80,32 @@ class Verdict:
         return self.status is Status.HOLDS
 
 
-def settle(margins: np.ndarray, window, strict: Callable[[int], "mp.mpf"],
-           scale=None) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Decide a 1-D array of fast margins (positive = holds).
+def settle(lhs: np.ndarray, rhs: np.ndarray, strict: Callable[[int], "mp.mpf"]
+           ) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Decide the inequalities lhs > rhs of binary64 terms: 1-D arrays, or
+    a scalar against an array.
 
-    window and scale are scalars or one value per margin.  A margin at or
-    above its window holds and one at or below -window fails.  One strictly
-    inside, or NaN, is decided once more by m = strict(i) at STRICT_DPS:
-    uncertain if |m| < STRICT_REL_TOL * max(|scale|, 1), else failing if
-    m <= 0.  Returns the ascending indices of the failing margins and of
-    the uncertain ones, and {i: m} for every margin decided strictly.
+    With scale = |lhs| + |rhs|, a margin lhs - rhs above
+    TERM_REL_ERR * scale holds and one below minus that fails.  One at or
+    inside that window, or NaN, is decided once more by m = strict(i), the
+    margin at STRICT_DPS: uncertain if |m| < STRICT_REL_TOL * max(scale, 1),
+    else failing if m <= 0.  Returns the ascending indices of the failing
+    margins and of the uncertain ones, and {i: m} for every margin decided
+    strictly.
     """
-    hits = np.flatnonzero(~(margins >= window))
+    margins = lhs - rhs
+    scale = np.abs(lhs) + np.abs(rhs)
+    window = TERM_REL_ERR * scale
+    hits = np.flatnonzero(~(margins > window))
     if not hits.size:
         return hits, hits, {}
-    fails = np.abs(margins[hits]) >= np.broadcast_to(window, margins.shape)[hits]
-    scale = np.broadcast_to(1.0 if scale is None else scale, margins.shape)
+    fails = margins[hits] < -window[hits]
     uncertain, values = [], {}
     for k in np.flatnonzero(~fails).tolist():
         i = int(hits[k])
         with mp.workdps(STRICT_DPS):
             m = values[i] = float(strict(i))
-        if abs(m) < STRICT_REL_TOL * max(abs(float(scale[i])), 1.0):
+        if abs(m) < STRICT_REL_TOL * max(float(scale[i]), 1.0):
             uncertain.append(i)
         else:
             fails[k] = m <= 0
@@ -129,21 +152,6 @@ def firoozbakht_check(n: int, p: int, q: int) -> Verdict:
     return GAP_BOUNDS["firoozbakht"].verdict(n, p, q, witness=(n, p, q))
 
 
-def log_sq_vs_two_sqrt(x: float) -> float:
-    """2*sqrt(x) - (ln x)^2 + 1; positive where the squared log stays under
-    the Andrica-style bound."""
-    if x <= 0:
-        raise ValueError(f"requires x > 0, got {x}")
-    return 2.0 * math.sqrt(x) - math.log(x) ** 2 + 1.0
-
-
-def smarandache9_margin(x: float) -> float:
-    """1.76320819 * x^0.432852 - (ln x)^2, the critical-exponent margin."""
-    if x <= 0:
-        raise ValueError(f"requires x > 0, got {x}")
-    return SM9_COEFF * x**SM9_EXPONENT - math.log(x) ** 2
-
-
 def recompute_smarandache9_constants(a0: float) -> dict:
     """Rebuild the printed constants 1/a0 and 1-a0 from a solved a0 and
     report how far the printed decimals sit from the recomputed values."""
@@ -173,22 +181,10 @@ def _require_pair(p: int, q: int) -> None:
 
 KOURBATOV_FLOOR = 29  # p_10; the bounds of Kourbatov and Cramer hold from here
 
-# Relative slack under a binary64 bound B before it is floored to an integer
-# threshold.  Below 2^63, B is built from float(p) and float(n), each within
-# u = 2^-53 relative, and from L = ln p >= ln 2, which a libm log within 4
-# ulps gives to within 10u relative; then a few more roundings.  So L^2 is
-# within 21u, and p L / n within 14u.  L^2 - L - 1 is within
-# 23u (L^2 + L + 1), which is at most 52u of it from L = ln 29 on.  Every B
-# is thus within 100u < 1.2e-14 of its exact value, relative, and
-# B - GAP_SLACK |B| lies below the exact value.  So is bound(n) p^(1-e) / e
-# of a power bound, within 60u: p^(1-e) is within 50u even where 1 - e or
-# e = 1/k is rounded, since (1 - e) ln p < 44.
-GAP_SLACK = 1e-9
-
-
 def _int_below(b: float) -> int:
-    """An integer below the exact value of which b is the binary64 value."""
-    return math.floor(b - GAP_SLACK * abs(b))
+    """An integer below the exact value of which b is the binary64 value:
+    b is within 60u of it, so b - TERM_REL_ERR |b| lies below it."""
+    return math.floor(b - TERM_REL_ERR * abs(b))
 
 
 @dataclass(frozen=True)
@@ -199,10 +195,10 @@ class GapBound:
     every pair with p >= p0, n <= n1 and g < T holds, exactly: a block of
     pairs whose gaps all lie below it holds without a float margin.
     fast(n, p, q) takes arrays of pairs, n as float64 and p, q as int64, and
-    returns their binary64 margins (positive = holds), the `settle` window
-    of each and their scale (None for 1); strict(n, p, q) is the margin of
-    one pair in mpmath.  log_bound is B as a function of ln p, for the
-    bounds g < B(ln p) of p alone.
+    returns the binary64 terms (lhs, rhs) of their bounds, each holding
+    where lhs > rhs; strict(n, p, q) is the margin lhs - rhs of one pair in
+    mpmath.  log_bound is B as a function of ln p, for the bounds
+    g < B(ln p) of p alone.
     """
 
     id: str
@@ -214,12 +210,11 @@ class GapBound:
 
     def verdict(self, n: int, p: int, q: int, witness: tuple) -> Verdict:
         """The bound at the one pair (n, p, q), decided by `settle`."""
-        margins, window, scale = self.fast(np.array([n], dtype=np.float64),
-                                           np.array([p], dtype=np.int64),
-                                           np.array([q], dtype=np.int64))
-        settled = settle(margins, window, lambda i: self.strict(n, p, q),
-                         scale)
-        return _verdict(0, float(margins[0]), settled, witness)
+        lhs, rhs = self.fast(np.array([n], dtype=np.float64),
+                             np.array([p], dtype=np.int64),
+                             np.array([q], dtype=np.int64))
+        settled = settle(lhs, rhs, lambda i: self.strict(n, p, q))
+        return _verdict(0, float(lhs[0] - rhs[0]), settled, witness)
 
     def settle_block(self, blk, gap: np.ndarray) -> tuple:
         """The ascending indices of the failing and of the uncertain pairs
@@ -237,12 +232,10 @@ class GapBound:
             return np.empty(0, np.intp), np.empty(0, np.intp)
         at = first + np.flatnonzero(gap[first:] >= threshold)
         p, q = blk.p[at], blk.q[at]
-        margins, window, scale = self.fast((blk.n0 + at).astype(np.float64),
-                                           p, q)
+        lhs, rhs = self.fast((blk.n0 + at).astype(np.float64), p, q)
         fails, uncertain, _ = settle(
-            margins, window,
-            lambda i: self.strict(blk.n0 + int(at[i]), int(p[i]), int(q[i])),
-            scale)
+            lhs, rhs,
+            lambda i: self.strict(blk.n0 + int(at[i]), int(p[i]), int(q[i])))
         return at[fails], at[uncertain]
 
 
@@ -252,16 +245,10 @@ def _log_gap_bound(id: str, floor: int, log_bound: Callable) -> GapBound:
     return GapBound(
         id, floor,
         lambda p0, n1: _int_below(log_bound(math.log(p0))),
-        lambda n, p, q: (log_bound(np.log(p)) - (q - p), FAST_REL_TOL, None),
+        lambda n, p, q: (log_bound(np.log(p)), q - p),
         lambda n, p, q: log_bound(mp.log(p)) - (q - p),
         log_bound,
     )
-
-
-def _firoozbakht_fast(n, p, q):
-    scale = n * np.log(q)
-    return ((n + 1.0) * np.log(p) - scale,
-            FAST_REL_TOL * np.maximum(scale, 1.0), scale)
 
 
 GAP_BOUNDS = {b.id: b for b in (
@@ -269,12 +256,10 @@ GAP_BOUNDS = {b.id: b for b in (
         "andrica", 2,
         # sqrt(q) - sqrt(p) < 1 iff (g - 1)^2 < 4p, in integers; m =
         # isqrt(4 p0 - 1) is the largest m with m^2 < 4 p0, so every
-        # g <= m + 1 holds from p0 on, and (g - 1)^2 = 4p never does.  The
-        # window is the binary64 error of sqrt(q) - sqrt(p), as in _METRICS
+        # g <= m + 1 holds from p0 on, and (g - 1)^2 = 4p never does
         lambda p0, n1: math.isqrt(4 * p0 - 1) + 2,
-        lambda n, p, q: (1.0 - (np.sqrt(q) - np.sqrt(p)),
-                         np.maximum(FAST_REL_TOL, 2.0**-50 * np.sqrt(q)), None),
-        lambda n, p, q: 1 - (mp.sqrt(q) - mp.sqrt(p)),
+        lambda n, p, q: (1.0 + np.sqrt(p), np.sqrt(q)),
+        lambda n, p, q: 1 + mp.sqrt(p) - mp.sqrt(q),
     ),
     _log_gap_bound("kourbatov", KOURBATOV_FLOOR, lambda lp: lp * lp - lp - 1),
     GapBound(
@@ -282,7 +267,7 @@ GAP_BOUNDS = {b.id: b for b in (
         # q^(1/(n+1)) < p^(1/n) iff n ln(1 + g/p) < ln p, and ln(1 + x) < x,
         # so g <= p ln p / n holds; that rises with p and falls with n
         lambda p0, n1: _int_below(p0 * math.log(p0) / n1),
-        _firoozbakht_fast,
+        lambda n, p, q: ((n + 1.0) * np.log(p), n * np.log(q)),
         lambda n, p, q: (n + 1) * mp.log(p) - n * mp.log(q),
     ),
     _log_gap_bound("cramer", KOURBATOV_FLOOR, lambda lp: lp * lp),
@@ -301,29 +286,25 @@ def power_gap_bound(e: float, bound_of_n: Callable,
 
     By the mean value theorem q^e - p^e = e x^(e-1) g for some x in (p, q),
     below e p^(e-1) g: every g <= bound(n1) p0^(1-e) / e holds from p0 on
-    (capped at 2^63, past every gap, where a tiny e overflows it).  A
-    margin's window is the binary64 error bound of q^e - p^e, at least
-    FAST_REL_TOL."""
-    def fast(n, p, q):
-        q_e = q**e
-        return (bound_of_n(n) - (q_e - p**e),
-                np.maximum(FAST_REL_TOL, POW_DIFF_REL_ERR * q_e), None)
-
+    (capped at 2^63, past every gap, where a tiny e overflows it).  Its
+    terms are bound(n) + p^e and q^e."""
     return GapBound(
         f"q^e - p^e, e = {e!r}", 2,
         lambda p0, n1: _int_below(
             min(bound_of_n(n1) * p0 ** (1 - e) / e, 2.0**63)),
-        fast, strict)
+        lambda n, p, q: (bound_of_n(n) + p**e, q**e), strict)
 
 
 # q/p <= 5/3 iff 3g <= 2p: every g <= 2 p0 / 3 holds from p0 on, and
-# g = 2 p0 // 3 + 1 fails at p0.  The int64 margin 5p - 3q is exact, so its
-# window is 0: no pair is escalated, and the tie at (3, 5) holds.
+# g = 2 p0 // 3 + 1 fails at p0.  In integers it is 5p + 1 > 3q, whose
+# margin is at least 1 where it holds: the tie at (3, 5) holds.  A margin of
+# 0 would read uncertain, but no consecutive pair fails: q < 6p/5 from
+# p = 25 on (Nagura), and none below.
 RATIO_BOUND = GapBound(
     "smarandache-ratio", 2,
     lambda p0, n1: 2 * p0 // 3 + 1,
-    lambda n, p, q: (5 * p - 3 * q, 0, None),
-    lambda n, p, q: 5 * p - 3 * q,
+    lambda n, p, q: (5.0 * p + 1.0, 3.0 * q),
+    lambda n, p, q: 5 * p + 1 - 3 * q,
 )
 
 
@@ -333,47 +314,55 @@ RATIO_BOUND = GapBound(
 
 @dataclass(frozen=True)
 class Predicate:
-    """A named function of the integer n: a signed margin for crossover
-    scans (the inequality holds at n iff it is > 0), or a sequence value
-    for monotonicity scans."""
+    """A named function of the integer n: an inequality lhs > rhs for
+    crossover scans, whose fast(n) gives its binary64 terms (lhs, rhs) and
+    strict(n) its margin lhs - rhs, or a sequence for monotonicity scans,
+    whose fast(n) and strict(n) give its value."""
 
     id: str
     description: str
-    fast: Callable[[np.ndarray], np.ndarray]   # vectorized over float64 n
-    strict: Callable[[int], "mp.mpf"]          # one point, high precision
+    fast: Callable[[np.ndarray], tuple | np.ndarray]  # over float64 n
+    strict: Callable[[int], "mp.mpf"]  # one point, high precision
 
 
 PREDICATES = {p.id: p for p in (
     Predicate(
         "two-n-plus-one-vs-4log2",
         "2n + 1 > 4 (ln n)^2",
-        lambda n: 2.0 * n + 1.0 - 4.0 * np.log(n) ** 2,
+        lambda n: (2.0 * n + 1.0, 4.0 * np.log(n) ** 2),
         lambda n: 2 * n + 1 - 4 * mp.log(n) ** 2,
     ),
     Predicate(
         "sqrt-vs-2log",
         "sqrt(n) > 2 ln n",
-        lambda n: np.sqrt(n) - 2.0 * np.log(n),
+        lambda n: (np.sqrt(n), 2.0 * np.log(n)),
         lambda n: mp.sqrt(n) - 2 * mp.log(n),
     ),
     Predicate(
         "n-vs-4log2",
         "n > 4 (ln n)^2",
-        lambda n: n - 4.0 * np.log(n) ** 2,
+        lambda n: (n, 4.0 * np.log(n) ** 2),
         lambda n: n - 4 * mp.log(n) ** 2,
     ),
     Predicate(
         "log2-vs-2sqrt-plus-1",
         "(ln n)^2 < 2 sqrt(n) + 1",
-        lambda n: 2.0 * np.sqrt(n) + 1.0 - np.log(n) ** 2,
+        lambda n: (2.0 * np.sqrt(n) + 1.0, np.log(n) ** 2),
         lambda n: 2 * mp.sqrt(n) + 1 - mp.log(n) ** 2,
     ),
     Predicate(
         "n-over-logpow-vs-9.33",
         f"n / (ln n)^{SM9_LOG_POWER} > {SM9_RHS}",
-        lambda n: n / np.log(n) ** SM9_LOG_POWER - SM9_RHS,
+        lambda n: (n / np.log(n) ** SM9_LOG_POWER, SM9_RHS),
         lambda n: n / mp.log(n) ** mp.mpf(str(SM9_LOG_POWER))
         - mp.mpf(str(SM9_RHS)),
+    ),
+    Predicate(
+        "a0-pow-vs-log2",
+        f"{SM9_COEFF} n^{SM9_EXPONENT} > (ln n)^2",
+        lambda n: (SM9_COEFF * n**SM9_EXPONENT, np.log(n) ** 2),
+        lambda n: mp.mpf(str(SM9_COEFF)) * mp.power(
+            n, mp.mpf(str(SM9_EXPONENT))) - mp.log(n) ** 2,
     ),
 )}
 
@@ -443,14 +432,14 @@ def _chunks(lo: int, hi: int, overlap: int = 0):
 def crossover_scan(predicate, lo: int, hi: int) -> CrossoverResult:
     """Find the least t in [lo, hi] with the predicate true on all of [t, hi].
 
-    hi is inclusive.  Each chunk's margins are decided by `settle` with the
-    window FAST_REL_TOL; an uncertain margin ends the scan.
+    hi is inclusive.  Each chunk's terms are decided by `settle`; an
+    uncertain margin ends the scan.
     """
     pred = _lookup(PREDICATES, "predicate", predicate)
     _check_window(lo, hi)
     last_fail = None
     for a, ns in _chunks(lo, hi):
-        fails, uncertain, _ = settle(pred.fast(ns), FAST_REL_TOL,
+        fails, uncertain, _ = settle(*pred.fast(ns),
                                      lambda i: pred.strict(a + i))
         if uncertain.size:
             raise NoCrossoverError(
@@ -471,23 +460,21 @@ def crossover_scan(predicate, lo: int, hi: int) -> CrossoverResult:
 def monotone_scan(sequence, lo: int, hi: int) -> Verdict:
     """Holds iff seq(n+1) > seq(n) for every n in [lo, hi - 1].
 
-    One pass: the binary64 error of a step scales with the two values it
-    subtracts, so each step is settled against the window FAST_REL_TOL at
-    the larger of its own two values, and the first step that does not
-    hold gives the verdict.  A holding scan reports its smallest step, by
-    its strict value where that step was escalated.
+    One pass: each step is settled as the inequality seq(n+1) > seq(n) of
+    its two values, and the first step that does not hold gives the
+    verdict.  A holding scan reports its smallest step, by its strict value
+    where that step was escalated.
     """
     seq = _lookup(SEQUENCES, "sequence", sequence)
     _check_window(lo, hi)
     least = None  # the Verdict of the smallest step so far
     for a, ns in _chunks(lo, hi, overlap=1):
         vals = seq.fast(ns)
-        diffs = np.diff(vals)
-        scale = np.maximum(np.abs(vals[:-1]), np.abs(vals[1:]))
         settled = settle(
-            diffs, FAST_REL_TOL * np.maximum(scale, 1.0),
-            lambda i: seq.strict(a + i + 1) - seq.strict(a + i), scale)
+            vals[1:], vals[:-1],
+            lambda i: seq.strict(a + i + 1) - seq.strict(a + i))
         fails, uncertain, values = settled
+        diffs = np.diff(vals)
         if fails.size or uncertain.size:
             i = int(min(fails[:1].tolist() + uncertain[:1].tolist()))
             return _verdict(i, float(diffs[i]), settled, (a + i,))

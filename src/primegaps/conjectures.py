@@ -400,7 +400,7 @@ def check_smarandache_ratio(limit: int) -> ConjectureReport:
     t0 = time.perf_counter()
     report = _pair_report("smarandache-ratio", f"pairs with p < {limit}")
     tracker = _scan_pairs(report, 2, limit, {None: bounds.RATIO_BOUND},
-                          {"ratio": gaps.EXACT_RATIO})
+                          {"ratio": gaps.METRICS["ratio"]})
     _, rec = tracker.records["ratio"]
     report.extremes["max_ratio_pair"] = (rec.n, rec.p, rec.q)
     report.extremes["max_ratio_exact"] = f"{rec.q}/{rec.p}"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -136,12 +136,12 @@ METRICS = {
         lambda g, p, q: np.sqrt(q) - np.sqrt(p), _by_field("andrica")),
     "gap": Metric(lambda p0, p1, q1: (1.0, 1.0, 0.0, 0.0),
                   lambda g, p, q: g, _by_field("gap")),
+    # q/p ranked exactly, in integers: q1 p2 against q2 p1
     "ratio": Metric(lambda p0, p1, q1: (1.0 / p1, 1.0 / p0, 1.0, 0.0),
-                    lambda g, p, q: q / p, _by_field("ratio")),
+                    lambda g, p, q: q / p, lambda a, b: (
+                        (a[1].q * b[1].p, -a[1].n)
+                        > (b[1].q * a[1].p, -b[1].n))),
 }
-# q/p ranked exactly, in integers: q1 p2 against q2 p1
-EXACT_RATIO = replace(METRICS["ratio"], beats=lambda a, b: (
-    (a[1].q * b[1].p, -a[1].n) > (b[1].q * a[1].p, -b[1].n)))
 
 
 def power_metric(e: float) -> Metric:

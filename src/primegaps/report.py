@@ -193,6 +193,8 @@ def to_text(payload: Any) -> str:
         for key, val in payload.extremes.items():
             if isinstance(val, GapRecord):
                 val = f"(n={val.n}, p={val.p}, q={val.q})"
+            elif isinstance(val, float):
+                val = _round15(val)
             lines.append(f"  {key}: {val}")
         lines.append(f"  duration: {_round15(payload.duration):.6g} s")
     elif isinstance(payload, CrossoverResult):

@@ -48,7 +48,8 @@ def test_c1_exponent_root_2_3():
 
 
 def test_c1_curve_value_at_121():
-    assert bounds.log_sq_vs_two_sqrt(121) == pytest.approx(0.000393, abs=5e-6)
+    lhs, rhs = bounds.PREDICATES["log2-vs-2sqrt-plus-1"].fast(np.array([121.0]))
+    assert lhs[0] - rhs[0] == pytest.approx(0.000393, abs=5e-6)
     _line("1c: 2*sqrt(121) - (ln 121)^2 + 1 = 0.000393 +- 5e-6")
 
 
@@ -232,9 +233,10 @@ def test_c7_tristate_soundness_sampling():
         pred = bounds.PREDICATES[pid]
         xs = center + rng.uniform(-1.5, 1.5, size=2500)
         xs = xs[xs > 2.0]
-        fast = pred.fast(xs)
-        for x, f in zip(xs, fast):
-            if abs(f) < bounds.FAST_REL_TOL:
+        lhs, rhs = pred.fast(xs)
+        window = bounds.TERM_REL_ERR * (np.abs(lhs) + np.abs(rhs))
+        for x, f, w in zip(xs, lhs - rhs, window):
+            if abs(f) <= w:
                 continue
             with mp.workdps(bounds.STRICT_DPS):
                 strict = pred.strict(float(x))

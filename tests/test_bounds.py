@@ -36,14 +36,13 @@ class TestKourbatovBound:
 
 
 def catalog_margins(bound, n, p, q):
-    """The fast margin, its scale and the 50-digit strict margin of one
-    pair, read from the catalog entry of `bound`."""
+    """The two binary64 terms and the 50-digit strict margin of one pair,
+    read from the catalog entry of `bound`."""
     entry = bounds.GAP_BOUNDS[bound]
-    fast, _, scale = entry.fast(np.array([float(n)]), np.array([p]),
-                                np.array([q]))
+    lhs, rhs = entry.fast(np.array([float(n)]), np.array([p]), np.array([q]))
     with mp.workdps(50):
         strict = entry.strict(n, p, q)
-    return float(fast[0]), scale, strict
+    return float(lhs[0]), float(rhs[0]), strict
 
 
 class TestAndricaCheck:
@@ -55,8 +54,9 @@ class TestAndricaCheck:
         v = bounds.andrica_check(p, q)
         assert v.status is Status.HOLDS and v.witness is None
         assert v.margin == pytest.approx(margin, abs=abs_)
-        fast, scale, strict = catalog_margins("andrica", 1, p, q)
-        assert v.margin == fast and scale is None
+        lhs, rhs, strict = catalog_margins("andrica", 1, p, q)
+        assert v.margin == lhs - rhs
+        assert (lhs, rhs) == (1 + math.sqrt(p), math.sqrt(q))
         assert strict == pytest.approx(margin, abs=abs_)
         # (q - p - 1)^2 < 4p: the block rule holds each of them
         assert q - p < bounds.GAP_BOUNDS["andrica"].threshold(p, 1)
@@ -96,9 +96,10 @@ class TestFiroozbakhtCheck:
         assert p ** (1 / n) > q ** (1 / (n + 1))
         v = bounds.firoozbakht_check(n, p, q)
         assert v.status is Status.HOLDS and v.witness is None
-        fast, scale, strict = catalog_margins("firoozbakht", n, p, q)
-        assert v.margin == fast > 0 and strict > 0
-        assert scale[0] == pytest.approx(n * math.log(q))
+        lhs, rhs, strict = catalog_margins("firoozbakht", n, p, q)
+        assert v.margin == lhs - rhs > 0 and strict > 0
+        assert lhs == pytest.approx((n + 1) * math.log(p))
+        assert rhs == pytest.approx(n * math.log(q))
         # p ln p / n is below each of these small gaps: the block rule
         # leaves them to the margins
         assert q - p >= bounds.GAP_BOUNDS["firoozbakht"].threshold(p, n)
@@ -207,29 +208,107 @@ class TestGapBoundThresholds:
             math.log(127))
 
 
+def assert_within_error_bound(terms, exact, label):
+    """The binary64 margin lhs - rhs of the two terms lies within
+    TERM_REL_ERR (|lhs| + |rhs|) of `exact`, the margin at 50 digits."""
+    lhs, rhs = (float(np.ravel(t)[0]) for t in terms)
+    with mp.workdps(50):
+        error = abs(mp.mpf(lhs - rhs) - exact)
+    assert error <= bounds.TERM_REL_ERR * (abs(lhs) + abs(rhs)), (
+        label, lhs, rhs, exact)
+
+
+# each exponent of a power bound, and its exact value
+POWER_EXPONENTS = {1 / 3: mp.mpf(1) / 3, 1 / 2: mp.mpf(1) / 2,
+                   0.85: mp.mpf("0.85")}
+
+
+def exact_power_bounds():
+    """`bounds.power_gap_bound` at each exponent of POWER_EXPONENTS, with
+    bound 1 and with bound 1/n, each with its exact margin."""
+    return [
+        bounds.power_gap_bound(
+            e, bound, lambda n, p, q, e=e_mp, exact=exact: exact(n)
+            - (mp.power(q, e) - mp.power(p, e)))
+        for e, e_mp in POWER_EXPONENTS.items()
+        for bound, exact in ((lambda n: 1.0, lambda n: mp.mpf(1)),
+                             (lambda n: 1.0 / n, lambda n: mp.mpf(1) / n))
+    ]
+
+
+class TestTermErrorBound:
+    """Every catalog entry's two binary64 terms give a margin within
+    TERM_REL_ERR (|lhs| + |rhs|) of its 50-digit value, the rule by which
+    `settle` decides it."""
+
+    @given(st.one_of(st.integers(29, 10**6), st.integers(29, 2**63 - 2000)),
+           st.integers(1, 750), st.integers(1, 2**53))
+    @settings(max_examples=300, deadline=None)
+    def test_pair_terms(self, p, half_gap, n):
+        q = p + 2 * half_gap
+        for bound in (*bounds.GAP_BOUNDS.values(), *exact_power_bounds(),
+                      bounds.RATIO_BOUND):
+            terms = bound.fast(np.array([float(n)]), np.array([p]),
+                               np.array([q]))
+            with mp.workdps(50):
+                exact = bound.strict(n, p, q)
+            assert_within_error_bound(terms, exact, (bound.id, n, p, q))
+
+    @given(st.one_of(st.integers(2, 10**4), st.integers(2, 2**53)))
+    @settings(max_examples=300, deadline=None)
+    def test_integer_terms(self, n):
+        for pred in bounds.PREDICATES.values():
+            with mp.workdps(50):
+                exact = pred.strict(n)
+            assert_within_error_bound(pred.fast(np.array([float(n)])), exact,
+                                      (pred.id, n))
+        # a monotonicity step compares neighbouring values, up to 2^53
+        n = min(n, 2**53 - 1)
+        for seq in bounds.SEQUENCES.values():
+            values = seq.fast(np.array([n, n + 1], dtype=np.float64))
+            with mp.workdps(50):
+                exact = seq.strict(n + 1) - seq.strict(n)
+            assert_within_error_bound((values[1], values[0]), exact,
+                                      (seq.id, n))
+
+
+def predicate_margin(pid, n):
+    """The binary64 margin lhs - rhs of the predicate `pid` at n."""
+    lhs, rhs = bounds.PREDICATES[pid].fast(np.array([float(n)]))
+    return float(np.subtract(lhs, rhs)[0])
+
+
 class TestPointwiseCurves:
     def test_log_sq_vs_two_sqrt_at_121(self):
-        assert bounds.log_sq_vs_two_sqrt(121) == pytest.approx(
+        assert predicate_margin("log2-vs-2sqrt-plus-1", 121) == pytest.approx(
             0.000393, abs=5e-6
         )
 
     def test_log_sq_vs_two_sqrt_trivial(self):
-        assert bounds.log_sq_vs_two_sqrt(1) == pytest.approx(3.0)
+        assert predicate_margin("log2-vs-2sqrt-plus-1", 1) == pytest.approx(
+            3.0)
 
     def test_log_sq_vs_two_sqrt_below_threshold(self):
-        assert bounds.log_sq_vs_two_sqrt(120) < 0
-        assert bounds.log_sq_vs_two_sqrt(120) == pytest.approx(-0.0107, abs=1e-3)
+        margin = predicate_margin("log2-vs-2sqrt-plus-1", 120)
+        assert margin < 0
+        assert margin == pytest.approx(-0.0107, abs=1e-3)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            bounds.log_sq_vs_two_sqrt(0)
-        with pytest.raises(ValueError):
-            bounds.smarandache9_margin(-1)
+        # the scans refuse n < 2, where ln n is not positive
+        for pid in ("log2-vs-2sqrt-plus-1", "a0-pow-vs-log2"):
+            with pytest.raises(ValueError):
+                bounds.crossover_scan(pid, 0, 10)
+            with pytest.raises(ValueError):
+                bounds.crossover_scan(pid, 1, 10)
 
     def test_smarandache9_margin(self):
-        assert bounds.smarandache9_margin(5850) >= 0.08077
-        assert bounds.smarandache9_margin(1) == pytest.approx(1.76320819)
-        assert bounds.smarandache9_margin(10**6) > 0
+        assert predicate_margin("a0-pow-vs-log2", 5850) >= 0.08077
+        assert predicate_margin("a0-pow-vs-log2", 1) == pytest.approx(
+            1.76320819)
+        assert predicate_margin("a0-pow-vs-log2", 10**6) > 0
+        # the printed constants hold from 5820 on
+        r = bounds.crossover_scan("a0-pow-vs-log2", 2, 10**5)
+        assert (r.threshold, r.pre_threshold_failure) == (5820, 5819)
 
     def test_recomputed_constants_close_to_printed(self):
         audit = bounds.recompute_smarandache9_constants(0.5671481302020263)
@@ -273,8 +352,8 @@ class TestCrossoverScan:
 
     def test_no_crossover_signal(self):
         never = bounds.Predicate(
-            "never", "always false",
-            lambda n: -np.ones_like(n), lambda n: mp.mpf(-1),
+            "never", "0 > 1",
+            lambda n: (np.zeros_like(n), np.ones_like(n)), lambda n: mp.mpf(-1),
         )
         with pytest.raises(bounds.NoCrossoverError):
             bounds.crossover_scan(never, 2, 100)
@@ -287,7 +366,7 @@ class TestCrossoverScan:
         # a NaN fast margin neither holds nor fails: strict decides it
         nan_at_50 = bounds.Predicate(
             "nan-at-50", "n > 10.5, NaN in binary64 at 50",
-            lambda n: np.where(n == 50, np.nan, n - 10.5),
+            lambda n: (np.where(n == 50, np.nan, n), 10.5),
             lambda n: mp.mpf(-1) if n == 50 else n - mp.mpf("10.5"),
         )
         r = bounds.crossover_scan(nan_at_50, 2, 100)
@@ -348,6 +427,24 @@ class TestMonotoneScan:
         assert v.status is Status.FAILS and v.witness == (89,)
         assert v.precision_used is Precision.FAST
         assert v.margin == pytest.approx(-0.049)
+
+    def test_steps_near_1e12_are_decided_in_binary64(self):
+        # each step there, about 5.6e-10, lies far outside its error bound
+        # TERM_REL_ERR * 2620 = 3.7e-11, so none reaches mpmath
+        seq = bounds.SEQUENCES["sqrt-over-log-squared"]
+
+        def no_strict(n):
+            raise AssertionError(f"the step at {n} was escalated")
+
+        lo, hi = 10**12, 10**12 + 5 * 10**4
+        v = bounds.monotone_scan(
+            bounds.Predicate("fast", seq.description, seq.fast, no_strict),
+            lo, hi)
+        assert v.status is Status.HOLDS
+        assert v.precision_used is Precision.FAST
+        with mp.workdps(bounds.STRICT_DPS):
+            last = float(seq.strict(hi) - seq.strict(hi - 1))
+        assert v.margin == pytest.approx(last, rel=1e-2)
 
     def test_escalated_steps_report_the_strict_margin(self):
         # below 2^53 every step (~4e-12) is under the scaled window and
@@ -439,14 +536,17 @@ class TestTriStateEngine:
         assert v.status is Status.HOLDS and v.precision_used is Precision.FAST
 
     def test_escalates_to_strict(self):
+        # a margin of 1e-12 between terms of 1000 is inside their error
+        # bound, TERM_REL_ERR * 2000 = 2.8e-11
         fails, uncertain, values = bounds.settle(
-            np.array([1e-12]), bounds.FAST_REL_TOL, lambda i: mp.mpf("1e-12"))
+            np.array([1000 + 1e-12]), np.array([1000.0]),
+            lambda i: mp.mpf("1e-12"))
         assert not fails.size and not uncertain.size  # holds
         assert values == {0: 1e-12}  # at strict precision
 
     def test_uncertain_when_strict_cannot_separate(self):
         fails, uncertain, values = bounds.settle(
-            np.array([0.0]), bounds.FAST_REL_TOL, lambda i: mp.mpf("1e-30"))
+            np.array([1.0]), np.array([1.0]), lambda i: mp.mpf("1e-30"))
         assert uncertain.tolist() == [0] and not fails.size
         assert values == {0: 1e-30}
 
@@ -457,7 +557,7 @@ class TestTriStateEngine:
 
     def test_nan_margin_is_decided_strictly(self):
         fails, uncertain, values = bounds.settle(
-            np.array([np.nan]), 1e-9, lambda i: mp.mpf(-1))
+            np.array([np.nan]), np.array([0.0]), lambda i: mp.mpf(-1))
         assert fails.tolist() == [0] and not uncertain.size
         assert values == {0: -1.0}
 
@@ -468,73 +568,69 @@ class TestTriStateEngine:
 
     def test_fast_and_strict_agree_near_boundaries(self):
         # sampled near-threshold soundness: both routes must agree whenever
-        # the fast route is confident
+        # the fast margin lies outside its error bound
         rng = np.random.default_rng(20240817)
         pred = bounds.PREDICATES["log2-vs-2sqrt-plus-1"]
         offsets = rng.uniform(-2.0, 2.0, size=2500)
         for x in 121.0 + offsets:
-            fast = float(pred.fast(np.array([x]))[0])
-            if abs(fast) < bounds.FAST_REL_TOL:
+            lhs, rhs = (float(t[0]) for t in pred.fast(np.array([x])))
+            fast = lhs - rhs
+            if abs(fast) <= bounds.TERM_REL_ERR * (abs(lhs) + abs(rhs)):
                 continue
             with mp.workdps(bounds.STRICT_DPS):
                 strict = pred.strict(x)
             assert (fast > 0) == (strict > 0)
 
 
-def reference_settle(margins, windows, stricts, scales):
-    """`bounds.settle` one margin at a time, from its docstring."""
-    fails, uncertain = [], []
-    for i, (m, w, s, sc) in enumerate(zip(margins, windows, stricts, scales)):
-        if m >= w:
+def reference_settle(lhs, rhs, stricts):
+    """`bounds.settle` one pair of terms at a time, from its docstring, and
+    the indices it decides strictly."""
+    fails, uncertain, inside = [], [], []
+    for i, (a, b, s) in enumerate(zip(lhs, rhs, stricts)):
+        scale = abs(a) + abs(b)
+        window = bounds.TERM_REL_ERR * scale
+        if a - b > window:
             continue
-        if m <= -w:
+        if a - b < -window:
             fails.append(i)
-        elif abs(s) < bounds.STRICT_REL_TOL * max(abs(sc), 1.0):
+            continue
+        inside.append(i)
+        if abs(s) < bounds.STRICT_REL_TOL * max(scale, 1.0):
             uncertain.append(i)
         elif s <= 0:
             fails.append(i)
-    return fails, uncertain
+    return fails, uncertain, inside
 
 
-WINDOWS = st.sampled_from([0.0, 1e-9, 0.25, 1.0])
+TERMS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, 1e3, np.nan]),
+                  st.floats(-1e6, 1e6))
 STRICT_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 1e-25, -1e-25, 5e-26, 2e-24, -3e-23]),
     st.floats(-1.0, 1.0),
 )
-SCALES = st.one_of(st.just(0.0), st.floats(-1e3, 1e3))
 
 
 @st.composite
 def settle_cases(draw):
+    """Pairs of terms, the left one often a few hundred ulps off the right
+    one: around the window, which is 128 ulps of 2|rhs| wide at 1."""
     size = draw(st.integers(1, 12))
-    if draw(st.booleans()):
-        window = draw(WINDOWS)
-        windows = [window] * size
-    else:
-        window = windows = draw(st.lists(WINDOWS, min_size=size,
-                                         max_size=size))
-    margins = [draw(st.one_of(
-        st.sampled_from([w, -w, 0.0]),
-        st.floats(-1.5, 1.5),
-        st.floats(-1.0, 1.0).map(lambda f, w=w: f * w),
-    )) for w in windows]
+    rhs = draw(st.lists(TERMS, min_size=size, max_size=size))
+    lhs = [draw(st.one_of(
+        TERMS,
+        st.sampled_from([0, 127, 128, 129, 256, 257]).map(
+            lambda k, b=b: b * (1 + k * 2.0**-53)),
+        st.integers(-300, 300).map(lambda k, b=b: b * (1 + k * 2.0**-52)),
+    )) for b in rhs]
     stricts = draw(st.lists(STRICT_VALUES, min_size=size, max_size=size))
-    kind = draw(st.sampled_from(["none", "scalar", "array"]))
-    if kind == "none":
-        scale, scales = None, [1.0] * size
-    elif kind == "scalar":
-        scale = draw(SCALES)
-        scales = [scale] * size
-    else:
-        scale = scales = draw(st.lists(SCALES, min_size=size, max_size=size))
-    return margins, window, windows, stricts, scale, scales
+    return lhs, rhs, stricts
 
 
 class TestSettle:
     @given(settle_cases())
     @settings(max_examples=300, deadline=None)
     def test_matches_the_scalar_rule(self, case):
-        margins, window, windows, stricts, scale, scales = case
+        lhs, rhs, stricts = case
         calls = []
 
         def strict(i):
@@ -542,16 +638,13 @@ class TestSettle:
             calls.append(i)
             return mp.mpf(stricts[i])
 
-        fails, uncertain, values = bounds.settle(
-            np.array(margins), window if np.isscalar(window)
-            else np.array(window), strict,
-            scale if scale is None or np.isscalar(scale)
-            else np.array(scale))
-        assert (fails.tolist(), uncertain.tolist()) == reference_settle(
-            margins, windows, stricts, scales)
-        # strict is called once for each margin strictly inside its
-        # window and for no other
-        inside = [i for i, (m, w) in enumerate(zip(margins, windows))
-                  if -w < m < w]
+        fails, uncertain, values = bounds.settle(np.array(lhs),
+                                                 np.array(rhs), strict)
+        want_fails, want_uncertain, inside = reference_settle(lhs, rhs,
+                                                              stricts)
+        assert (fails.tolist(), uncertain.tolist()) == (want_fails,
+                                                        want_uncertain)
+        # strict is called once for each margin at or inside its window,
+        # or NaN, and for no other
         assert calls == inside
         assert values == {i: stricts[i] for i in inside}

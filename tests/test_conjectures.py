@@ -526,7 +526,7 @@ def reference_gap_bounds(limit, which=cj.GAP_BOUNDS, start=2):
                 mask = np.ones(p.size, dtype=bool)
             report.checked_count += int(mask.sum())
             report.skipped_count += int(p.size - mask.sum())
-            tol = bounds.FAST_REL_TOL * (
+            tol = 1e-9 * (
                 np.maximum(scale, 1.0) if scale is not None else 1.0)
             for i in np.flatnonzero(mask & (np.abs(margins) < tol)):
                 n, pi, qi = blk.n0 + int(i), int(blk.p[i]), int(blk.q[i])

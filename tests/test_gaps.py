@@ -121,7 +121,8 @@ def test_track_extremes_small_limits():
 
 def largest_by_metric(blocks, cramer_floor):
     """Each metric's record over every pair of `blocks`, by brute force:
-    the largest value, and of equal values the smallest n."""
+    the largest value, q/p compared exactly, and of equal values the
+    smallest n."""
     best = {}
     for blk in blocks:
         for i, (p, q) in enumerate(zip(blk.p.tolist(), blk.q.tolist())):
@@ -129,7 +130,8 @@ def largest_by_metric(blocks, cramer_floor):
             for metric in ("gap", "cramer_ratio", "andrica", "ratio"):
                 if metric == "cramer_ratio" and p < cramer_floor:
                     continue
-                key = (getattr(rec, metric), -rec.n)
+                key = (Fraction(q, p) if metric == "ratio"
+                       else getattr(rec, metric), -rec.n)
                 if metric not in best or key > best[metric][0]:
                     best[metric] = (key, rec)
     return {metric: rec for metric, (_, rec) in best.items()}
@@ -155,7 +157,7 @@ def test_tracker_finds_the_record_of_every_metric(start, steps, size, floor):
     blocks = [gaps.PairBlock(1 + s, p[s:s + size], q[s:s + size])
               for s in range(0, p.size, size)]
     metrics = {e: gaps.power_metric(e) for e in POWERS}
-    got = tracked(blocks, floor, {"exact": gaps.EXACT_RATIO, **metrics})
+    got = tracked(blocks, floor, metrics)
     want = largest_by_metric(blocks, floor)
     for metric in ("gap", "cramer_ratio", "andrica", "ratio"):
         assert (got[metric] and got[metric][1]) == want.get(metric), metric
@@ -165,10 +167,6 @@ def test_tracker_finds_the_record_of_every_metric(start, steps, size, floor):
         i = int(np.argmax(vals))
         value, rec = got[e]
         assert (value, rec.n, rec.p, rec.q) == (vals[i], i + 1, p[i], q[i]), e
-    # q/p: the largest exact ratio, ties to the least n
-    i = max(range(p.size), key=lambda i: (Fraction(int(q[i]), int(p[i])), -i))
-    rec = got["exact"][1]
-    assert (rec.n, rec.p, rec.q) == (i + 1, p[i], q[i])
 
 
 @pytest.mark.parametrize("pairs, lo, hi", [

@@ -85,6 +85,16 @@ class TestSerialization:
         with pytest.raises(ValueError):
             report.serialize(panaitopol.coefficients(2), "xml")
 
+    def test_text_float_extremes_match_json(self, capsys):
+        # q^0.5 - p^0.5 at (2, 3) is 0.31783724519578205 in binary64; text
+        # prints it to the 15 significant digits JSON and CSV give
+        argv = ["verify", "smarandache-b", "--limit", "3", "--a", "0.5"]
+        assert cli.main(argv + ["--format", "json"]) == 0
+        value = json.loads(capsys.readouterr().out)["extremes"]["max_value"]
+        assert cli.main(argv + ["--format", "text"]) == 0
+        assert f"  max_value: {value}\n" in capsys.readouterr().out
+        assert value == 0.317837245195782
+
 
 def per_row_csv(rep):
     """The conjecture-report CSV built one csv.writer row per witness."""
