@@ -221,21 +221,22 @@ class GapBound:
         of the pair block `blk`, whose int64 gaps q - p are `gap`.
 
         The pairs below the floor, a prefix of the block, are not tested.
-        The threshold at the first tested p and the last n holds every
-        smaller gap, so only the pairs at or above it get float margins,
-        decided by `settle`, and a block whose gaps all lie below needs none.
+        The threshold at the first tested p and the last n of the block's
+        run holds every smaller gap, so only the pairs at or above it get
+        float margins, decided by `settle`, and a block whose gaps all lie
+        below needs none.  A gated block holds only pairs from its run, so
+        the same threshold serves it.
         """
         first = int(blk.p.searchsorted(self.floor))
-        threshold = (None if first == gap.size else
-                     self.threshold(int(blk.p[first]), blk.n0 + gap.size - 1))
+        threshold = (None if first == gap.size else self.threshold(
+            int(blk.p[first]), blk.n0 + blk.count - 1))
         if threshold is None or gap.max() < threshold:
             return np.empty(0, np.intp), np.empty(0, np.intp)
         at = first + np.flatnonzero(gap[first:] >= threshold)
-        p, q = blk.p[at], blk.q[at]
-        lhs, rhs = self.fast((blk.n0 + at).astype(np.float64), p, q)
+        n, p, q = blk.index(at), blk.p[at], blk.q[at]
+        lhs, rhs = self.fast(n.astype(np.float64), p, q)
         fails, uncertain, _ = settle(
-            lhs, rhs,
-            lambda i: self.strict(blk.n0 + int(at[i]), int(p[i]), int(q[i])))
+            lhs, rhs, lambda i: self.strict(int(n[i]), int(p[i]), int(q[i])))
         return at[fails], at[uncertain]
 
 

@@ -202,19 +202,32 @@ def _scan_pairs(report, lo: int, hi: int, leads: dict,
     bound's floor on are counted as checked and those below it as skipped,
     and its failing and uncertain pairs are captured as witnesses
     (lead, n, p, q), or (n, p, q) when the lead is None.
+
+    The stream is gated: a pair whose gap lies below every lead's threshold
+    and below the least gap that can tie or beat a record is never built.
+    Every gate is 2 from p0 below a floor on, so the pairs below a floor,
+    counted as skipped, are all in dense blocks.
     """
     tracker = gaps.ExtremeTracker(metrics)
-    for blk in gaps.pair_blocks(lo, hi):
+    q1 = min(hi + gaps.NEXT_PRIME_WINDOW, sieve.MAX_VALUE)  # past every q
+
+    def gate(p0: int, n1: int) -> int:
+        if any(p0 < bound.floor for bound in leads.values()):
+            return 2
+        return min([tracker.least_gap(p0, q1),
+                    *(bound.threshold(p0, n1) for bound in leads.values())])
+
+    for blk in gaps.pair_blocks(lo, hi, gate):
         gap = blk.q - blk.p
         for lead, bound in leads.items():
             first = int(blk.p.searchsorted(bound.floor))
-            report.checked_count += gap.size - first
+            report.checked_count += blk.count - first
             report.skipped_count += first
             fails, uncertain = bound.settle_block(blk, gap)
             for out, idx in ((report.violations, fails),
                              (report.uncertain, uncertain)):
                 if idx.size:
-                    out.add(blk.n0 + idx, blk.p[idx], blk.q[idx], lead)
+                    out.add(blk.index(idx), blk.p[idx], blk.q[idx], lead)
         tracker.observe_block(blk, gap)
     return tracker
 

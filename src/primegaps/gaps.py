@@ -49,12 +49,26 @@ class GapRecord:
 
 @dataclass
 class PairBlock:
-    """A vectorized run of consecutive pairs: p[i] is prime number n0 + i
-    and q[i] = p[i + 1]."""
+    """A run of `count` consecutive pairs, from prime number n0 on.
+
+    A dense block holds every pair of its run: p[i] is prime number n0 + i
+    and q[i] = p[i + 1].  A gated block holds only the pairs of its run
+    whose gap reaches the gate, and p[i] is prime number n[i].
+    """
 
     n0: int
     p: np.ndarray
     q: np.ndarray
+    n: Optional[np.ndarray] = None
+    count: Optional[int] = None
+
+    def __post_init__(self):
+        if self.count is None:
+            self.count = self.p.size
+
+    def index(self, at):
+        """The prime numbers of the pairs at the positions `at`."""
+        return self.n0 + at if self.n is None else self.n[at]
 
 
 # span sieved past hi, so that one stream also holds the successor of the
@@ -67,31 +81,136 @@ NEXT_PRIME_WINDOW = 2048
 PAIR_SLICE = 1 << 14
 
 
-def pair_blocks(lo: int, hi: int) -> Iterator[PairBlock]:
+def _slices(n0: int, block: np.ndarray, pairs: int) -> Iterator[PairBlock]:
+    """The first `pairs` pairs of the ascending primes `block`, the first
+    being prime number n0, as dense blocks of at most PAIR_SLICE pairs."""
+    for s in range(0, pairs, PAIR_SLICE):
+        e = min(s + PAIR_SLICE, pairs)
+        yield PairBlock(n0=n0 + s, p=block[s:e], q=block[s + 1 : e + 1])
+
+
+def _wide_pairs(seg: np.ndarray, gate: int) -> tuple:
+    """The positions (i, j) of the consecutive primes of the segment mask
+    `seg` whose gap 2 (j - i) is at least `gate` >= 32, both in `seg`.
+
+    The mask is read in words of the widest W of 64, 32, 16 and 8 entries
+    with 4W <= gate: a gap of 4W or more spans 2W - 1 odd entries or more,
+    so it holds a whole zero word, and the set entries on either side of
+    each run of zero words give a candidate.  A run at either end of the
+    mask has no set entry on that side.
+    """
+    width = next(w for w in (64, 32, 16, 8) if 4 * w <= gate)
+    packed = np.packbits(seg)
+    buf = np.zeros(-(-packed.size * 8 // width) * width // 8, np.uint8)
+    buf[: packed.size] = packed
+    words = buf.view(f"u{width // 8}")
+    zero = np.flatnonzero(words == 0)
+    left = zero[np.diff(zero, prepend=-2) > 1] - 1  # the word before a run
+    right = zero[np.diff(zero, append=words.size + 1) > 1] + 1  # and after
+    inner = (left >= 0) & (right < words.size)
+    left, right = left[inner], right[inner]
+    rows = buf.reshape(-1, width // 8)
+    before = np.unpackbits(rows[left], axis=1)  # each word's entries
+    after = np.unpackbits(rows[right], axis=1)
+    i = left * width + width - 1 - before[:, ::-1].argmax(axis=1)
+    j = right * width + after.argmax(axis=1)
+    keep = 2 * (j - i) >= gate
+    return i[keep], j[keep]
+
+
+def _last_set(seg: np.ndarray) -> int:
+    """The position of the last set entry of a mask that holds one, found
+    from the end in spans that double."""
+    span = 256
+    while not seg[-span:].any():
+        span *= 2
+    tail = seg[-span:]
+    return seg.size - tail.size + int(np.flatnonzero(tail)[-1])
+
+
+def _gated(n0: int, pairs: int, carry: Optional[int], seg_lo: int,
+           seg: np.ndarray, gate: int) -> PairBlock:
+    """The gated block of the `pairs` pairs whose q lies in the segment mask
+    `seg`: the pair from `carry`, the last prime before it and prime number
+    n0, to its first prime, then the pairs inside it, kept where their gap
+    is at least `gate`.  Each pair's n counts the set entries before its
+    p."""
+    first = int(seg.argmax())
+    i, j = _wide_pairs(seg, gate)
+    n = np.empty(i.size, np.int64)
+    seen, at = n0 + (carry is not None), 0
+    for k, pos in enumerate(i.tolist()):
+        seen += int(np.count_nonzero(seg[at:pos]))
+        n[k], at = seen, pos
+    p, q = seg_lo + 2 * i, seg_lo + 2 * j
+    if carry is not None and seg_lo + 2 * first - carry >= gate:
+        n = np.concatenate(([n0], n))
+        p = np.concatenate(([carry], p))
+        q = np.concatenate(([seg_lo + 2 * first], q))
+    return PairBlock(n0, p, q, n, pairs)
+
+
+def pair_blocks(lo: int, hi: int, gate: Optional[Callable] = None
+                ) -> Iterator[PairBlock]:
     """Stream consecutive-prime pairs (p, q) with lo <= p < hi, in blocks
-    of at most PAIR_SLICE pairs, cut within each sieve segment.
+    cut within each sieve segment, each block standing for a run of
+    consecutive pairs.
 
     One sieve stream runs NEXT_PRIME_WINDOW past hi and is cut at its
     first prime >= hi, so q of the last pair is that prime; a stream with
     no prime >= hi raises CapacityError.  n0 of the first block is the
     prime index of its first p.
+
+    Without a gate, every block is dense, of at most PAIR_SLICE pairs.
+    With one, the stream's first sieve segment, where the caller has seen
+    no pair yet, is read as without, through `sieve.prime_blocks`, and the
+    rest from `sieve.segment_masks`: for the pairs whose q lies in a
+    segment, from p0 on and up to prime number n1, gate(p0, n1) is G, the
+    least gap the caller needs.  Where G < 32 the segment's pairs are dense
+    blocks; otherwise one gated block holds the pairs with a gap of at
+    least G.
     """
     sieve.check_range(lo, hi)
     end = min(hi + NEXT_PRIME_WINDOW, sieve.MAX_VALUE)
     n0 = sieve.prime_count(lo - 1) + 1 if lo > 2 else 1
+    # past `split` the stream is read as masks; n0 is the number of
+    # `carry`, the last prime so far, or of the first prime to come
+    split = end if gate is None else min(
+        end, (max(lo, 2) | 1) + 2 * sieve.SEGMENT_ODDS)
     carry: Optional[int] = None
-    for block in sieve.prime_blocks(lo, end):
+    for block in sieve.prime_blocks(lo, split):
         if carry is not None:
             block = np.concatenate(([carry], block))
         cut = int(np.searchsorted(block, hi))  # first prime >= hi
-        pairs = min(cut, block.size - 1)
-        for s in range(0, pairs, PAIR_SLICE):
-            e = min(s + PAIR_SLICE, pairs)
-            yield PairBlock(n0=n0 + s, p=block[s:e], q=block[s + 1 : e + 1])
+        yield from _slices(n0, block, min(cut, block.size - 1))
         if cut < block.size:
             return
-        n0 += pairs
+        n0 += block.size - 1
         carry = int(block[-1])
+    for seg_lo, seg in sieve.segment_masks(split, end):
+        last = False
+        if seg_lo + 2 * seg.size > hi:  # cut at the first prime >= hi
+            at = max(0, (hi - seg_lo + 1) // 2)
+            if seg[at:].any():
+                seg, last = seg[: at + int(seg[at:].argmax()) + 1], True
+        count = int(np.count_nonzero(seg))
+        if not count:  # a segment inside a gap: the carry stays
+            continue
+        pairs = count - (carry is None)
+        if pairs:
+            p0 = seg_lo + 2 * int(seg.argmax()) if carry is None else carry
+            g = min(gate(p0, n0 + pairs - 1), sieve.MAX_VALUE)
+            if g < 32:  # below 4 words of 8 entries
+                block = sieve.mask_primes(seg_lo, seg)
+                if carry is not None:
+                    block = np.concatenate(([carry], block))
+                yield from _slices(n0, block, pairs)
+            else:
+                yield _gated(n0, pairs, carry, seg_lo, seg, g)
+            n0 += pairs
+        carry = seg_lo + 2 * _last_set(seg)
+        if last:
+            return
     raise sieve.CapacityError(f"no prime in [{hi}, {end})")
 
 
@@ -169,6 +288,20 @@ class ExtremeTracker:
         self.metrics = metrics
         self.records: dict = dict.fromkeys(metrics)
 
+    def least_gap(self, p0: int, q1: int) -> int:
+        """The least gap with which a pair with p >= p0 and q <= q1 can tie
+        or beat a record, by the block rule of `observe_block`: 2 while a
+        record is unset or p0 lies below a metric's floor."""
+        least = sieve.MAX_VALUE
+        for name, metric in self.metrics.items():
+            best = self.records[name]
+            if best is None or p0 < metric.floor:
+                return 2
+            _, f_hi, c, err = metric.factors(p0, q1, q1)
+            reach = ((best[0] - err) / (1 + CANDIDATE_SLACK) - c) / f_hi
+            least = min(least, max(math.floor(reach), 2))
+        return least
+
     def observe_block(self, blk: PairBlock, gap: np.ndarray) -> None:
         """Observe every pair of `blk`, whose gaps q - p are `gap`.
 
@@ -179,6 +312,8 @@ class ExtremeTracker:
         gap bounds every value below the record can beat it, and every pair
         tied with the block's top has a gap of at least `cut`.
         """
+        if not gap.size:
+            return
         records: dict[int, GapRecord] = {}  # one record per observed pair
         whole = int(gap.max())
         for name, metric in self.metrics.items():
@@ -201,7 +336,7 @@ class ExtremeTracker:
             for j, value in zip(at[near].tolist(), vals[near].tolist()):
                 if j not in records:
                     records[j] = GapRecord.from_pair(
-                        blk.n0 + j, int(blk.p[j]), int(blk.q[j]))
+                        int(blk.index(j)), int(blk.p[j]), int(blk.q[j]))
                 if best is None or metric.beats((value, records[j]), best):
                     best = (value, records[j])
             self.records[name] = best

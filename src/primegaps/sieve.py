@@ -78,22 +78,19 @@ def _odd_offsets(lo: int, primes: np.ndarray) -> np.ndarray:
     return np.maximum(r, primes * primes - lo) // 2
 
 
-def prime_blocks(lo: int, hi: int) -> Iterator[np.ndarray]:
-    """Yield the primes in [lo, hi) as ascending int64 arrays, one per segment.
+def segment_masks(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (seg_lo, seg) for the odd numbers of [lo, hi), a range that
+    `check_range` accepts, with lo >= 2: seg is the odd-only mask of one
+    segment, entry i standing for seg_lo + 2i and true where that number
+    is prime.  The mask is a view of one buffer that the next segment
+    overwrites.
 
-    Each segment is an odd-only mask copied from the pre-sieved pattern,
-    then struck by the base primes above PATTERN_PRIMES whose square lies
-    below the segment's end.  Every base prime's next offset is carried
-    from one segment to the next, never recomputed.
+    Each segment is copied from the pre-sieved pattern, then struck by the
+    base primes above PATTERN_PRIMES whose square lies below the segment's
+    end.  Every base prime's next offset is carried from one segment to the
+    next, never recomputed.
     """
-    check_range(lo, hi)
-    if hi <= 2:
-        return
-    if lo <= 2:
-        yield np.array([2], dtype=np.int64)
-        lo = 3
-    if lo % 2 == 0:
-        lo += 1
+    lo |= 1
     if lo >= hi:
         return
     base = base_sieve(math.isqrt(hi - 1))
@@ -121,10 +118,30 @@ def prime_blocks(lo: int, hi: int) -> Iterator[np.ndarray]:
         # inactive one's p^2, both counted from the next segment's start
         nxt -= count
         nxt[:k] %= base[:k]
-        block = np.flatnonzero(seg)
+        yield seg_lo, seg
+
+
+def mask_primes(seg_lo: int, seg: np.ndarray) -> np.ndarray:
+    """The primes of a segment mask of `segment_masks`, as an int64 array."""
+    block = np.flatnonzero(seg)
+    block *= 2
+    block += seg_lo
+    return block
+
+
+def prime_blocks(lo: int, hi: int) -> Iterator[np.ndarray]:
+    """Yield the primes in [lo, hi) as ascending int64 arrays: [2] where
+    the range holds it, then one array per segment of `segment_masks` that
+    holds a prime."""
+    check_range(lo, hi)
+    if hi <= 2:
+        return
+    if lo <= 2:
+        yield np.array([2], dtype=np.int64)
+        lo = 3
+    for seg_lo, seg in segment_masks(lo, hi):
+        block = mask_primes(seg_lo, seg)
         if block.size:
-            block *= 2
-            block += seg_lo
             yield block
 
 

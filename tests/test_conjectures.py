@@ -15,6 +15,22 @@ def normalized(report):
     return dataclasses.replace(report, duration=0.0)
 
 
+def gated_blocks(monkeypatch):
+    """A list that collects every gated block of the pair streams opened
+    from here on."""
+    seen = []
+    pair_blocks = gaps.pair_blocks
+
+    def spy(lo, hi, gate=None):
+        for blk in pair_blocks(lo, hi, gate):
+            if blk.n is not None:
+                seen.append(blk)
+            yield blk
+
+    monkeypatch.setattr(gaps, "pair_blocks", spy)
+    return seen
+
+
 class TestLegendre:
     def test_smallest_case(self):
         r = cj.check_legendre(1)
@@ -166,7 +182,8 @@ class TestGapBounds:
     def test_exactly_zero_margin_is_uncertain(self, monkeypatch):
         # sqrt(289) - sqrt(256) = 1: the Andrica margin is exactly zero
         blk = gaps.PairBlock(1, np.array([256]), np.array([289]))
-        monkeypatch.setattr(gaps, "pair_blocks", lambda lo, hi: iter([blk]))
+        monkeypatch.setattr(gaps, "pair_blocks",
+                            lambda lo, hi, gate=None: iter([blk]))
         r = cj.check_gap_bounds(290, ("andrica",))
         assert r.uncertain == [("andrica", 1, 256, 289)]
         assert r.violations == []
@@ -247,7 +264,7 @@ class TestSmarandacheB:
         blk = gaps.PairBlock(n, np.array([p]), np.array([q]))
         assert 1.0 - (blk.q**a - blk.p**a)[0] > 1e-8
 
-        def one_pair(lo, hi):
+        def one_pair(lo, hi, gate=None):
             yield blk
 
         monkeypatch.setattr(gaps, "pair_blocks", one_pair)
@@ -291,11 +308,15 @@ class TestPowerGapExtremes:
         q = np.concatenate([b.q for b in stream])
         vals = q**e - p**e
         i = int(np.argmax(vals))
+        gated = gated_blocks(monkeypatch)
         for pairs in (1, 7, gaps.PAIR_SLICE):
             monkeypatch.setattr(gaps, "PAIR_SLICE", pairs)
+            gated.clear()
             r = check(10**5, arg)
             assert r.extremes["max_value"] == vals[i]
             assert r.extremes["max_value_pair"] == (i + 1, p[i], q[i])
+            # B at 0.85 fails from gaps of about 10 on: its stream is dense
+            assert bool(gated) == (e != 0.85)
 
 
 class TestSmarandacheD:
@@ -406,12 +427,17 @@ class TestSmarandacheRatio:
         assert 3 * 3 <= 5 * 2
 
     def test_partition_invariance(self, monkeypatch):
+        # 1e5 lies in one default segment, so the base stream is dense
         base = normalized(cj.check_smarandache_ratio(10**5))
+        gated = gated_blocks(monkeypatch)
+        assert not gated
         for odds in (1024, 4096):
             monkeypatch.setattr(sieve, "SEGMENT_ODDS", odds)
             monkeypatch.setattr(gaps, "PAIR_SLICE", odds // 32)
+            gated.clear()
             got = normalized(cj.check_smarandache_ratio(10**5))
             assert got == base
+            assert gated
 
 
 class TestPartitionInvarianceInterval:
@@ -556,10 +582,14 @@ class TestGapBoundsAgainstReference:
         (lim, st) for lim in (5, 29, 30, 31, 10**5)
         for st in (2, 28, 29, 30, 10**4) if st < lim])
     def test_many_blocks(self, monkeypatch, limit, start):
+        gated = gated_blocks(monkeypatch)
         for which in self.SELECTIONS:
             for odds in (1024, 4096):
                 monkeypatch.setattr(sieve, "SEGMENT_ODDS", odds)
+                gated.clear()
                 got = cj.check_gap_bounds(limit, which, start=start)
+                # past the first segment the scan reads gated segments
+                assert bool(gated) == (limit == 10**5), (which, odds)
                 want = reference_gap_bounds(limit, which, start=start)
                 assert normalized(got) == normalized(want), (which, odds)
                 if limit <= bounds.KOURBATOV_FLOOR:
@@ -572,9 +602,12 @@ class TestGapBoundsAgainstReference:
         pytest.param(5, 10**11 + 10**5, 10**11, id="1e11")])
     def test_small_slices(self, monkeypatch, pairs, limit, start):
         monkeypatch.setattr(gaps, "PAIR_SLICE", pairs)
+        gated = gated_blocks(monkeypatch)
         for odds in (1024, 4096):
             monkeypatch.setattr(sieve, "SEGMENT_ODDS", odds)
+            gated.clear()
             got = cj.check_gap_bounds(limit, start=start)
+            assert gated
             want = reference_gap_bounds(limit, start=start)
             assert normalized(got) == normalized(want)
 
@@ -583,17 +616,65 @@ class TestGapBoundsAgainstReference:
         # difference exactly 1 (uncertain), the wide gaps break every bound
         chain = np.array([23, 29, 200, 225, 256, 289, 400, 401, 10**6],
                          dtype=np.int64)
+        dropped = []
 
-        def fake_blocks(lo, hi):
+        def fake_blocks(lo, hi, gate=None):
             yield gaps.PairBlock(1, chain[:3], chain[1:4])
-            yield gaps.PairBlock(4, chain[3:-1], chain[4:])
+            p, q = chain[3:-1], chain[4:]
+            if gate is None:
+                yield gaps.PairBlock(4, p, q)
+                return
+            # a gated block, as a later segment gives: only the pairs whose
+            # gap reaches the gate, each with its n
+            keep = np.flatnonzero(q - p >= gate(int(p[0]), 4 + p.size - 1))
+            dropped.extend(np.delete(p, keep).tolist())
+            yield gaps.PairBlock(4, p[keep], q[keep], 4 + keep, p.size)
 
         monkeypatch.setattr(gaps, "pair_blocks", fake_blocks)
         got = cj.check_gap_bounds(10**6)
         want = reference_gap_bounds(10**6)
         assert normalized(got) == normalized(want)
+        assert dropped == [400]  # the gap 1 after 400 reaches no bound
         assert got.uncertain and got.violations
         assert {w[0] for w in got.violations} == set(cj.GAP_BOUNDS)
+
+
+class TestGatedScans:
+    """The pairs a scan hands to settle_block and observe_block: only those
+    its catalog can fail or record, where the gate reaches 32."""
+
+    @staticmethod
+    def handed(monkeypatch):
+        """The blocks handed to observe_block, after settle_block saw each
+        of them for every lead."""
+        settled, observed = [], []
+        settle_block = bounds.GapBound.settle_block
+        observe_block = gaps.ExtremeTracker.observe_block
+        monkeypatch.setattr(bounds.GapBound, "settle_block", lambda self, blk,
+                            gap: settled.append(blk) or settle_block(
+                                self, blk, gap))
+        monkeypatch.setattr(gaps.ExtremeTracker, "observe_block",
+                            lambda self, blk, gap: observed.append(blk)
+                            or observe_block(self, blk, gap))
+        return settled, observed
+
+    def test_gap_bounds_past_the_first_segment(self, monkeypatch):
+        settled, observed = self.handed(monkeypatch)
+        r = cj.check_gap_bounds(10**8)
+        assert r.checked_count == 4 * 5761455 - 18
+        assert settled == [b for b in observed for _ in cj.GAP_BOUNDS]
+        # the first segment is dense: no record is set before it
+        first = 3 + 2 * sieve.SEGMENT_ODDS
+        past = 5761455 - sieve.prime_count(first - 1)
+        built = sum(int(np.count_nonzero(b.p >= first)) for b in observed)
+        assert built < past // 100
+        assert sum(b.count for b in observed) == 5761455
+
+    def test_smarandache_b_builds_every_pair(self, monkeypatch):
+        settled, observed = self.handed(monkeypatch)
+        r = cj.check_smarandache_B(2 * 10**7, 0.85)
+        assert settled == observed
+        assert sum(b.p.size for b in observed) == r.checked_count == 1270607
 
 
 def test_far_window_makes_no_strict_evaluation(monkeypatch):

@@ -246,3 +246,142 @@ def test_a_stream_with_no_prime_past_hi_is_refused(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: no prime in [100, ")
     assert err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# the gated stream: past its first sieve segment, a segment whose gate G is
+# 32 or more yields one gated block of its pairs with a gap of at least G
+
+# each edge of the word widths 8, 16, 32 and 64 (G = 4W), and beyond
+GATES = (2, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257, 600)
+MAXGAP_P = 436273009  # the maximal gap 282 follows it
+
+
+def fake_masks(lo, hi, every):
+    """Masks as `sieve.segment_masks` cuts them, true at the odd numbers v
+    whose 64-bit hash is 0 mod `every`: the same numbers however a range
+    is cut, and wide gaps where `every` is large."""
+    lo |= 1
+    span = 2 * sieve.SEGMENT_ODDS
+    for seg_lo in range(lo, hi, span):
+        v = np.arange(seg_lo, min(seg_lo + span, hi), 2, dtype=np.uint64)
+        v *= np.uint64(0x9E3779B97F4A7C15)  # wraps mod 2^64
+        yield seg_lo, (v >> np.uint64(40)) % np.uint64(every) == 0
+
+
+def gated_against_dense(lo, hi, g):
+    """The gated stream of gate g is the dense stream's pairs with a gap of
+    at least g, past the first segment, and stands for all of them."""
+    try:
+        dense = list(gaps.pair_blocks(lo, hi))
+    except sieve.CapacityError:
+        with pytest.raises(sieve.CapacityError):
+            list(gaps.pair_blocks(lo, hi, lambda p0, n1: g))
+        return []
+    n = np.concatenate([b.n0 + np.arange(b.count) for b in dense] or [[]])
+    p = np.concatenate([b.p for b in dense] or [[]]).astype(np.int64)
+    q = np.concatenate([b.q for b in dense] or [[]]).astype(np.int64)
+    calls = []
+    blocks = list(gaps.pair_blocks(
+        lo, hi, lambda p0, n1: calls.append((p0, n1)) or g))
+    split = (max(lo, 2) | 1) + 2 * sieve.SEGMENT_ODDS
+    at, runs = 0, []
+    for b in blocks:
+        run = slice(at, at + b.count)
+        at += b.count
+        assert b.count > 0 and b.n0 == n[run][0]
+        keep = (q[run] - p[run] >= g) if b.n is not None else slice(None)
+        assert b.index(np.arange(b.p.size)).tolist() == n[run][keep].tolist()
+        assert b.p.tolist() == p[run][keep].tolist()
+        assert b.q.tolist() == q[run][keep].tolist()
+        # dense in the first segment and where g < 32, gated elsewhere
+        assert (b.n is not None) == (g >= 32 and q[run][-1] >= split)
+        if b.n is not None:
+            runs.append((p[run][0], n[run][-1]))
+    assert at == n.size
+    if g >= 32:  # one gate per gated block: its first p and last n
+        assert calls == runs
+    return blocks
+
+
+@pytest.mark.parametrize("odds", [64, 1024, 1 << 20])
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_gated_stream_is_the_dense_stream_cut_at_the_gate(odds, data):
+    span = 2 * odds
+    where = data.draw(st.sampled_from(["2", "1e6", "maxgap", "2^62"]))
+    g = data.draw(st.sampled_from(GATES))
+    # past the first segment, where the gate is read
+    width = (data.draw(st.integers(1, 4 if odds > 64 else 30)) * span
+             + data.draw(st.integers(-span // 2, span)))
+    every = data.draw(st.sampled_from([3, 20, 200]))
+    lo = {"2": data.draw(st.integers(2, 40)),
+          "1e6": 10**6 + data.draw(st.integers(-300, 300)),
+          "maxgap": MAXGAP_P + data.draw(st.integers(-400, 100)),
+          "2^62": 2**62 + data.draw(st.integers(-300, 300))}[where]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve, "SEGMENT_ODDS", odds)
+        if where in ("maxgap", "2^62"):  # n is tested from 2 and 1e6
+            mp.setattr(sieve, "prime_count", lambda x: 10**6)
+        if where == "2^62":  # no sieve there: made-up "primes"
+            mp.setattr(sieve, "segment_masks",
+                       lambda lo, hi: fake_masks(lo, hi, every))
+        gated_against_dense(lo, lo + width, g)
+
+
+def test_the_maximal_gap_crosses_empty_segments(monkeypatch):
+    # at 64 odds the gap of 282 after 436273009 spans segments without a
+    # prime; the last pair's q lies past hi, and past hi's segment
+    monkeypatch.setattr(sieve, "SEGMENT_ODDS", 64)
+    monkeypatch.setattr(sieve, "prime_count", lambda x: 0)
+    q = MAXGAP_P + 282
+    for hi in (MAXGAP_P + 1, MAXGAP_P + 150, q + 1000):
+        for g in (282, 283):
+            blocks = gated_against_dense(MAXGAP_P - 1000, hi, g)
+            wide = [(int(b.p[i]), int(b.q[i])) for b in blocks
+                    if b.n is not None for i in range(b.p.size)]
+            assert wide == ([(MAXGAP_P, q)] if g == 282 else [])
+
+
+def test_a_gated_stream_sieves_each_integer_once(monkeypatch):
+    # its first segment through prime_blocks, the rest from segment_masks,
+    # which tile the stream's span: no integer is sieved twice
+    monkeypatch.setattr(sieve, "SEGMENT_ODDS", 1024)
+    calls = []
+    prime_blocks, segment_masks = sieve.prime_blocks, sieve.segment_masks
+
+    def blocks_spy(lo, hi):
+        calls.append(("blocks", lo, hi))
+        return prime_blocks(lo, hi)
+
+    def masks_spy(lo, hi):
+        calls.append(("masks", lo, hi))
+        return segment_masks(lo, hi)
+
+    monkeypatch.setattr(sieve, "prime_blocks", blocks_spy)
+    monkeypatch.setattr(sieve, "segment_masks", masks_spy)
+    for lo, hi in [(2, 3), (11, 12), (2, 10**5), (10**6 + 1, 10**6 + 9000)]:
+        calls.clear()
+        assert list(gaps.pair_blocks(lo, hi, lambda p0, n1: 100))
+        end = hi + gaps.NEXT_PRIME_WINDOW
+        split = min(end, (max(lo, 2) | 1) + 2048)
+        # prime_blocks reads its segments from segment_masks too; a stream
+        # that finds its first prime >= hi below the split ends there
+        want = [("blocks", lo, split), ("masks", max(lo, 3) | 1, split)]
+        if hi >= split:
+            want.append(("masks", split, end))
+        assert calls == want
+
+
+def test_a_gated_stream_with_no_prime_past_hi_is_refused(monkeypatch):
+    monkeypatch.setattr(sieve, "SEGMENT_ODDS", 16)
+    segment_masks = sieve.segment_masks
+
+    def short(lo, hi):  # as a stream cut short by 2^63 - 1 would end
+        for seg_lo, seg in segment_masks(lo, hi):
+            yield seg_lo, seg & (seg_lo + 2 * np.arange(seg.size) < 100)
+
+    monkeypatch.setattr(sieve, "segment_masks", short)
+    for gate in (None, lambda p0, n1: 2, lambda p0, n1: 40):
+        with pytest.raises(sieve.CapacityError, match="no prime in"):
+            list(gaps.pair_blocks(2, 100, gate))

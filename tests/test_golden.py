@@ -24,6 +24,13 @@ CASES = {
         ("verify gap-bounds --limit 1000000 --format text", OK),
     "gap-bounds-start1e4-2e6-p16.json":
         ("verify gap-bounds --start 10000 --limit 2000000 --format json", OK),
+    # these run past the first sieve segment, into gated segments; the
+    # window holds the maximal gap 282 after p = 436273009
+    "gap-bounds-3e7.json":
+        ("verify gap-bounds --limit 30000000 --format json", OK),
+    "gap-bounds-4.3e8-4.4e8.txt":
+        ("verify gap-bounds --start 430000000 --limit 440000000 --format text",
+         OK),
     "kourbatov-1e5.json":
         ("verify kourbatov --limit 100000 --format json", OK),
     "a0-1e6.json": ("solve a0 --limit 1000000 --format json", OK),
@@ -32,8 +39,12 @@ CASES = {
         ("verify smarandache-b --limit 10000 --a 0.85 --format csv", VIOLATION),
     "smarandache-c-1e5-k3.json":
         ("verify smarandache-c --limit 100000 --k 3 --format json", OK),
+    "smarandache-c-3e7-k3.json":
+        ("verify smarandache-c --limit 30000000 --k 3 --format json", OK),
     "smarandache-ratio-1e5.json":
         ("verify smarandache-ratio --limit 100000 --format json", OK),
+    "smarandache-ratio-3e7.json":
+        ("verify smarandache-ratio --limit 30000000 --format json", OK),
     "smarandache-d-a0.4.json":
         ("verify smarandache-d --a 0.4 --format json", VIOLATION),
     "smarandache-d-a0.4.csv":

@@ -120,7 +120,7 @@ def first_difference(got, want):
 
 
 def fake_pairs(n0, ps, qs):
-    def pair_blocks(lo, hi):
+    def pair_blocks(lo, hi, gate=None):
         yield gaps.PairBlock(n0, np.array(ps, dtype=np.int64),
                              np.array(qs, dtype=np.int64))
     return pair_blocks

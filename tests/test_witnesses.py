@@ -105,8 +105,9 @@ class TestStoreAgainstLists:
 
     def test_gap_bound_witnesses_sort_by_name(self, monkeypatch):
         # captured as the bounds are checked, in GAP_BOUNDS order
-        monkeypatch.setattr(gaps, "pair_blocks", lambda lo, hi: iter(
-            [gaps.PairBlock(4, np.array([7, 31]), np.array([11, 200]))]))
+        blk = gaps.PairBlock(4, np.array([7, 31]), np.array([11, 200]))
+        monkeypatch.setattr(gaps, "pair_blocks",
+                            lambda lo, hi, gate=None: iter([blk]))
         rep = conjectures.check_gap_bounds(100)
         names = [w[0] for w in rep.violations]
         assert names == sorted(names) and set(names) == set(
