@@ -195,18 +195,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload, args) -> None:
-    """Write the payload's text to stdout or to `--out`.  The text of more
-    than one chunk of witnesses is written chunk by chunk, as
-    `report.render` makes it; a shorter text gains nothing from that and
-    comes whole from `report.serialize`, whose bytes tracing counts."""
+    """Write the payload's UTF-8 text to stdout or to `--out` as bytes, so
+    lines end in a bare line feed on every platform.  The text of more than
+    one chunk of witnesses is written chunk by chunk, as `report.render`
+    makes it; a shorter text gains nothing from that and comes whole from
+    `report.serialize`, whose bytes tracing counts."""
     held = sum(len(getattr(payload, name, ()))
                for name in ("violations", "uncertain"))
     chunks = (report.render(payload, args.format, no_timing=args.no_timing)
               if held > witnesses.CHUNK else
               [report.serialize(payload, args.format,
-                                no_timing=args.no_timing)])
-    with (contextlib.nullcontext(sys.stdout) if args.out is None
-          else open(args.out, "w", encoding="utf-8")) as fh:
+                                no_timing=args.no_timing).encode()])
+    if args.out is None:
+        sys.stdout.flush()  # text written before goes first
+        sink = contextlib.nullcontext(sys.stdout.buffer)
+    else:
+        sink = open(args.out, "wb")
+    with sink as fh:
         for chunk in chunks:
             fh.write(chunk)
 

@@ -2,7 +2,9 @@
 
 f(x) = q^x - p^x - 1 is strictly increasing in x for q > p >= 2, so a sign
 bracket pins down the unique root; bisection keeps the bracket valid
-unconditionally, which Newton would not.
+unconditionally, which Newton would not.  Each sign is read from the log of
+q^x - p^x, which binary64 gets right for any p, and the root found is
+checked at strict precision before it is returned.
 """
 
 from __future__ import annotations
@@ -35,12 +37,19 @@ class ExponentSolution:
     bracket: Tuple[float, float] = field(metadata={"csv": False})
 
 
-def _f(x: float, p: int, q: int) -> float:
-    return math.pow(q, x) - math.pow(p, x) - 1.0
+def _f_sign(x, ln_p, ln_ratio, m=math):
+    """A number with the sign of f(x) = q^x - p^x - 1, given ln p and
+    ln(q/p): the log of q^x - p^x = p^x expm1(x ln(q/p)), in module `m`'s
+    arithmetic (math, or mpmath at its working precision).  It has no
+    cancellation, so its sign stays right as p grows; f in binary64 loses
+    it (at p ~ 1e18, q^x and p^x round to the same float)."""
+    return x * ln_p + m.log(m.expm1(x * ln_ratio))
 
 
 def solve_exponent(p: int, q: int) -> ExponentSolution:
-    """The unique x in (0, 1] with q^x - p^x = 1 for the pair (p, q)."""
+    """The unique x in (0, 1] with q^x - p^x = 1 for the pair (p, q), to
+    within X_TOL: the root is checked to lie within X_TOL of x at
+    STRICT_DPS digits, and a ValueError refuses an x that is not."""
     if q <= p or p < 2:
         raise ValueError(f"({p}, {q}) is not an ascending prime pair")
     if q > sys.float_info.max:
@@ -49,21 +58,29 @@ def solve_exponent(p: int, q: int) -> ExponentSolution:
     if q - p == 1:
         # only (2, 3); f(1) = 0 exactly
         return ExponentSolution(p, q, 1.0, 0.0, 0, (1.0, 1.0))
+    ln_p, ln_ratio = math.log(p), math.log1p((q - p) / p)
     lo, hi = INITIAL_LO, 1.0
-    while _f(lo, p, q) >= 0.0:
+    while _f_sign(lo, ln_p, ln_ratio) >= 0.0:
         lo /= 10.0
         if lo < 1e-30:
             raise RuntimeError(f"no sign change found for pair ({p}, {q})")
     iterations = 0
     while hi - lo > X_TOL and iterations < MAX_ITER:
         mid = 0.5 * (lo + hi)
-        if _f(mid, p, q) < 0.0:
+        if _f_sign(mid, ln_p, ln_ratio) < 0.0:
             lo = mid
         else:
             hi = mid
         iterations += 1
     x = 0.5 * (lo + hi)
     with mp.workdps(STRICT_DPS):
+        logs = mp.log(p), mp.log1p(mp.mpf(q - p) / p)
+        # x +- X_TOL, not the bracket: a root within binary64's error of
+        # a bracket end may lie just past it, and x is still good there
+        if not (_f_sign(x - X_TOL, *logs, mp) < 0
+                < _f_sign(x + X_TOL, *logs, mp)):
+            raise ValueError(f"the root of ({p}, {q}) is not within {X_TOL} "
+                             f"of x = {x!r} at {STRICT_DPS} digits")
         residual = float(abs(mp.power(q, x) - mp.power(p, x) - 1))
     return ExponentSolution(p, q, x, residual, iterations, (lo, hi))
 

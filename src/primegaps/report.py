@@ -3,8 +3,8 @@
 Output is deterministic for a fixed payload: field order is fixed by the
 dataclasses, floats are rounded to 15 significant digits, and timing can be
 replaced by a stable placeholder for byte-for-byte comparisons.  `render`
-yields the text in chunks, a witness store's rows a bounded number at a
-time; `serialize` joins them.
+yields the text as UTF-8 bytes in chunks, a witness store's rows a bounded
+number at a time; `serialize` joins them into one str.
 """
 
 from __future__ import annotations
@@ -55,22 +55,22 @@ def strip_timing(payload: Any) -> Any:
     return payload
 
 
-def _json(payload: Any) -> Iterator[str]:
+def _json(payload: Any) -> Iterator[bytes]:
     if not isinstance(payload, ConjectureReport):
-        yield json.dumps(to_jsonable(payload), indent=2) + "\n"
+        yield (json.dumps(to_jsonable(payload), indent=2) + "\n").encode()
         return
     # field by field, so that a witness store is rendered from its rows
     sep = "{"
     for f in dataclasses.fields(payload):
         value = getattr(payload, f.name)
-        yield f"{sep}\n  {json.dumps(f.name)}: "
+        yield f"{sep}\n  {json.dumps(f.name)}: ".encode()
         if isinstance(value, WitnessStore):
             yield from _json_witnesses(value)
         else:
             yield (json.dumps(to_jsonable(value), indent=2)
-                   .replace("\n", "\n  "))
+                   .replace("\n", "\n  ").encode())
         sep = ","
-    yield "\n}\n"
+    yield b"\n}\n"
 
 
 _CSV_VIOLATION_HEADER = [
@@ -79,9 +79,10 @@ _CSV_VIOLATION_HEADER = [
 ]
 
 
-def _format_rows(row: str, sep: str, rows: np.ndarray) -> str:
-    """sep.join(row % (n, p, q) for each row n, p, q of `rows`)."""
-    return sep.join([row] * len(rows)) % tuple(rows.ravel().tolist())
+def _format_rows(row: bytes, rows: np.ndarray) -> bytes:
+    """row % (n, p, q) for each row n, p, q of `rows`, back to back (a
+    repeated template formats faster than a joined one)."""
+    return row * len(rows) % tuple(rows.ravel().tolist())
 
 
 def _csv_line(fields: list) -> str:
@@ -91,40 +92,35 @@ def _csv_line(fields: list) -> str:
     return line.getvalue()[:-1]
 
 
-def _witness_csv(prefix: str, store: WitnessStore) -> Iterator[str]:
+def _witness_csv(prefix: str, store: WitnessStore) -> Iterator[bytes]:
     """The CSV rows `prefix` + witness cell, one per witness of `store`, a
-    chunk of at most `CHUNK` rows at a time: the cells are formatted from
-    the store's rows and joined, and one replace puts `prefix` before each.
-    """
+    chunk of at most `CHUNK` rows at a time, each formatted from the
+    store's rows with one template."""
+    prefix = prefix.replace("%", "%%")
     for lead, rows in store.runs():
         cell = "%d %d %d"
         if lead is not None:
             # encoded as csv.writer encodes the cell: digits and spaces
             # never change how a field is quoted
             cell = _csv_line([lead.replace("%", "%%") + " " + cell])
-        if "\n" in cell:  # a quoted lead holding a line break
-            yield _format_rows(prefix.replace("%", "%%") + cell + "\n", "",
-                               rows)
-            continue
-        body = _format_rows(cell, "\n", rows) + "\n"
-        yield prefix + body.replace("\n", "\n" + prefix, len(rows) - 1)
+        yield _format_rows((prefix + cell + "\n").encode(), rows)
 
 
-def _json_witnesses(store: WitnessStore) -> Iterator[str]:
+def _json_witnesses(store: WitnessStore) -> Iterator[bytes]:
     """Pieces of the text json.dumps(to_jsonable(...), indent=2) gives
-    `store` as the value of a top-level field, one per chunk of rows."""
+    `store` as the value of a top-level field, a chunk of rows at a time."""
     if not store:
-        yield "[]"
+        yield b"[]"
         return
-    sep = "[\n"
+    yield b"["
+    skip = 1  # the comma before the first row
     for lead, rows in store.runs():
         items = [] if lead is None else [json.dumps(lead).replace("%", "%%")]
-        row = ("    [\n      " + ",\n      ".join(items + ["%d"] * 3)
-               + "\n    ]")
-        yield sep
-        yield _format_rows(row, ",\n", rows)
-        sep = ",\n"
-    yield "\n  ]"
+        row = (",\n    [\n      " + ",\n      ".join(items + ["%d"] * 3)
+               + "\n    ]").encode()
+        yield _format_rows(row, rows)[skip:]
+        skip = 0
+    yield b"\n  ]"
 
 
 def _csv_cell(value: Any) -> Any:
@@ -139,7 +135,7 @@ def _csv_cell(value: Any) -> Any:
     return value
 
 
-def _csv(payload: Any) -> Iterator[str]:
+def _csv(payload: Any) -> Iterator[bytes]:
     """A conjecture report is one row per witness and a coefficient table
     one row per index; any other dataclass, or list of them, is a header of
     its field names (less those marked `csv: False`) and a row per record."""
@@ -155,7 +151,7 @@ def _csv(payload: Any) -> Iterator[str]:
         if not payload.violations:
             w.writerow(base + [""])
         elif isinstance(payload.violations, WitnessStore):
-            yield buf.getvalue()
+            yield buf.getvalue().encode()
             yield from _witness_csv(_csv_line(base + [""]),
                                     payload.violations)
             return
@@ -175,7 +171,7 @@ def _csv(payload: Any) -> Iterator[str]:
             w.writerow(names)
             for r in records:
                 w.writerow([_csv_cell(getattr(r, n)) for n in names])
-    yield buf.getvalue()
+    yield buf.getvalue().encode()
 
 
 def to_text(payload: Any) -> str:
@@ -229,10 +225,12 @@ def to_text(payload: Any) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def render(payload: Any, fmt: str, no_timing: bool = False) -> Iterator[str]:
-    """The text of `payload` in `fmt`, in chunks: a witness store's rows
-    come at most `witnesses.CHUNK` to a chunk, so the text is never held
-    whole.  An unknown format is refused here, before any chunk is made."""
+def render(payload: Any, fmt: str, no_timing: bool = False
+           ) -> Iterator[bytes]:
+    """The UTF-8 text of `payload` in `fmt`, in chunks of bytes: a witness
+    store's rows come at most `witnesses.CHUNK` to a chunk, so the text is
+    never held whole.  An unknown format is refused here, before any chunk
+    is made."""
     if no_timing:
         payload = strip_timing(payload)
     if fmt == "json":
@@ -240,9 +238,9 @@ def render(payload: Any, fmt: str, no_timing: bool = False) -> Iterator[str]:
     if fmt == "csv":
         return _csv(payload)
     if fmt == "text":
-        return iter([to_text(payload)])
+        return iter([to_text(payload).encode()])
     raise ValueError(f"unknown format {fmt!r}")
 
 
 def serialize(payload: Any, fmt: str, no_timing: bool = False) -> str:
-    return "".join(render(payload, fmt, no_timing))
+    return b"".join(render(payload, fmt, no_timing)).decode()

@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath as mp
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primegaps import exponent_solver as es
+from primegaps import cli, exponent_solver as es
 from primegaps import gaps
 from conftest import primes_trial
 
@@ -23,6 +24,16 @@ def bisect_oracle(p, q, tol=1e-10):
         else:
             hi = mid
     return (lo + hi) / 2
+
+
+def root_oracle(p, q, x):
+    """The root of q^t - p^t = 1 to 60 digits, found near x by mpmath on
+    the cancelling form, with the digits of q on top."""
+    with mp.workdps(60 + len(str(q))):
+        return float(mp.findroot(
+            lambda t: mp.power(q, t) - mp.power(p, t) - 1,
+            (mp.mpf(x) - mp.mpf("1e-9"), mp.mpf(x) + mp.mpf("1e-9")),
+            solver="anderson"))
 
 
 class TestSolveExponent:
@@ -47,6 +58,45 @@ class TestSolveExponent:
     def test_pair_past_binary64_refused(self):
         with pytest.raises(ValueError, match="past binary64"):
             es.solve_exponent(10**400, 10**400 + 2)
+
+    def test_pair_near_1e18(self, capsys):
+        # binary64 rounds q and p to one value here, so q^x - p^x - 1
+        # read -1 everywhere and the bisection ran to x = 1 - 6e-14
+        p, q = 10**18 + 3, 10**18 + 9
+        sol = es.solve_exponent(p, q)
+        assert abs(sol.x - 0.95780942464021) < 1e-13
+        assert abs(sol.x - root_oracle(p, q, sol.x)) < es.X_TOL
+        assert cli.main(["solve", "pair", "--p", str(p), "--q", str(q),
+                         "--format", "json"]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["x"] == round(sol.x, 14)
+
+    def test_a_root_lost_in_binary64_is_refused(self, monkeypatch, capsys):
+        # the bisection driven by q^x - p^x - 1 in binary64, as it was:
+        # its x misses the root, and the strict check refuses it
+        p, q = 10**18 + 3, 10**18 + 9
+        strict = es._f_sign
+
+        def cancelling(x, ln_p, ln_ratio, m=math):
+            if m is math:
+                return math.pow(q, x) - math.pow(p, x) - 1.0
+            return strict(x, ln_p, ln_ratio, m)
+
+        monkeypatch.setattr(es, "_f_sign", cancelling)
+        with pytest.raises(ValueError, match="not within"):
+            es.solve_exponent(p, q)
+        assert cli.main(["solve", "pair", "--p", str(p),
+                         "--q", str(q)]) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(
+            f"error: the root of ({p}, {q}) is not within 1e-13 of x = ")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.just((2, 1)),
+                     st.tuples(st.integers(2, 10**300), st.integers(2, 1000))))
+    def test_root_within_x_tol_of_a_60_digit_root(self, pair):
+        p, g = pair
+        sol = es.solve_exponent(p, p + g)
+        assert abs(sol.x - root_oracle(p, p + g, sol.x)) < es.X_TOL
 
     def test_residual_bound(self):
         primes = primes_trial(2, 500)

@@ -1,5 +1,6 @@
 """The columnar witness store against plain lists of witness tuples."""
 
+import csv
 import dataclasses
 import io
 import json
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -19,7 +21,8 @@ from primegaps import cli, conjectures, gaps, report, witnesses
 from primegaps.witnesses import WitnessStore
 
 # the gap bounds, and names that csv quotes or %-formatting would read
-LEADS = (*conjectures.GAP_BOUNDS, "50%s", 'say "x", y', "line\nbreak")
+LEADS = (*conjectures.GAP_BOUNDS, "50%s", 'say "x", y', "line\nbreak",
+         '"50%d", say')
 # a pair block of up to 12 pairs, the indices of the pairs captured, and
 # how far past the last block of its lead it starts: each lead's blocks
 # ascend, as a pair scan makes them, while the leads interleave freely
@@ -112,6 +115,64 @@ class TestStoreAgainstLists:
         names = [w[0] for w in rep.violations]
         assert names == sorted(names) and set(names) == set(
             conjectures.GAP_BOUNDS)
+
+
+def wide_store(leads, per_lead):
+    """A store of `per_lead` witnesses under each of `leads` (None for no
+    lead), and the report of it next to the report of the same list."""
+    store, plain = WitnessStore(), []
+    n = np.arange(1, per_lead + 1, dtype=np.int64)
+    for lead in leads:
+        store.add(n, 2 * n + 1, 3 * n + 7, lead)
+        head = () if lead is None else (lead,)
+        plain += [(*head, k, 2 * k + 1, 3 * k + 7) for k in n.tolist()]
+    # an id and a range that %-formatting would read and csv quotes
+    rep = conjectures.ConjectureReport(
+        "5%d", 'p < "7", 50%', violations=store,
+        uncertain=WitnessStore()).finalize()
+    return rep, dataclasses.replace(rep, violations=sorted(plain))
+
+
+class TestRenderContract:
+    """`render` yields bytes, at most CHUNK witnesses to a chunk, which
+    join to the text of the same witnesses as a list of tuples."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 12, 1 << 14])
+    @pytest.mark.parametrize("leads", [(None,), ('"50%d", say', "andrica")])
+    def test_chunks_are_bytes_and_the_text_of_the_list(
+            self, monkeypatch, chunk, leads):
+        monkeypatch.setattr(witnesses, "CHUNK", chunk)
+        per_lead = (1 << 14) + 3  # past one chunk at every CHUNK tried
+        rep, listed = wide_store(leads, per_lead)
+        for fmt in ("json", "csv", "text"):
+            assert all(type(c) is bytes for c in report.render(rep, fmt))
+        header, *rows = report.render(rep, "csv")
+        assert header.count(b"\n") == 1
+        assert len(rows) == len(leads) * -(-per_lead // chunk)
+        for piece in rows:
+            # whole CSV records, a lead's line break inside its quotes
+            assert 1 <= len(list(csv.reader(io.StringIO(
+                piece.decode(), newline="")))) <= chunk
+        assert (header + b"".join(rows)).decode() == per_row_csv(listed)
+        pieces = list(report.render(rep, "json"))
+        assert max(p.count(b"    [\n") for p in pieces) <= chunk
+        assert b"".join(pieces).decode() == json.dumps(
+            report.to_jsonable(listed), indent=2) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_is_the_out_file(self, capfdbinary, tmp_path, fmt):
+        argv = ["verify", "smarandache-b", "--limit", "1000000", "--a",
+                "0.85", "--format", fmt, "--no-timing"]
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_VIOLATION
+        assert capfdbinary.readouterr().out == b""
+        assert cli.main(argv) == cli.EXIT_VIOLATION
+        got, want = capfdbinary.readouterr().out, out.read_bytes()
+        # 46 593 witnesses: more than one chunk, written chunk by chunk
+        rows = (want.count(b"\n    [\n") if fmt == "json"
+                else want.count(b"\n") - 1)
+        assert rows == 46593 > witnesses.CHUNK
+        assert got == want
 
 
 class TestAscendingRuns:
@@ -207,7 +268,7 @@ class TestOutputMemory:
         assert peaks[1] < 1.5 * peaks[0] and peaks[1] < size / 8
 
     @pytest.mark.parametrize("to_file", [False, True])
-    @pytest.mark.parametrize("chunk", [100, witnesses.CHUNK])
+    @pytest.mark.parametrize("chunk", [100, witnesses.CHUNK, 1 << 14])
     def test_emit_writes_each_rendered_chunk(
             self, monkeypatch, tmp_path, to_file, chunk):
         argv = ["verify", "smarandache-b", "--limit", "20000", "--a", "0.85",
@@ -218,7 +279,7 @@ class TestOutputMemory:
         # past one chunk of witnesses, each chunk as it is made; up to
         # one chunk, the text whole
         if len(rep.violations) <= chunk:
-            want = ["".join(want)]
+            want = [b"".join(want)]
         else:
             assert len(want) > 10
         writes = []
@@ -237,16 +298,18 @@ class TestOutputMemory:
             def __exit__(self, *exc):
                 self.fh.close()
 
-        out, sink = tmp_path / "out.csv", io.StringIO()
+        out, sink = tmp_path / "out.csv", io.BytesIO()
         if to_file:
             monkeypatch.setattr(cli, "open", lambda *a, **k: Recorder(
                 open(*a, **k)), raising=False)
             argv += ["--out", str(out)]
         else:
-            monkeypatch.setattr(sys, "stdout", Recorder(sink))
+            # the bytes go to the binary buffer under the text stream
+            monkeypatch.setattr(sys, "stdout", SimpleNamespace(
+                buffer=Recorder(sink), flush=lambda: None))
         assert cli.main(argv) == cli.EXIT_VIOLATION
-        got = out.read_text(encoding="utf-8") if to_file else sink.getvalue()
-        assert got == "".join(want) and writes == want
+        got = out.read_bytes() if to_file else sink.getvalue()
+        assert got == b"".join(want) and writes == want
 
 
 def test_no_witness_file_is_left_open():
