@@ -7,10 +7,7 @@ from .bounds import (
     Precision,
     Status,
     Verdict,
-    andrica_check,
     crossover_scan,
-    firoozbakht_check,
-    kourbatov_bound,
     monotone_scan,
 )
 from .conjectures import (

@@ -19,8 +19,6 @@ from typing import Callable, Optional
 import mpmath as mp
 import numpy as np
 
-from .sieve import MAX_VALUE
-
 # The error bound of the binary64 terms (Higham, Accuracy and Stability of
 # Numerical Algorithms, ch. 3).  Each term of a `settle` margin, and each
 # bound that `_int_below` floors, is within 60u of its exact value, relative,
@@ -75,10 +73,6 @@ class Verdict:
     precision_used: Precision
     witness: Optional[tuple] = None
 
-    @property
-    def holds(self) -> bool:
-        return self.status is Status.HOLDS
-
 
 def settle(lhs: np.ndarray, rhs: np.ndarray, strict: Callable[[int], "mp.mpf"]
            ) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -123,35 +117,6 @@ def _verdict(i: int, fast: float, settled: tuple, witness) -> Verdict:
                    None if status is Status.HOLDS else witness)
 
 
-# ---------------------------------------------------------------------------
-# pointwise evaluators
-
-
-def kourbatov_bound(p: float) -> float:
-    """(ln p)^2 - ln p - 1, the master upper bound on the gap after p.
-
-    Valid as a proven gap bound only from p = 29 on; smaller inputs are
-    legal here so callers can probe the function itself.
-    """
-    if p < 2:
-        raise ValueError(f"kourbatov_bound requires p >= 2, got {p}")
-    return GAP_BOUNDS["kourbatov"].log_bound(math.log(p))
-
-
-def andrica_check(p: int, q: int) -> Verdict:
-    """Holds iff sqrt(q) - sqrt(p) < 1 for the consecutive pair (p, q)."""
-    _require_pair(p, q)
-    return GAP_BOUNDS["andrica"].verdict(1, p, q, witness=(p, q))
-
-
-def firoozbakht_check(n: int, p: int, q: int) -> Verdict:
-    """Holds iff q^(1/(n+1)) < p^(1/n), decided as n*ln q < (n+1)*ln p."""
-    _require_pair(p, q)
-    if n < 1:
-        raise ValueError("prime index must be >= 1")
-    return GAP_BOUNDS["firoozbakht"].verdict(n, p, q, witness=(n, p, q))
-
-
 def recompute_smarandache9_constants(a0: float) -> dict:
     """Rebuild the printed constants 1/a0 and 1-a0 from a solved a0 and
     report how far the printed decimals sit from the recomputed values."""
@@ -165,13 +130,6 @@ def recompute_smarandache9_constants(a0: float) -> dict:
         "exponent_printed": SM9_EXPONENT,
         "exponent_discrepancy": expo - SM9_EXPONENT,
     }
-
-
-def _require_pair(p: int, q: int) -> None:
-    if q <= p or p < 2:
-        raise ValueError(f"({p}, {q}) is not an ascending prime pair")
-    if q > MAX_VALUE:  # the catalog takes pairs as int64
-        raise ValueError(f"q = {q} exceeds 2^63 - 1")
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +155,7 @@ class GapBound:
     fast(n, p, q) takes arrays of pairs, n as float64 and p, q as int64, and
     returns the binary64 terms (lhs, rhs) of their bounds, each holding
     where lhs > rhs; strict(n, p, q) is the margin lhs - rhs of one pair in
-    mpmath.  log_bound is B as a function of ln p, for the bounds
-    g < B(ln p) of p alone.
+    mpmath.
     """
 
     id: str
@@ -206,15 +163,6 @@ class GapBound:
     threshold: Callable[[int, int], int]
     fast: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
     strict: Callable[[int, int, int], "mp.mpf"]
-    log_bound: Optional[Callable] = None
-
-    def verdict(self, n: int, p: int, q: int, witness: tuple) -> Verdict:
-        """The bound at the one pair (n, p, q), decided by `settle`."""
-        lhs, rhs = self.fast(np.array([n], dtype=np.float64),
-                             np.array([p], dtype=np.int64),
-                             np.array([q], dtype=np.int64))
-        settled = settle(lhs, rhs, lambda i: self.strict(n, p, q))
-        return _verdict(0, float(lhs[0] - rhs[0]), settled, witness)
 
     def settle_block(self, blk, gap: np.ndarray) -> tuple:
         """The ascending indices of the failing and of the uncertain pairs
@@ -240,15 +188,14 @@ class GapBound:
         return at[fails], at[uncertain]
 
 
-def _log_gap_bound(id: str, floor: int, log_bound: Callable) -> GapBound:
-    """The bound g < log_bound(ln p), which rises with p from p = floor on,
+def _log_gap_bound(id: str, floor: int, bound: Callable) -> GapBound:
+    """The bound g < bound(ln p), which rises with p from p = floor on,
     so that its value at a block's first p bounds the whole block."""
     return GapBound(
         id, floor,
-        lambda p0, n1: _int_below(log_bound(math.log(p0))),
-        lambda n, p, q: (log_bound(np.log(p)), q - p),
-        lambda n, p, q: log_bound(mp.log(p)) - (q - p),
-        log_bound,
+        lambda p0, n1: _int_below(bound(math.log(p0))),
+        lambda n, p, q: (bound(np.log(p)), q - p),
+        lambda n, p, q: bound(mp.log(p)) - (q - p),
     )
 
 
@@ -273,11 +220,6 @@ GAP_BOUNDS = {b.id: b for b in (
     ),
     _log_gap_bound("cramer", KOURBATOV_FLOOR, lambda lp: lp * lp),
 )}
-
-
-# binary64 error of q^e - p^e relative to the larger term: a few ulps for
-# each pow and the subtraction (Higham, forward error of pow), with room
-POW_DIFF_REL_ERR = 8 * 2.0**-52
 
 
 def power_gap_bound(e: float, bound_of_n: Callable,

@@ -219,8 +219,10 @@ def pair_blocks(lo: int, hi: int, gate: Optional[Callable] = None
 # every binary64 value of the metric at gap g, numpy's or GapRecord's, lies
 # within err of [(g f_lo + c)(1 - r), (g f_hi + c)(1 + r)], where r, a few
 # dozen units of u = 2^-53, covers the rounding of the values and of f_lo
-# and f_hi.  sqrt(q) - sqrt(p) cancels: each root is within 1.5 u sqrt(q1)
-# of its own, and their difference is exact (Sterbenz), hence its err.
+# and f_hi.  A difference of two roots or powers cancels: by the proof at
+# bounds.TERM_REL_ERR, sqrt(x) is within 1.5u of its exact value and x^e
+# within 31u, so their difference is within 63u of the larger term, at
+# most sqrt(q1) or q1^e, and err is TERM_REL_ERR times that term.
 @dataclass(frozen=True)
 class Metric:
     """One metric of the pairs (g, p, q) from p = floor on, as above.
@@ -251,7 +253,7 @@ METRICS = {
         _by_field("cramer_ratio"), bounds.KOURBATOV_FLOOR),
     "andrica": Metric(
         lambda p0, p1, q1: (0.5 / math.sqrt(q1), 0.5 / math.sqrt(p0),
-                            0.0, 2.0**-50 * math.sqrt(q1)),
+                            0.0, bounds.TERM_REL_ERR * math.sqrt(q1)),
         lambda g, p, q: np.sqrt(q) - np.sqrt(p), _by_field("andrica")),
     "gap": Metric(lambda p0, p1, q1: (1.0, 1.0, 0.0, 0.0),
                   lambda g, p, q: g, _by_field("gap")),
@@ -266,10 +268,10 @@ METRICS = {
 def power_metric(e: float) -> Metric:
     """q^e - p^e for an exponent e in (0, 1), ranked by its numpy binary64
     value.  By the mean value theorem it is e x^(e-1) g for some x in
-    (p, q), and that value lies within POW_DIFF_REL_ERR q^e of it."""
+    (p, q), and that value lies within TERM_REL_ERR q^e of it."""
     return Metric(
         lambda p0, p1, q1: (e * q1 ** (e - 1), e * p0 ** (e - 1), 0.0,
-                            bounds.POW_DIFF_REL_ERR * q1**e),
+                            bounds.TERM_REL_ERR * q1**e),
         lambda g, p, q: q**e - p**e,
         lambda a, b: (a[0], -a[1].n) > (b[0], -b[1].n))
 

@@ -7,32 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primegaps import bounds
+from primegaps import bounds, gaps
 from primegaps.bounds import Precision, Status
-
-
-class TestKourbatovBound:
-    def test_at_29(self):
-        lp = math.log(29)
-        assert bounds.kourbatov_bound(29) == pytest.approx(lp * lp - lp - 1)
-        assert bounds.kourbatov_bound(29) == pytest.approx(6.97138, abs=1e-5)
-
-    def test_at_e(self):
-        assert bounds.kourbatov_bound(math.e) == pytest.approx(-1.0)
-
-    def test_at_127(self):
-        lp = math.log(127)
-        assert bounds.kourbatov_bound(127) == pytest.approx(lp * lp - lp - 1)
-        assert bounds.kourbatov_bound(127) == pytest.approx(17.622, abs=1e-3)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            bounds.kourbatov_bound(1)
-
-    @given(st.floats(min_value=2.0, max_value=1e12))
-    @settings(max_examples=200)
-    def test_always_below_squared_log(self, p):
-        assert bounds.kourbatov_bound(p) < math.log(p) ** 2
 
 
 def catalog_margins(bound, n, p, q):
@@ -45,18 +21,83 @@ def catalog_margins(bound, n, p, q):
     return float(lhs[0]), float(rhs[0]), strict
 
 
+def decide(bound, n, p, q):
+    """The status of the pair (p, q), p the n-th prime, under the catalog
+    entry `bound`, decided as the commands decide it: by `settle_block` on
+    a one-pair block."""
+    blk = gaps.PairBlock(n, np.array([p]), np.array([q]))
+    fails, uncertain = bounds.GAP_BOUNDS[bound].settle_block(blk,
+                                                             blk.q - blk.p)
+    return (Status.UNCERTAIN if uncertain.size
+            else Status.FAILS if fails.size else Status.HOLDS)
+
+
+def settled(bound, n, p, q):
+    """`bounds.settle` of the catalog terms of one pair, as `settle_block`
+    calls it: the failing and uncertain indices, and {0: m} where the
+    margin was decided at strict precision."""
+    entry = bounds.GAP_BOUNDS[bound]
+    lhs, rhs = entry.fast(np.array([float(n)]), np.array([p]), np.array([q]))
+    return bounds.settle(lhs, rhs, lambda i: entry.strict(n, p, q))
+
+
+class TestKourbatovBound:
+    """The catalog entry of g < (ln p)^2 - ln p - 1: its left term is the
+    bound, and `settle_block` tests it only from p = 29 on."""
+
+    @staticmethod
+    def bound_at(p):
+        return catalog_margins("kourbatov", 1, p, p)[0]
+
+    def test_at_29(self):
+        lp = math.log(29)
+        assert self.bound_at(29) == pytest.approx(lp * lp - lp - 1)
+        assert self.bound_at(29) == pytest.approx(6.97138, abs=1e-5)
+        assert decide("kourbatov", 10, 29, 31) is Status.HOLDS
+        assert decide("kourbatov", 10, 29, 36) is Status.FAILS  # 7 > 6.97
+
+    def test_at_e(self):
+        assert self.bound_at(math.e) == pytest.approx(-1.0)
+
+    def test_at_127(self):
+        lp = math.log(127)
+        assert self.bound_at(127) == pytest.approx(lp * lp - lp - 1)
+        assert self.bound_at(127) == pytest.approx(17.622, abs=1e-3)
+        assert decide("kourbatov", 31, 127, 131) is Status.HOLDS
+        assert decide("kourbatov", 31, 127, 145) is Status.FAILS  # 18
+
+    def test_domain_error(self):
+        # most pairs below 29 fail the bound (at p = 2 it is -1.2), and
+        # settle_block leaves them untested: it decides from p = 29 on
+        p = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29])
+        q = np.array([3, 5, 7, 11, 13, 17, 19, 23, 29, 37])
+        failing = [pi for n, (pi, qi) in enumerate(zip(p.tolist(),
+                                                       q.tolist()), 1)
+                   if catalog_margins("kourbatov", n, pi, qi)[2] < 0]
+        assert failing == [2, 3, 5, 7, 13, 23, 29]
+        blk = gaps.PairBlock(1, p, q)
+        fails, uncertain = bounds.GAP_BOUNDS["kourbatov"].settle_block(
+            blk, blk.q - blk.p)
+        assert fails.tolist() == [9] and not uncertain.size
+
+    @given(st.floats(min_value=2.0, max_value=1e12))
+    @settings(max_examples=200)
+    def test_always_below_squared_log(self, p):
+        cramer = catalog_margins("cramer", 1, p, p)[0]
+        assert cramer == pytest.approx(math.log(p) ** 2)
+        assert self.bound_at(p) < cramer
+
+
 class TestAndricaCheck:
-    """andrica_check reads the catalog entry: its margin is the entry's
-    fast margin, and the entry's threshold and strict margin agree."""
+    """The catalog entry of sqrt(q) - sqrt(p) < 1, decided by
+    `settle_block`: its threshold and strict margin agree."""
 
     @staticmethod
     def holds(p, q, margin, abs_):
-        v = bounds.andrica_check(p, q)
-        assert v.status is Status.HOLDS and v.witness is None
-        assert v.margin == pytest.approx(margin, abs=abs_)
+        assert decide("andrica", 1, p, q) is Status.HOLDS
         lhs, rhs, strict = catalog_margins("andrica", 1, p, q)
-        assert v.margin == lhs - rhs
         assert (lhs, rhs) == (1 + math.sqrt(p), math.sqrt(q))
+        assert lhs - rhs == pytest.approx(margin, abs=abs_)
         assert strict == pytest.approx(margin, abs=abs_)
         # (q - p - 1)^2 < 4p: the block rule holds each of them
         assert q - p < bounds.GAP_BOUNDS["andrica"].threshold(p, 1)
@@ -76,28 +117,24 @@ class TestAndricaCheck:
         # the strict margin may decide it
         p, q = 214797378458451888, 214797379385376651
         assert (q - p - 1) ** 2 - 4 * p == 574_949_092
-        v = bounds.andrica_check(p, q)
-        assert v.status is Status.FAILS and v.precision_used is Precision.STRICT
-        assert v.margin == pytest.approx(-3.3459e-10, rel=1e-4)
-        assert v.witness == (p, q)
-
-    def test_bad_pair(self):
-        with pytest.raises(ValueError):
-            bounds.andrica_check(11, 7)
-        with pytest.raises(ValueError, match="exceeds 2"):
-            bounds.andrica_check(2**63 - 25, 2**63 + 1)
+        assert decide("andrica", 1, p, q) is Status.FAILS
+        lhs, rhs, _ = catalog_margins("andrica", 1, p, q)
+        assert 0 < lhs - rhs <= bounds.TERM_REL_ERR * (lhs + rhs)
+        fails, uncertain, values = settled("andrica", 1, p, q)
+        assert fails.tolist() == [0] and not uncertain.size
+        assert values[0] == pytest.approx(-3.3459e-10, rel=1e-4)
 
 
 class TestFiroozbakhtCheck:
-    """firoozbakht_check reads the catalog entry, as andrica_check does."""
+    """The catalog entry of q^(1/(n+1)) < p^(1/n), decided by
+    `settle_block` on its terms (n + 1) ln p and n ln q."""
 
     @staticmethod
     def holds(n, p, q):
         assert p ** (1 / n) > q ** (1 / (n + 1))
-        v = bounds.firoozbakht_check(n, p, q)
-        assert v.status is Status.HOLDS and v.witness is None
+        assert decide("firoozbakht", n, p, q) is Status.HOLDS
         lhs, rhs, strict = catalog_margins("firoozbakht", n, p, q)
-        assert v.margin == lhs - rhs > 0 and strict > 0
+        assert lhs - rhs > 0 and strict > 0
         assert lhs == pytest.approx((n + 1) * math.log(p))
         assert rhs == pytest.approx(n * math.log(q))
         # p ln p / n is below each of these small gaps: the block rule
@@ -119,10 +156,10 @@ class TestFiroozbakhtCheck:
         cases = [(1, 2, 3), (2, 3, 5), (4, 7, 11), (30, 113, 127),
                  (217, 1327, 1361)]
         for n, p, q in cases:
-            v = bounds.firoozbakht_check(n, p, q)
             with mp.workdps(40):
                 direct = mp.power(p, mp.mpf(n + 1) / n) - q
-            assert v.holds == (direct > 0)
+            assert ((decide("firoozbakht", n, p, q) is Status.HOLDS)
+                    == (direct > 0))
 
 
 @st.composite
@@ -203,9 +240,8 @@ class TestGapBoundThresholds:
         # floor((ln p)^2 - ln p - 1): 6.97 at p = 29, 17.62 at 127
         kourbatov = bounds.GAP_BOUNDS["kourbatov"]
         assert kourbatov.threshold(29, 10) == 6
-        assert kourbatov.threshold(127, 31) == 17
-        assert bounds.kourbatov_bound(127) == kourbatov.log_bound(
-            math.log(127))
+        assert kourbatov.threshold(127, 31) == 17 == math.floor(
+            catalog_margins("kourbatov", 31, 127, 127)[0])
 
 
 def assert_within_error_bound(terms, exact, label):
@@ -532,8 +568,10 @@ class TestChunkedScans:
 
 class TestTriStateEngine:
     def test_decided_fast_margin(self):
-        v = bounds.andrica_check(7, 11)  # margin 0.33
-        assert v.status is Status.HOLDS and v.precision_used is Precision.FAST
+        # margin 0.33, far outside its window: no escalation
+        assert decide("andrica", 1, 7, 11) is Status.HOLDS
+        fails, uncertain, values = settled("andrica", 1, 7, 11)
+        assert not fails.size and not uncertain.size and values == {}
 
     def test_escalates_to_strict(self):
         # a margin of 1e-12 between terms of 1000 is inside their error
@@ -551,9 +589,11 @@ class TestTriStateEngine:
         assert values == {0: 1e-30}
 
     def test_exactly_zero_strict_margin_is_uncertain(self):
-        v = bounds.andrica_check(256, 289)  # sqrt(289) - sqrt(256) = 1
-        assert v.status is Status.UNCERTAIN
-        assert v.margin == 0.0 and v.witness == (256, 289)
+        # sqrt(289) - sqrt(256) = 1
+        assert decide("andrica", 1, 256, 289) is Status.UNCERTAIN
+        fails, uncertain, values = settled("andrica", 1, 256, 289)
+        assert uncertain.tolist() == [0] and not fails.size
+        assert values == {0: 0.0}
 
     def test_nan_margin_is_decided_strictly(self):
         fails, uncertain, values = bounds.settle(
@@ -562,9 +602,13 @@ class TestTriStateEngine:
         assert values == {0: -1.0}
 
     def test_fails_carry_witness(self):
-        v = bounds.andrica_check(7, 29)  # sqrt(29) - sqrt(7) = 2.74
-        assert v.status is Status.FAILS
-        assert v.witness == (7, 29)
+        # sqrt(29) - sqrt(7) = 2.74: the failing position gives the
+        # witness (n, p, q) that the checkers capture
+        blk = gaps.PairBlock(2, np.array([3, 7, 11]), np.array([5, 29, 13]))
+        fails, uncertain = bounds.GAP_BOUNDS["andrica"].settle_block(
+            blk, blk.q - blk.p)
+        assert fails.tolist() == [1] and not uncertain.size
+        assert (blk.index(1), blk.p[1], blk.q[1]) == (3, 7, 29)
 
     def test_fast_and_strict_agree_near_boundaries(self):
         # sampled near-threshold soundness: both routes must agree whenever

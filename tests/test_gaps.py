@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -167,6 +168,57 @@ def test_tracker_finds_the_record_of_every_metric(start, steps, size, floor):
         i = int(np.argmax(vals))
         value, rec = got[e]
         assert (value, rec.n, rec.p, rec.q) == (vals[i], i + 1, p[i], q[i]), e
+
+
+def exact_factors(metric, p0, p1, q1):
+    """(f_lo, f_hi, c) at 50 digits of `metric`, a name in gaps.METRICS or
+    the exponent of a power_metric, over the pairs with p in [p0, p1] and
+    every q <= q1: each metric at gap g lies in [g f_lo + c, g f_hi + c]."""
+    with mp.workdps(50):
+        p0, p1, q1 = mp.mpf(p0), mp.mpf(p1), mp.mpf(q1)
+        if metric == "cramer_ratio":  # g / (ln p)^2
+            return mp.log(p1) ** -2, mp.log(p0) ** -2, 0
+        if metric == "andrica":  # g / (sqrt(q) + sqrt(p))
+            return 1 / (2 * mp.sqrt(q1)), 1 / (2 * mp.sqrt(p0)), 0
+        if metric == "gap":
+            return 1, 1, 0
+        if metric == "ratio":  # 1 + g / p
+            return 1 / p1, 1 / p0, 1
+        e = mp.mpf(metric)  # the binary64 exponent, exactly
+        return e * q1 ** (e - 1), e * p0 ** (e - 1), 0
+
+
+# the relative rounding r of the values that do not cancel, a few dozen u
+VALUE_REL_ERR = 32 * 2.0**-53
+
+
+@given(st.one_of(st.integers(2, 10**4), st.integers(2, 2**62)),
+       st.lists(st.one_of(st.integers(1, 2000), st.integers(1, 10**6)),
+                min_size=1, max_size=50))
+@settings(max_examples=200, deadline=None)
+# just above 2^53, where float(p) is no longer exact
+@example(start=2**53 + 1, steps=[2, 4, 6, 1000, 2])
+@example(start=2**53 - 5, steps=[2] * 10 + [1500])
+def test_metric_values_lie_within_err_of_their_factors(start, steps):
+    # every binary64 value the tracker compares lies within err of the
+    # 50-digit bounds of its run, to the relative rounding r
+    values = np.cumsum([start] + steps)
+    p, q = values[:-1], values[1:]
+    catalog = {**gaps.METRICS, **{e: gaps.power_metric(e) for e in POWERS}}
+    for name, metric in catalog.items():
+        s = int(p.searchsorted(metric.floor))
+        if s == p.size:
+            continue
+        p0, p1, q1 = int(p[s]), int(p[-1]), int(q[-1])
+        err = metric.factors(p0, p1, q1)[3]
+        f_lo, f_hi, c = exact_factors(name, p0, p1, q1)
+        g = q[s:] - p[s:]
+        vals = np.asarray(metric.values(g, p[s:], q[s:]), dtype=np.float64)
+        with mp.workdps(50):
+            for gap, value in zip(g.tolist(), vals.tolist()):
+                lo = (gap * f_lo + c) * (1 - VALUE_REL_ERR) - err
+                hi = (gap * f_hi + c) * (1 + VALUE_REL_ERR) + err
+                assert lo <= value <= hi, (name, p0, p1, q1, gap, value)
 
 
 @pytest.mark.parametrize("pairs, lo, hi", [

@@ -76,7 +76,7 @@ class TestSerialization:
             bounds.crossover_scan("two-n-plus-one-vs-4log2", 2, 100),
             exponent_solver.solve_exponent(113, 127),
             panaitopol.coefficients(4),
-            bounds.andrica_check(7, 11),
+            Verdict(Status.FAILS, -0.049, Precision.FAST, (89,)),
         ]
         for payload in payloads:
             assert report.to_text(payload).strip()
