@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import enum
+import functools
 import io
 import json
 from typing import Any, Iterator
@@ -79,10 +80,77 @@ _CSV_VIOLATION_HEADER = [
 ]
 
 
-def _format_rows(row: bytes, rows: np.ndarray) -> bytes:
-    """row % (n, p, q) for each row n, p, q of `rows`, back to back (a
-    repeated template formats faster than a joined one)."""
-    return row * len(rows) % tuple(rows.ravel().tolist())
+# 10, 100, ..., 10^18: a value's digit count is one more than the number
+# of these at or below it
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+@functools.cache
+def _digit_tables() -> tuple:
+    """(size, table) for 4, 2 and 1 digits: entry x of a table is the text
+    of x in `size` digits, with leading zeros, read as one unsigned int of
+    `size` bytes.  All three view the "%04d" text of 0..9999, built on
+    first use, so that a run that writes no witness never builds it."""
+    x = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1])
+    text = (x % 10 + ord("0")).astype(np.uint8).ravel()
+    text.flags.writeable = False  # shared by every call
+    # the last 2 bytes of entry x < 100 are "%02d" % x, the last of x < 10
+    # its digit
+    return ((4, text.view(np.uint32)), (2, text.view(np.uint16)[1::2]),
+            (1, text[3::4]))
+
+
+def _digit_counts(values: np.ndarray) -> list:
+    return [len(str(v)) for v in values.tolist()]
+
+
+def _format_run(pieces: tuple, cols: np.ndarray, counts: list) -> bytes:
+    """The text of the rows whose columns n, p, q are `cols` and have
+    `counts` digits in every row: one line width, so the lines are a
+    (rows, width) byte matrix, filled with the line whose digits are all 0
+    and the digits then written over it, a column's last 4 (or 2, or 1) at
+    a time through an unaligned view of the matrix."""
+    m = cols.shape[1]
+    line = pieces[0] + b"".join(b"0" * c + piece
+                                for c, piece in zip(counts, pieces[1:]))
+    width = len(line)
+    mat = bytearray(line) * m
+    right = 0
+    for piece, c, x in zip(pieces, counts, cols):
+        right += len(piece) + c
+        end = right  # just past the column's digits
+        for size, table in _digit_tables():
+            while c >= size:
+                low = x
+                if c > size:
+                    x = low // 10**size
+                    low = low - 10**size * x
+                np.ndarray((m,), table.dtype, mat, end - size, (width,)
+                           )[...] = table.take(low)
+                c, end = c - size, end - size
+    return bytes(mat)
+
+
+def _format_rows(pieces: tuple, rows: np.ndarray) -> bytes:
+    """pieces[0] + str(n) + pieces[1] + str(p) + pieces[2] + str(q) +
+    pieces[3] for each row n, p, q of the (k, 3) int64 `rows`, back to back;
+    a negative entry is refused.  Rows whose columns have the same digit
+    counts are written as one run: a whole chunk, unless a column crosses a
+    power of ten in it."""
+    if not len(rows):
+        return b""
+    cols = rows.T.copy()  # n, p and q each contiguous
+    lo, hi = cols.min(axis=1), cols.max(axis=1)
+    if lo.min() < 0:
+        raise ValueError("a witness row has a negative entry")
+    counts = _digit_counts(lo)
+    if counts == _digit_counts(hi):
+        return _format_run(pieces, cols, counts)
+    per_row = np.searchsorted(_POW10, cols, side="right") + 1
+    cuts = np.flatnonzero(np.any(per_row[:, 1:] != per_row[:, :-1], axis=0))
+    cuts = [0, *(cuts + 1).tolist(), len(rows)]
+    return b"".join(_format_run(pieces, cols[:, a:b], per_row[:, a].tolist())
+                    for a, b in zip(cuts, cuts[1:]))
 
 
 def _csv_line(fields: list) -> str:
@@ -94,16 +162,21 @@ def _csv_line(fields: list) -> str:
 
 def _witness_csv(prefix: str, store: WitnessStore) -> Iterator[bytes]:
     """The CSV rows `prefix` + witness cell, one per witness of `store`, a
-    chunk of at most `CHUNK` rows at a time, each formatted from the
-    store's rows with one template."""
-    prefix = prefix.replace("%", "%%")
+    chunk of at most `CHUNK` rows at a time."""
+    pieces = {}  # lead -> the text around its rows' numbers
     for lead, rows in store.runs():
-        cell = "%d %d %d"
-        if lead is not None:
-            # encoded as csv.writer encodes the cell: digits and spaces
-            # never change how a field is quoted
-            cell = _csv_line([lead.replace("%", "%%") + " " + cell])
-        yield _format_rows((prefix + cell + "\n").encode(), rows)
+        if lead not in pieces:
+            head, tail = prefix, "\n"
+            if lead is not None:
+                # encoded as csv.writer encodes the cell: digits and spaces
+                # never change how a field is quoted, and a quoted cell
+                # ends in its closing quote
+                cell = _csv_line([lead + " "])
+                if cell.endswith('"'):
+                    cell, tail = cell[:-1], '"' + tail
+                head += cell
+            pieces[lead] = (head.encode(), b" ", b" ", tail.encode())
+        yield _format_rows(pieces[lead], rows)
 
 
 def _json_witnesses(store: WitnessStore) -> Iterator[bytes]:
@@ -115,10 +188,11 @@ def _json_witnesses(store: WitnessStore) -> Iterator[bytes]:
     yield b"["
     skip = 1  # the comma before the first row
     for lead, rows in store.runs():
-        items = [] if lead is None else [json.dumps(lead).replace("%", "%%")]
-        row = (",\n    [\n      " + ",\n      ".join(items + ["%d"] * 3)
-               + "\n    ]").encode()
-        yield _format_rows(row, rows)[skip:]
+        head = ",\n    [\n      "
+        if lead is not None:
+            head += json.dumps(lead) + ",\n      "
+        pieces = (head.encode(), b",\n      ", b",\n      ", b"\n    ]")
+        yield _format_rows(pieces, rows)[skip:]
         skip = 0
     yield b"\n  ]"
 

@@ -26,10 +26,11 @@ from typing import Iterator, Optional
 import numpy as np
 
 # witnesses turned into tuples, or into text, at a time: at 2^12 a chunk's
-# rows, their ints and their CSV text (about 400 kB) fit a core's 2 MB L2
-# cache, and 2^14 does not; on a Xeon with 2 MB of L2 per core, the CSV of
-# smarandache-b's 603 560 witnesses below 2e7 at a = 0.85 took 0.19 s to
-# render at 2^12 and 0.27 s at 2^14
+# rows and the byte matrix its CSV text is written in (about 1 MB together)
+# fit a core's 2 MB L2 cache, and 2^14 does not; on a Xeon with 2 MB of L2
+# per core, the CSV of smarandache-b's 603 560 witnesses below 2e7 at
+# a = 0.85 rendered in a median 0.031 s at 2^12 and 0.043 s at 2^14, in one
+# process over 12 alternating pairs, 2^14 faster in none
 CHUNK = 1 << 12
 
 

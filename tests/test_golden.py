@@ -37,6 +37,10 @@ CASES = {
     "max-1e6.json": ("solve max --limit 1000000 --format json", OK),
     "smarandache-b-1e4-a0.85.csv":
         ("verify smarandache-b --limit 10000 --a 0.85 --format csv", VIOLATION),
+    # 1229 witnesses whose n, p and q cross 10, 100 and 1000 in one chunk
+    "smarandache-b-1e4-a0.85.json":
+        ("verify smarandache-b --limit 10000 --a 0.85 --format json",
+         VIOLATION),
     "smarandache-c-1e5-k3.json":
         ("verify smarandache-c --limit 100000 --k 3 --format json", OK),
     "smarandache-c-3e7-k3.json":

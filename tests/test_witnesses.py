@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primegaps import cli, conjectures, gaps, report, witnesses
@@ -173,6 +173,60 @@ class TestRenderContract:
                 else want.count(b"\n") - 1)
         assert rows == 46593 > witnesses.CHUNK
         assert got == want
+
+
+# 0 to 2^63 - 1, leaning on 0, 2^63 - 1 and each side of every power of ten
+EDGES = sorted({0, 2**63 - 1, *(10**j + d for j in range(1, 19)
+                                for d in (-1, 0))})
+entries = st.one_of(
+    st.sampled_from(EDGES),
+    st.sampled_from(EDGES[1:-1]).flatmap(
+        lambda e: st.integers(max(e - 3, 0), e + 3)),
+    st.integers(1, 19).flatmap(
+        lambda w: st.integers(10**w // 10, min(10**w - 1, 2**63 - 1))),
+    st.integers(0, 2**63 - 1))
+# literal text around the numbers: csv and json punctuation, a %-format
+# directive, line breaks and multi-byte UTF-8
+pieces = st.text(st.sampled_from('%d",\n\r 7[]é€😀')).map(str.encode)
+
+
+def formatted(pieces, rows):
+    """The oracle: each row through bytes %-formatting."""
+    return b"".join(pieces[0] + b"%d" % n + pieces[1] + b"%d" % p
+                    + pieces[2] + b"%d" % q + pieces[3]
+                    for n, p, q in rows.tolist())
+
+
+# digit counts that change from row to row, each way
+CROSSING = [(9, 99, 999), (10, 100, 1000), (10, 99, 1000),
+            (0, 2**63 - 1, 9999), (10**18, 10**17, 10000)]
+
+
+class TestFormatRows:
+    @settings(max_examples=300, deadline=None)
+    @example(pieces=(b"", b" ", b" ", b"\n"), rows=CROSSING, ascending=False)
+    @example(pieces=(b"", b" ", b" ", b"\n"), rows=CROSSING, ascending=True)
+    @example(pieces=(b"", b" ", b" ", b"\n"), rows=[], ascending=False)
+    @given(pieces=st.tuples(pieces, pieces, pieces, pieces),
+           rows=st.lists(st.tuples(entries, entries, entries), max_size=50),
+           ascending=st.booleans())
+    def test_rows_are_their_percent_formatting(self, pieces, rows,
+                                               ascending):
+        rows = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        if ascending:  # as witness rows come: runs of equal digit counts
+            rows = np.sort(rows, axis=0)
+        assert report._format_rows(pieces, rows) == formatted(pieces, rows)
+
+    @settings(max_examples=50, deadline=None)
+    @given(rows=st.lists(st.tuples(entries, entries, entries), min_size=1,
+                         max_size=50),
+           at=st.tuples(st.integers(0, 49), st.integers(0, 2)),
+           value=st.integers(-2**63, -1))
+    def test_a_negative_entry_is_refused(self, rows, at, value):
+        rows = np.array(rows, dtype=np.int64)
+        rows[at[0] % len(rows), at[1]] = value
+        with pytest.raises(ValueError, match="negative"):
+            report._format_rows((b"", b" ", b" ", b"\n"), rows)
 
 
 class TestAscendingRuns:
