@@ -30,7 +30,10 @@ import numpy as np
 # within |a| times the error of x, plus 8u, plus |ln x| times the error of
 # a: x^e, 0 < e < 1, x < 2^63 (ln x < 44), is within 31u where e is a
 # rounded decimal or 1/k, p^(1 - e) within 53u, L^2.3095 within 36u and
-# n^0.432852 within 16u.  Each further
+# n^0.432852 within 16u.  An exact binary64 exponent, as the a0 descent's
+# t, has an error term of 0, and so has 1 - t for t in [1/2, 2] (Sterbenz):
+# p^(1 - t) is then within 9u.  While the best pair is (2, 3), t exceeds 1
+# by PRUNE_MARGIN, and its threshold lies below 1: dense blocks.  Each further
 # product, quotient or sum of positive terms adds u: 2.5u for 1 + sqrt(p),
 # 11u for (n + 1) ln p, 32u for b(n) + p^e, 3u for 5p + 1, 14u for
 # p ln p / n and 57u for b(n) p^(1 - e) / e.  A margin lhs - rhs of two such

@@ -288,17 +288,11 @@ def check_shanks_trend(limit: int, window: int) -> list[TrendRow]:
         ratios = gap / np.log(blk.p.astype(np.float64)) ** 2
         ratios = np.concatenate((carry, ratios))
         full = ratios.size - ratios.size % window
-        for s in range(0, full, window):
-            chunk = ratios[s : s + window]
-            first_n = len(rows) * window + 1
-            rows.append(TrendRow(
-                window_index=len(rows),
-                first_n=first_n,
-                last_n=first_n + window - 1,
-                mean=float(chunk.mean()),
-                min=float(chunk.min()),
-                max=float(chunk.max()),
-            ))
+        wins = ratios[:full].reshape(-1, window)
+        for stats in zip(wins.mean(axis=1).tolist(),
+                         wins.min(axis=1).tolist(), wins.max(axis=1).tolist()):
+            k = len(rows)
+            rows.append(TrendRow(k, k * window + 1, (k + 1) * window, *stats))
         carry = ratios[full:]
     return rows
 
@@ -370,10 +364,10 @@ def find_smarandache_D_counterexample(
 ) -> Optional[DWitness]:
     """Least index n >= n_start with q^a - p^a >= 1/n, or None.
 
-    Each block of pairs, cut at the cap, is decided against the bound
-    1/n by `bounds.GapBound.settle_block`.  None means no witness up to the
-    cap, or an uncertain pair before the first failure, where the least n
-    is unknown.
+    Each block of one dense stream from 2, cut to the n in [n_start, cap],
+    is decided against the bound 1/n by `bounds.GapBound.settle_block`.
+    None means no witness up to the cap, or an uncertain pair before the
+    first failure, where the least n is unknown.
     """
     if not 0.0 < a < 1.0:
         raise ValueError(f"exponent must lie in (0, 1), got {a}")
@@ -382,18 +376,17 @@ def find_smarandache_D_counterexample(
     if n_start > cap:
         return None
     a = float(a)  # a numpy float's repr is not an mpf literal
-    p0 = sieve.nth_prime(n_start)
     a_mp = mp.mpf(repr(a))
     bound = bounds.power_gap_bound(
         a, lambda n: 1.0 / n, lambda n, p, q: mp.mpf(1) / n
         - (mp.power(q, a_mp) - mp.power(p, a_mp)))
     # one lazy stream up to a bound past p_cap: segments are sieved only
     # as the scan reaches them, so a small witness stays cheap
-    for blk in gaps.pair_blocks(p0, sieve._nth_prime_bound(cap) + 1):
+    for blk in gaps.pair_blocks(2, sieve._nth_prime_bound(cap) + 1):
         if blk.n0 > cap:
             return None
-        blk = gaps.PairBlock(blk.n0, blk.p[:cap + 1 - blk.n0],
-                             blk.q[:cap + 1 - blk.n0])
+        s, e = max(n_start - blk.n0, 0), cap + 1 - blk.n0
+        blk = gaps.PairBlock(blk.n0 + s, blk.p[s:e], blk.q[s:e])
         fails, uncertain = bound.settle_block(blk, blk.q - blk.p)
         if uncertain.size and not (fails.size and fails[0] < uncertain[0]):
             return None

@@ -17,7 +17,7 @@ from typing import Tuple
 import mpmath as mp
 import numpy as np
 
-from . import gaps
+from . import bounds, gaps
 from .bounds import STRICT_DPS
 
 X_TOL = 1e-13
@@ -98,16 +98,19 @@ def min_exponent(limit: int) -> Tuple[ExponentSolution, int]:
 
     A descent from (2, 3), whose root 1 is the largest (see max_exponent):
     f increases in x, so a root lies at or below t exactly when
-    q^t - p^t >= 1.  Each block keeps the pairs that pass that test at
-    t = best + PRUNE_MARGIN, solves the one with the largest q^t - p^t,
-    drops it and re-tests the rest, until none is left.
+    q^t - p^t >= 1, and then its gap reaches the threshold of Smarandache
+    B's bound q^t - p^t < 1, which gates the stream at t = best +
+    PRUNE_MARGIN (t only falls, so an old gate stays sound).  Each block
+    keeps the pairs that pass the test at t, solves the one with the
+    largest q^t - p^t, drops it and re-tests the rest, until none is left.
     """
     if limit < 3:
         raise ValueError("limit must be >= 3")
     best = solve_exponent(2, 3)
     count = 0
-    for blk in gaps.pair_blocks(2, limit):
-        count += blk.p.size
+    for blk in gaps.pair_blocks(2, limit, lambda p0, n1: bounds.power_gap_bound(
+            best.x + PRUNE_MARGIN, lambda n: 1.0, None).threshold(p0, n1)):
+        count += blk.count
         p, q = blk.p, blk.q
         while True:
             t = best.x + PRUNE_MARGIN

@@ -214,6 +214,38 @@ class TestShanksTrend:
         with pytest.raises(ValueError):
             cj.check_shanks_trend(10**4, 99)
 
+    @staticmethod
+    def per_window_rows(limit, window):
+        """The rows by one slice per window, as the scan once took them."""
+        rows = []
+        carry = np.empty(0)
+        for blk in gaps.pair_blocks(2, limit):
+            gap = (blk.q - blk.p).astype(np.float64)
+            ratios = gap / np.log(blk.p.astype(np.float64)) ** 2
+            ratios = np.concatenate((carry, ratios))
+            full = ratios.size - ratios.size % window
+            for s in range(0, full, window):
+                chunk = ratios[s : s + window]
+                first_n = len(rows) * window + 1
+                rows.append(cj.TrendRow(
+                    len(rows), first_n, first_n + window - 1,
+                    float(chunk.mean()), float(chunk.min()),
+                    float(chunk.max())))
+            carry = ratios[full:]
+        return rows
+
+    @pytest.mark.parametrize("limit, window", [
+        (2 * 10**4, 100), (2 * 10**4, 101), (3 * 10**5, 10**4)])
+    def test_rows_equal_the_per_window_slices(self, monkeypatch, limit,
+                                              window):
+        # windows straddle blocks of 7 pairs and segments of 2048 integers;
+        # the floats are compared with ==
+        monkeypatch.setattr(sieve, "SEGMENT_ODDS", 1024)
+        monkeypatch.setattr(gaps, "PAIR_SLICE", 7)
+        rows = cj.check_shanks_trend(limit, window)
+        assert len(rows) == len(primes_trial(2, limit)) // window
+        assert rows == self.per_window_rows(limit, window)
+
 
 A0 = 0.5671481302020263  # root of 127^x - 113^x = 1
 
@@ -408,6 +440,49 @@ class TestSmarandacheD:
         w = cj.find_smarandache_D_counterexample(0.1, 200, 217)
         assert w.n == 217
         assert cj.find_smarandache_D_counterexample(0.1, 200, 216) is None
+
+    @staticmethod
+    def least_witness(primes, a, n_start, cap):
+        """The least n in [n_start, cap] with q^a - p^a >= 1/n at 50
+        digits, over the primes `primes`, or None."""
+        with mp.workdps(50):
+            a_mp = mp.mpf(repr(a))
+            for n in range(n_start, cap + 1):
+                p, q = primes[n - 1], primes[n]
+                if mp.power(q, a_mp) - mp.power(p, a_mp) >= mp.mpf(1) / n:
+                    return n
+        return None
+
+    @pytest.mark.parametrize("a", [0.1, 0.2, 0.4, 0.45])
+    def test_least_witness_from_every_start(self, monkeypatch, a):
+        # one stream from 2 for every n_start, past segments of 32 integers
+        # and blocks of 7 pairs, each start at and around a block's first n
+        primes = primes_trial(2, 1400)  # p_1 .. p_221
+        monkeypatch.setattr(sieve, "SEGMENT_ODDS", 16)
+        monkeypatch.setattr(gaps, "PAIR_SLICE", 7)
+        for cap in (216, 217):
+            edges = {blk.n0 for blk in gaps.pair_blocks(
+                2, sieve._nth_prime_bound(cap) + 1) if blk.n0 <= cap}
+            starts = sorted({n + d for n in edges for d in (-1, 0, 1)}
+                            & set(range(1, cap + 1)))
+            calls = []
+            pair_blocks = gaps.pair_blocks
+
+            def spy(lo, hi):
+                calls.append((lo, hi))
+                return pair_blocks(lo, hi)
+
+            with monkeypatch.context() as m:
+                m.setattr(gaps, "pair_blocks", spy)
+                m.setattr(sieve, "nth_prime", None)
+                m.setattr(sieve, "prime_count", None)
+                for n_start in starts:
+                    w = cj.find_smarandache_D_counterexample(a, n_start, cap)
+                    n = self.least_witness(primes, a, n_start, cap)
+                    assert (w and (w.n, w.p, w.q)) == (
+                        n and (n, primes[n - 1], primes[n])), n_start
+            assert calls == [(2, sieve._nth_prime_bound(cap) + 1)] * len(
+                starts)
 
     def test_n_start_past_the_cap_does_no_work(self, monkeypatch):
         monkeypatch.setattr(sieve, "nth_prime", None)

@@ -4,11 +4,11 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primegaps import cli, exponent_solver as es
-from primegaps import gaps
+from primegaps import gaps, sieve
 from conftest import primes_trial
 
 
@@ -215,28 +215,83 @@ def unpruned_min_max(limit):
     return lo_best[1:], hi_best[1:], count
 
 
+def _near_edge(odds, base, d):
+    """A limit d past the end of the segment of `odds` odd entries that
+    holds `base`, in the segments of a stream from 2."""
+    span = 2 * odds
+    return max(3, 3 + span * -(-(base - 3) // span) + d)
+
+
+# (SEGMENT_ODDS, limit): any limit up to 1e5 at the default segment, all
+# of it in the first segment, and limits near the segment ends at 8, 64 and
+# 1024 odds, where the descent is gated from p ~ 800 on (the gate at a0 is
+# p0^0.43 / 0.57, and a gate below 32 leaves the blocks dense)
+SEGMENTED_LIMITS = st.one_of(
+    st.tuples(st.just(sieve.SEGMENT_ODDS), st.integers(3, 10**5)),
+    st.sampled_from([(8, 2 * 10**4), (64, 10**5), (1024, 10**5)]).flatmap(
+        lambda oc: st.tuples(st.just(oc[0]), st.builds(
+            _near_edge, st.just(oc[0]), st.integers(3, oc[1]),
+            st.integers(-3, 3)))))
+
+
+# the first limits past the first segment, and large limits
+EDGE_CASES = [(odds, _near_edge(odds, base, d)) for odds, base, d in [
+    (8, 4, 1), (1024, 4, 2), (8, 2 * 10**4, 1), (64, 10**5, 0),
+    (1024, 10**5, -1)]]
+
+
+def with_edge_cases(test):
+    for case in EDGE_CASES:
+        test = example(case)(test)
+    return test
+
+
 class TestPrunedScans:
-    @given(st.integers(min_value=3, max_value=10**5))
-    @settings(max_examples=25, deadline=None)
-    def test_same_pairs_as_unpruned_scan(self, limit):
+    @with_edge_cases
+    @given(SEGMENTED_LIMITS)
+    @settings(max_examples=40, deadline=None)
+    def test_same_pairs_as_unpruned_scan(self, case):
+        odds, limit = case
         lo_pair, hi_pair, count = unpruned_min_max(limit)
-        sol, pairs = es.min_exponent(limit)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sieve, "SEGMENT_ODDS", odds)
+            sol, pairs = es.min_exponent(limit)
         assert (sol.p, sol.q) == lo_pair
         assert pairs == count
         sol = es.max_exponent(limit)
         assert (sol.p, sol.q) == hi_pair
 
-    @given(st.integers(min_value=3, max_value=10**5))
-    @settings(max_examples=10, deadline=None)
-    def test_small_pair_blocks(self, limit):
+    @with_edge_cases
+    @given(SEGMENTED_LIMITS)
+    @settings(max_examples=15, deadline=None)
+    def test_small_pair_blocks(self, case):
+        odds, limit = case
         lo_pair, hi_pair, count = unpruned_min_max(limit)
         for pair_slice in (1, 7, 100):
             with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sieve, "SEGMENT_ODDS", odds)
                 mp.setattr(gaps, "PAIR_SLICE", pair_slice)
                 lo, pairs = es.min_exponent(limit)
                 hi = es.max_exponent(limit)
             assert ((lo.p, lo.q), (hi.p, hi.q)) == (lo_pair, hi_pair)
             assert pairs == count
+
+    def test_the_gate_acts_past_the_first_segment(self, monkeypatch):
+        # the descent builds only the pairs that can hold its root, and
+        # still counts every pair
+        built = []
+        pair_blocks = gaps.pair_blocks
+
+        def spy(lo, hi, gate=None):
+            for blk in pair_blocks(lo, hi, gate):
+                built.append(blk.p.size)
+                yield blk
+
+        monkeypatch.setattr(sieve, "SEGMENT_ODDS", 1024)
+        monkeypatch.setattr(gaps, "pair_blocks", spy)
+        sol, pairs = es.min_exponent(10**5)
+        assert (sol.p, sol.q, pairs) == (113, 127, 9592)
+        assert sum(built) < pairs // 10
 
     # roots 1.8e-10 apart (not prime pairs; the solver only needs q > p)
     NEAR_TIE = [(1051, 1107), (1781, 1853)]
@@ -247,7 +302,7 @@ class TestPrunedScans:
         roots = {pq: es.solve_exponent(*pq).x for pq in self.NEAR_TIE}
         assert 0 < abs(roots[a] - roots[b]) < 1e-9
 
-        def fake_blocks(lo, hi):
+        def fake_blocks(lo, hi, gate=None):
             # (2, 3) first, so the near-tied pairs meet an existing best
             for i, (p, q) in enumerate([(2, 3), a, b]):
                 yield gaps.PairBlock(i + 1, np.array([p]), np.array([q]))
