@@ -77,16 +77,28 @@ class Verdict:
     witness: Optional[tuple] = None
 
 
-def settle(lhs: np.ndarray, rhs: np.ndarray, strict: Callable[[int], "mp.mpf"]
+def num(m, x):
+    """The value that the constant x stands for, in module m's arithmetic:
+    float(x) for numpy (or math); for mpmath, an int exactly, and a float
+    as the decimal that repr(float(x)) prints, rounded at the working
+    precision, so that 0.85 is 85/100 and not its binary64 neighbour."""
+    if m is not mp:
+        return float(x)
+    return mp.mpf(int(x) if isinstance(x, (int, np.integer))
+                  else repr(float(x)))
+
+
+def settle(lhs: np.ndarray, rhs: np.ndarray, strict: Callable[[int], tuple]
            ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Decide the inequalities lhs > rhs of binary64 terms: 1-D arrays, or
     a scalar against an array.
 
     With scale = |lhs| + |rhs|, a margin lhs - rhs above
     TERM_REL_ERR * scale holds and one below minus that fails.  One at or
-    inside that window, or NaN, is decided once more by m = strict(i), the
-    margin at STRICT_DPS: uncertain if |m| < STRICT_REL_TOL * max(scale, 1),
-    else failing if m <= 0.  Returns the ascending indices of the failing
+    inside that window, or NaN, is decided once more, by the margin
+    m = lhs - rhs of its terms (lhs, rhs) = strict(i) in mpmath at
+    STRICT_DPS: uncertain if |m| < STRICT_REL_TOL * max(scale, 1), else
+    failing if m <= 0.  Returns the ascending indices of the failing
     margins and of the uncertain ones, and {i: m} for every margin decided
     strictly.
     """
@@ -101,7 +113,8 @@ def settle(lhs: np.ndarray, rhs: np.ndarray, strict: Callable[[int], "mp.mpf"]
     for k in np.flatnonzero(~fails).tolist():
         i = int(hits[k])
         with mp.workdps(STRICT_DPS):
-            m = values[i] = float(strict(i))
+            exact_lhs, exact_rhs = strict(i)
+            m = values[i] = float(exact_lhs - exact_rhs)
         if abs(m) < STRICT_REL_TOL * max(float(scale[i]), 1.0):
             uncertain.append(i)
         else:
@@ -155,17 +168,16 @@ class GapBound:
     It is asserted for p >= floor.  threshold(p0, n1) is an int T such that
     every pair with p >= p0, n <= n1 and g < T holds, exactly: a block of
     pairs whose gaps all lie below it holds without a float margin.
-    fast(n, p, q) takes arrays of pairs, n as float64 and p, q as int64, and
-    returns the binary64 terms (lhs, rhs) of their bounds, each holding
-    where lhs > rhs; strict(n, p, q) is the margin lhs - rhs of one pair in
-    mpmath.
+    terms(m, n, p, q) states the bound once, as the terms (lhs, rhs) of
+    lhs > rhs in module m's arithmetic: with m = numpy at arrays of pairs,
+    n as float64 and p, q as int64, their binary64 terms; with m = mpmath
+    at one pair of ints, inside mp.workdps, its terms at that precision.
     """
 
     id: str
     floor: int
     threshold: Callable[[int, int], int]
-    fast: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
-    strict: Callable[[int, int, int], "mp.mpf"]
+    terms: Callable
 
     def settle_block(self, blk, gap: np.ndarray) -> tuple:
         """The ascending indices of the failing and of the uncertain pairs
@@ -185,20 +197,19 @@ class GapBound:
             return np.empty(0, np.intp), np.empty(0, np.intp)
         at = first + np.flatnonzero(gap[first:] >= threshold)
         n, p, q = blk.index(at), blk.p[at], blk.q[at]
-        lhs, rhs = self.fast(n.astype(np.float64), p, q)
-        fails, uncertain, _ = settle(
-            lhs, rhs, lambda i: self.strict(int(n[i]), int(p[i]), int(q[i])))
+        lhs, rhs = self.terms(np, n.astype(np.float64), p, q)
+        fails, uncertain, _ = settle(lhs, rhs, lambda i: self.terms(
+            mp, int(n[i]), int(p[i]), int(q[i])))
         return at[fails], at[uncertain]
 
 
 def _log_gap_bound(id: str, floor: int, bound: Callable) -> GapBound:
-    """The bound g < bound(ln p), which rises with p from p = floor on,
+    """The bound g < bound(m, ln p), which rises with p from p = floor on,
     so that its value at a block's first p bounds the whole block."""
     return GapBound(
         id, floor,
-        lambda p0, n1: _int_below(bound(math.log(p0))),
-        lambda n, p, q: (bound(np.log(p)), q - p),
-        lambda n, p, q: bound(mp.log(p)) - (q - p),
+        lambda p0, n1: _int_below(bound(math, math.log(p0))),
+        lambda m, n, p, q: (bound(m, m.log(p)), q - p),
     )
 
 
@@ -209,36 +220,36 @@ GAP_BOUNDS = {b.id: b for b in (
         # isqrt(4 p0 - 1) is the largest m with m^2 < 4 p0, so every
         # g <= m + 1 holds from p0 on, and (g - 1)^2 = 4p never does
         lambda p0, n1: math.isqrt(4 * p0 - 1) + 2,
-        lambda n, p, q: (1.0 + np.sqrt(p), np.sqrt(q)),
-        lambda n, p, q: 1 + mp.sqrt(p) - mp.sqrt(q),
+        lambda m, n, p, q: (num(m, 1) + m.sqrt(p), m.sqrt(q)),
     ),
-    _log_gap_bound("kourbatov", KOURBATOV_FLOOR, lambda lp: lp * lp - lp - 1),
+    _log_gap_bound("kourbatov", KOURBATOV_FLOOR,
+                   lambda m, lp: lp * lp - lp - num(m, 1)),
     GapBound(
         "firoozbakht", 2,
         # q^(1/(n+1)) < p^(1/n) iff n ln(1 + g/p) < ln p, and ln(1 + x) < x,
         # so g <= p ln p / n holds; that rises with p and falls with n
         lambda p0, n1: _int_below(p0 * math.log(p0) / n1),
-        lambda n, p, q: ((n + 1.0) * np.log(p), n * np.log(q)),
-        lambda n, p, q: (n + 1) * mp.log(p) - n * mp.log(q),
+        lambda m, n, p, q: ((n + num(m, 1)) * m.log(p), n * m.log(q)),
     ),
-    _log_gap_bound("cramer", KOURBATOV_FLOOR, lambda lp: lp * lp),
+    _log_gap_bound("cramer", KOURBATOV_FLOOR, lambda m, lp: lp * lp),
 )}
 
 
-def power_gap_bound(e: float, bound_of_n: Callable,
-                    strict: Callable[[int, int, int], "mp.mpf"]) -> GapBound:
-    """The bound q^e - p^e < bound_of_n(n), for an exponent e in (0, 1) and
-    a bound that does not rise with n; strict(n, p, q) is its margin.
+def power_gap_bound(e: Callable, bound_of_n: Callable) -> GapBound:
+    """The bound q^e - p^e < bound_of_n(m, n), for an exponent e(m) in
+    (0, 1) and a bound that does not rise with n, each in module m's
+    arithmetic.
 
     By the mean value theorem q^e - p^e = e x^(e-1) g for some x in (p, q),
     below e p^(e-1) g: every g <= bound(n1) p0^(1-e) / e holds from p0 on
     (capped at 2^63, past every gap, where a tiny e overflows it).  Its
     terms are bound(n) + p^e and q^e."""
+    x = e(math)
     return GapBound(
-        f"q^e - p^e, e = {e!r}", 2,
+        f"q^e - p^e, e = {x!r}", 2,
         lambda p0, n1: _int_below(
-            min(bound_of_n(n1) * p0 ** (1 - e) / e, 2.0**63)),
-        lambda n, p, q: (bound_of_n(n) + p**e, q**e), strict)
+            min(bound_of_n(math, n1) * p0 ** (1 - x) / x, 2.0**63)),
+        lambda m, n, p, q: (bound_of_n(m, n) + p ** e(m), q ** e(m)))
 
 
 # q/p <= 5/3 iff 3g <= 2p: every g <= 2 p0 / 3 holds from p0 on, and
@@ -249,8 +260,7 @@ def power_gap_bound(e: float, bound_of_n: Callable,
 RATIO_BOUND = GapBound(
     "smarandache-ratio", 2,
     lambda p0, n1: 2 * p0 // 3 + 1,
-    lambda n, p, q: (5.0 * p + 1.0, 3.0 * q),
-    lambda n, p, q: 5 * p + 1 - 3 * q,
+    lambda m, n, p, q: (num(m, 5) * p + num(m, 1), num(m, 3) * q),
 )
 
 
@@ -260,55 +270,48 @@ RATIO_BOUND = GapBound(
 
 @dataclass(frozen=True)
 class Predicate:
-    """A named function of the integer n: an inequality lhs > rhs for
-    crossover scans, whose fast(n) gives its binary64 terms (lhs, rhs) and
-    strict(n) its margin lhs - rhs, or a sequence for monotonicity scans,
-    whose fast(n) and strict(n) give its value."""
+    """A named function of the integer n, stated once as terms(m, n) in
+    module m's arithmetic, at float64 arrays n for numpy and at one int n
+    inside mp.workdps for mpmath: an inequality lhs > rhs for crossover
+    scans, whose terms are (lhs, rhs), or a sequence for monotonicity
+    scans, whose term is its value."""
 
     id: str
     description: str
-    fast: Callable[[np.ndarray], tuple | np.ndarray]  # over float64 n
-    strict: Callable[[int], "mp.mpf"]  # one point, high precision
+    terms: Callable
 
 
 PREDICATES = {p.id: p for p in (
     Predicate(
         "two-n-plus-one-vs-4log2",
         "2n + 1 > 4 (ln n)^2",
-        lambda n: (2.0 * n + 1.0, 4.0 * np.log(n) ** 2),
-        lambda n: 2 * n + 1 - 4 * mp.log(n) ** 2,
+        lambda m, n: (num(m, 2) * n + num(m, 1), num(m, 4) * m.log(n) ** 2),
     ),
     Predicate(
         "sqrt-vs-2log",
         "sqrt(n) > 2 ln n",
-        lambda n: (np.sqrt(n), 2.0 * np.log(n)),
-        lambda n: mp.sqrt(n) - 2 * mp.log(n),
+        lambda m, n: (m.sqrt(n), num(m, 2) * m.log(n)),
     ),
     Predicate(
         "n-vs-4log2",
         "n > 4 (ln n)^2",
-        lambda n: (n, 4.0 * np.log(n) ** 2),
-        lambda n: n - 4 * mp.log(n) ** 2,
+        lambda m, n: (n, num(m, 4) * m.log(n) ** 2),
     ),
     Predicate(
         "log2-vs-2sqrt-plus-1",
         "(ln n)^2 < 2 sqrt(n) + 1",
-        lambda n: (2.0 * np.sqrt(n) + 1.0, np.log(n) ** 2),
-        lambda n: 2 * mp.sqrt(n) + 1 - mp.log(n) ** 2,
+        lambda m, n: (num(m, 2) * m.sqrt(n) + num(m, 1), m.log(n) ** 2),
     ),
     Predicate(
         "n-over-logpow-vs-9.33",
         f"n / (ln n)^{SM9_LOG_POWER} > {SM9_RHS}",
-        lambda n: (n / np.log(n) ** SM9_LOG_POWER, SM9_RHS),
-        lambda n: n / mp.log(n) ** mp.mpf(str(SM9_LOG_POWER))
-        - mp.mpf(str(SM9_RHS)),
+        lambda m, n: (n / m.log(n) ** num(m, SM9_LOG_POWER), num(m, SM9_RHS)),
     ),
     Predicate(
         "a0-pow-vs-log2",
         f"{SM9_COEFF} n^{SM9_EXPONENT} > (ln n)^2",
-        lambda n: (SM9_COEFF * n**SM9_EXPONENT, np.log(n) ** 2),
-        lambda n: mp.mpf(str(SM9_COEFF)) * mp.power(
-            n, mp.mpf(str(SM9_EXPONENT))) - mp.log(n) ** 2,
+        lambda m, n: (num(m, SM9_COEFF) * n ** num(m, SM9_EXPONENT),
+                      m.log(n) ** 2),
     ),
 )}
 
@@ -316,8 +319,7 @@ SEQUENCES = {s.id: s for s in (
     Predicate(
         "sqrt-over-log-squared",
         "sqrt(n) / (ln n)^2",
-        lambda n: np.sqrt(n) / np.log(n) ** 2,
-        lambda n: mp.sqrt(n) / mp.log(n) ** 2,
+        lambda m, n: m.sqrt(n) / m.log(n) ** 2,
     ),
 )}
 
@@ -385,8 +387,8 @@ def crossover_scan(predicate, lo: int, hi: int) -> CrossoverResult:
     _check_window(lo, hi)
     last_fail = None
     for a, ns in _chunks(lo, hi):
-        fails, uncertain, _ = settle(*pred.fast(ns),
-                                     lambda i: pred.strict(a + i))
+        fails, uncertain, _ = settle(*pred.terms(np, ns),
+                                     lambda i: pred.terms(mp, a + i))
         if uncertain.size:
             raise NoCrossoverError(
                 f"{pred.id}: undecidable margin at n={a + int(uncertain[0])}")
@@ -415,10 +417,10 @@ def monotone_scan(sequence, lo: int, hi: int) -> Verdict:
     _check_window(lo, hi)
     least = None  # the Verdict of the smallest step so far
     for a, ns in _chunks(lo, hi, overlap=1):
-        vals = seq.fast(ns)
+        vals = seq.terms(np, ns)
         settled = settle(
             vals[1:], vals[:-1],
-            lambda i: seq.strict(a + i + 1) - seq.strict(a + i))
+            lambda i: (seq.terms(mp, a + i + 1), seq.terms(mp, a + i)))
         fails, uncertain, values = settled
         diffs = np.diff(vals)
         if fails.size or uncertain.size:

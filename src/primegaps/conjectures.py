@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import mpmath as mp
 import numpy as np
 
 from . import bounds, gaps, sieve
-from .bounds import STRICT_DPS
+from .bounds import STRICT_DPS, num
 from .witnesses import WitnessStore
 
 
@@ -283,10 +284,10 @@ def check_shanks_trend(limit: int, window: int) -> list[TrendRow]:
         raise ValueError("window must be >= 100")
     rows: list[TrendRow] = []
     carry = np.empty(0)  # ratios of the pairs not yet in a full window
+    cramer = gaps.METRICS["cramer_ratio"]
     for blk in gaps.pair_blocks(2, limit):
-        gap = (blk.q - blk.p).astype(np.float64)
-        ratios = gap / np.log(blk.p.astype(np.float64)) ** 2
-        ratios = np.concatenate((carry, ratios))
+        ratios = np.concatenate(
+            (carry, cramer.values(blk.q - blk.p, blk.p, blk.q)))
         full = ratios.size - ratios.size % window
         wins = ratios[:full].reshape(-1, window)
         for stats in zip(wins.mean(axis=1).tolist(),
@@ -301,13 +302,13 @@ def check_shanks_trend(limit: int, window: int) -> list[TrendRow]:
 # Smarandache family
 
 
-def _scan_power_gap(report: ConjectureReport, limit: int, e: float,
-                    bound_of_n, strict) -> None:
-    """Check `bounds.power_gap_bound(e, bound_of_n, strict)` on every pair
-    with p < limit, and record the largest q^e - p^e, ties to the least n."""
-    tracker = _scan_pairs(
-        report, 2, limit, {None: bounds.power_gap_bound(e, bound_of_n, strict)},
-        {"power": gaps.power_metric(e)})
+def _scan_power_gap(report: ConjectureReport, limit: int, e: Callable,
+                    bound_of_n: Callable) -> None:
+    """Check `bounds.power_gap_bound(e, bound_of_n)` on every pair with
+    p < limit, and record the largest q^e - p^e, ties to the least n."""
+    bound = bounds.power_gap_bound(e, bound_of_n)
+    tracker = _scan_pairs(report, 2, limit, {None: bound},
+                          {"power": gaps.power_metric(e(math))})
     value, rec = tracker.records["power"]
     report.extremes["max_value"] = value
     report.extremes["max_value_pair"] = (rec.n, rec.p, rec.q)
@@ -319,14 +320,11 @@ def check_smarandache_B(limit: int, a: float) -> ConjectureReport:
         raise ValueError("limit must be >= 3")
     if not 0.0 < a < 1.0:
         raise ValueError(f"exponent must lie in (0, 1), got {a}")
-    a = float(a)  # a numpy float's repr is not an mpf literal
+    a = float(a)  # a numpy float would print as np.float64(...)
     t0 = time.perf_counter()
     report = _pair_report("smarandache-b", f"pairs with p < {limit}, a={a!r}")
-    a_mp = mp.mpf(repr(a))
-    _scan_power_gap(
-        report, limit, a, lambda n: 1.0,
-        lambda n, p, q: 1 - (mp.power(q, a_mp) - mp.power(p, a_mp)),
-    )
+    _scan_power_gap(report, limit, lambda m: num(m, a),
+                    lambda m, n: num(m, 1))
     return _timed(report, t0)
 
 
@@ -338,10 +336,8 @@ def check_smarandache_C(limit: int, k: int) -> ConjectureReport:
         raise ValueError(f"k must be >= 2, got {k}")
     t0 = time.perf_counter()
     report = _pair_report("smarandache-c", f"pairs with p < {limit}, k={k}")
-    _scan_power_gap(
-        report, limit, 1.0 / k, lambda n: 2.0 / k,
-        lambda n, p, q: mp.mpf(2) / k - (mp.root(q, k) - mp.root(p, k)),
-    )
+    _scan_power_gap(report, limit, lambda m: num(m, 1) / k,
+                    lambda m, n: num(m, 2) / k)
     return _timed(report, t0)
 
 
@@ -375,11 +371,8 @@ def find_smarandache_D_counterexample(
         raise ValueError("n_start must be >= 1")
     if n_start > cap:
         return None
-    a = float(a)  # a numpy float's repr is not an mpf literal
-    a_mp = mp.mpf(repr(a))
-    bound = bounds.power_gap_bound(
-        a, lambda n: 1.0 / n, lambda n, p, q: mp.mpf(1) / n
-        - (mp.power(q, a_mp) - mp.power(p, a_mp)))
+    bound = bounds.power_gap_bound(lambda m: num(m, a),
+                                   lambda m, n: num(m, 1) / n)
     # one lazy stream up to a bound past p_cap: segments are sieved only
     # as the scan reaches them, so a small witness stays cheap
     for blk in gaps.pair_blocks(2, sieve._nth_prime_bound(cap) + 1):
@@ -394,7 +387,7 @@ def find_smarandache_D_counterexample(
             i = int(fails[0])
             n, pn, qn = blk.n0 + i, int(blk.p[i]), int(blk.q[i])
             with mp.workdps(STRICT_DPS):
-                value = mp.power(qn, a_mp) - mp.power(pn, a_mp)
+                value = qn ** num(mp, a) - pn ** num(mp, a)
             return DWitness(n, pn, qn, float(value), 1.0 / n)
     return None
 

@@ -109,7 +109,8 @@ def min_exponent(limit: int) -> Tuple[ExponentSolution, int]:
     best = solve_exponent(2, 3)
     count = 0
     for blk in gaps.pair_blocks(2, limit, lambda p0, n1: bounds.power_gap_bound(
-            best.x + PRUNE_MARGIN, lambda n: 1.0, None).threshold(p0, n1)):
+            lambda m: bounds.num(m, best.x + PRUNE_MARGIN),
+            lambda m, n: bounds.num(m, 1)).threshold(p0, n1)):
         count += blk.count
         p, q = blk.p, blk.q
         while True:
