@@ -223,7 +223,7 @@ GAP_BOUNDS = {b.id: b for b in (
         lambda m, n, p, q: (num(m, 1) + m.sqrt(p), m.sqrt(q)),
     ),
     _log_gap_bound("kourbatov", KOURBATOV_FLOOR,
-                   lambda m, lp: lp * lp - lp - num(m, 1)),
+                   lambda m, lp: lp ** 2 - lp - num(m, 1)),
     GapBound(
         "firoozbakht", 2,
         # q^(1/(n+1)) < p^(1/n) iff n ln(1 + g/p) < ln p, and ln(1 + x) < x,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
@@ -287,7 +286,7 @@ def check_shanks_trend(limit: int, window: int) -> list[TrendRow]:
     cramer = gaps.METRICS["cramer_ratio"]
     for blk in gaps.pair_blocks(2, limit):
         ratios = np.concatenate(
-            (carry, cramer.values(blk.q - blk.p, blk.p, blk.q)))
+            (carry, cramer.value(np, blk.q - blk.p, blk.p, blk.q)))
         full = ratios.size - ratios.size % window
         wins = ratios[:full].reshape(-1, window)
         for stats in zip(wins.mean(axis=1).tolist(),
@@ -308,7 +307,7 @@ def _scan_power_gap(report: ConjectureReport, limit: int, e: Callable,
     p < limit, and record the largest q^e - p^e, ties to the least n."""
     bound = bounds.power_gap_bound(e, bound_of_n)
     tracker = _scan_pairs(report, 2, limit, {None: bound},
-                          {"power": gaps.power_metric(e(math))})
+                          {"power": gaps.power_metric(e)})
     value, rec = tracker.records["power"]
     report.extremes["max_value"] = value
     report.extremes["max_value_pair"] = (rec.n, rec.p, rec.q)
@@ -371,8 +370,11 @@ def find_smarandache_D_counterexample(
         raise ValueError("n_start must be >= 1")
     if n_start > cap:
         return None
-    bound = bounds.power_gap_bound(lambda m: num(m, a),
-                                   lambda m, n: num(m, 1) / n)
+
+    def exponent(m):
+        return num(m, a)
+
+    bound = bounds.power_gap_bound(exponent, lambda m, n: num(m, 1) / n)
     # one lazy stream up to a bound past p_cap: segments are sieved only
     # as the scan reaches them, so a small witness stays cheap
     for blk in gaps.pair_blocks(2, sieve._nth_prime_bound(cap) + 1):
@@ -387,7 +389,7 @@ def find_smarandache_D_counterexample(
             i = int(fails[0])
             n, pn, qn = blk.n0 + i, int(blk.p[i]), int(blk.q[i])
             with mp.workdps(STRICT_DPS):
-                value = qn ** num(mp, a) - pn ** num(mp, a)
+                value = gaps.power_metric(exponent).value(mp, qn - pn, pn, qn)
             return DWitness(n, pn, qn, float(value), 1.0 / n)
     return None
 

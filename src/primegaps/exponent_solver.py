@@ -115,7 +115,8 @@ def min_exponent(limit: int) -> Tuple[ExponentSolution, int]:
         p, q = blk.p, blk.q
         while True:
             t = best.x + PRUNE_MARGIN
-            d = q.astype(np.float64) ** t - p.astype(np.float64) ** t
+            d = gaps.power_metric(lambda m: bounds.num(m, t)).value(
+                np, q - p, p, q)
             keep = d >= 1.0
             p, q, d = p[keep], q[keep], d[keep]
             if not p.size:

@@ -32,19 +32,13 @@ class GapRecord:
 
     @classmethod
     def from_pair(cls, n: int, p: int, q: int) -> "GapRecord":
-        gap = q - p
-        log_p = math.log(p)
-        return cls(
-            n=n,
-            p=p,
-            q=q,
-            gap=gap,
-            log_p=log_p,
-            andrica=math.sqrt(q) - math.sqrt(p),
-            cramer_ratio=gap / log_p**2,
-            kourbatov_margin=(log_p**2 - log_p - 1.0) - gap,
-            ratio=q / p,
-        )
+        """The record of the pair (p, q), each metric field by its catalog
+        entry in METRICS, and kourbatov_margin as lhs - rhs of the
+        Kourbatov bound's terms."""
+        lhs, rhs = bounds.GAP_BOUNDS["kourbatov"].terms(math, n, p, q)
+        return cls(n, p, q, log_p=math.log(p), kourbatov_margin=lhs - rhs,
+                   **{name: metric.value(math, q - p, p, q)
+                      for name, metric in METRICS.items()})
 
 
 @dataclass
@@ -228,13 +222,14 @@ class Metric:
     """One metric of the pairs (g, p, q) from p = floor on, as above.
 
     factors(p0, p1, q1) gives (f_lo, f_hi, c, err) for a run of pairs, and
-    values(g, p, q) the binary64 values at arrays of pairs, which the
-    tracker compares.  beats(a, b) breaks ties: whether the record a
+    value(m, g, p, q) states the metric once, in module m's arithmetic:
+    with m = numpy at arrays of pairs, the binary64 values the tracker
+    compares.  beats(a, b) breaks ties: whether the record a
     displaces the record b, each a (value, GapRecord) pair.
     """
 
     factors: Callable
-    values: Callable
+    value: Callable
     beats: Callable
     floor: int = 2
 
@@ -249,30 +244,32 @@ def _by_field(name: str) -> Callable:
 METRICS = {
     "cramer_ratio": Metric(
         lambda p0, p1, q1: (math.log(p1) ** -2, math.log(p0) ** -2, 0.0, 0.0),
-        lambda g, p, q: g / np.log(p) ** 2,
+        lambda m, g, p, q: g / m.log(p) ** 2,
         _by_field("cramer_ratio"), bounds.KOURBATOV_FLOOR),
     "andrica": Metric(
         lambda p0, p1, q1: (0.5 / math.sqrt(q1), 0.5 / math.sqrt(p0),
                             0.0, bounds.TERM_REL_ERR * math.sqrt(q1)),
-        lambda g, p, q: np.sqrt(q) - np.sqrt(p), _by_field("andrica")),
+        lambda m, g, p, q: m.sqrt(q) - m.sqrt(p), _by_field("andrica")),
     "gap": Metric(lambda p0, p1, q1: (1.0, 1.0, 0.0, 0.0),
-                  lambda g, p, q: g, _by_field("gap")),
+                  lambda m, g, p, q: g, _by_field("gap")),
     # q/p ranked exactly, in integers: q1 p2 against q2 p1
     "ratio": Metric(lambda p0, p1, q1: (1.0 / p1, 1.0 / p0, 1.0, 0.0),
-                    lambda g, p, q: q / p, lambda a, b: (
+                    lambda m, g, p, q: q / p, lambda a, b: (
                         (a[1].q * b[1].p, -a[1].n)
                         > (b[1].q * a[1].p, -b[1].n))),
 }
 
 
-def power_metric(e: float) -> Metric:
-    """q^e - p^e for an exponent e in (0, 1), ranked by its numpy binary64
-    value.  By the mean value theorem it is e x^(e-1) g for some x in
-    (p, q), and that value lies within TERM_REL_ERR q^e of it."""
+def power_metric(e: Callable) -> Metric:
+    """q^e - p^e for an exponent e(m) in (0, 1) in module m's arithmetic,
+    ranked by its numpy binary64 value.  By the mean value theorem it is
+    e x^(e-1) g for some x in (p, q), and that value lies within
+    TERM_REL_ERR q^e of it."""
+    x = e(math)
     return Metric(
-        lambda p0, p1, q1: (e * q1 ** (e - 1), e * p0 ** (e - 1), 0.0,
-                            bounds.TERM_REL_ERR * q1**e),
-        lambda g, p, q: q**e - p**e,
+        lambda p0, p1, q1: (x * q1 ** (x - 1), x * p0 ** (x - 1), 0.0,
+                            bounds.TERM_REL_ERR * q1**x),
+        lambda m, g, p, q: q ** e(m) - p ** e(m),
         lambda a, b: (a[0], -a[1].n) > (b[0], -b[1].n))
 
 
@@ -332,7 +329,7 @@ class ExtremeTracker:
             cut = ((top_gap * f_lo + c) * (1 - CANDIDATE_SLACK)
                    - 2 * err - c) / f_hi
             at = s + np.flatnonzero(gap[s:] >= cut)
-            vals = metric.values(gap[at], blk.p[at], blk.q[at])
+            vals = metric.value(np, gap[at], blk.p[at], blk.q[at])
             top = vals.max()
             near = vals >= top - 1e-12 * abs(top)
             for j, value in zip(at[near].tolist(), vals[near].tolist()):

@@ -141,6 +141,11 @@ def largest_by_metric(blocks, cramer_floor):
 POWERS = (1 / 3, 1 / 2, 0.85)
 
 
+def power_metric(e):
+    """gaps.power_metric of the exponent the float e stands for."""
+    return gaps.power_metric(lambda m: bounds.num(m, e))
+
+
 @given(st.one_of(st.integers(2, 10**4), st.integers(2, 2**62)),
        st.lists(st.one_of(st.integers(1, 400), st.integers(1, 10**6)),
                 min_size=1, max_size=300),
@@ -157,7 +162,7 @@ def test_tracker_finds_the_record_of_every_metric(start, steps, size, floor):
     p, q = values[:-1], values[1:]
     blocks = [gaps.PairBlock(1 + s, p[s:s + size], q[s:s + size])
               for s in range(0, p.size, size)]
-    metrics = {e: gaps.power_metric(e) for e in POWERS}
+    metrics = {e: power_metric(e) for e in POWERS}
     got = tracked(blocks, floor, metrics)
     want = largest_by_metric(blocks, floor)
     for metric in ("gap", "cramer_ratio", "andrica", "ratio"):
@@ -204,7 +209,7 @@ def test_metric_values_lie_within_err_of_their_factors(start, steps):
     # 50-digit bounds of its run, to the relative rounding r
     values = np.cumsum([start] + steps)
     p, q = values[:-1], values[1:]
-    catalog = {**gaps.METRICS, **{e: gaps.power_metric(e) for e in POWERS}}
+    catalog = {**gaps.METRICS, **{e: power_metric(e) for e in POWERS}}
     for name, metric in catalog.items():
         s = int(p.searchsorted(metric.floor))
         if s == p.size:
@@ -213,7 +218,8 @@ def test_metric_values_lie_within_err_of_their_factors(start, steps):
         err = metric.factors(p0, p1, q1)[3]
         f_lo, f_hi, c = exact_factors(name, p0, p1, q1)
         g = q[s:] - p[s:]
-        vals = np.asarray(metric.values(g, p[s:], q[s:]), dtype=np.float64)
+        vals = np.asarray(metric.value(np, g, p[s:], q[s:]),
+                          dtype=np.float64)
         with mp.workdps(50):
             for gap, value in zip(g.tolist(), vals.tolist()):
                 lo = (gap * f_lo + c) * (1 - VALUE_REL_ERR) - err
