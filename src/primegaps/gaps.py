@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
+import mpmath as mp
 import numpy as np
 
 from . import bounds, sieve
@@ -15,9 +16,9 @@ from . import bounds, sieve
 class GapRecord:
     """One consecutive-prime pair (p, q) and the metrics every checker needs.
 
-    n is the 1-based index of p.  All real-valued metrics are binary64;
-    near-threshold verdicts are re-derived at higher precision by the
-    bounds module, not here.
+    n is the 1-based index of p.  Each real-valued metric is its exact
+    value rounded once to binary64; verdicts are decided by the bounds
+    module, not here.
     """
 
     n: int
@@ -34,11 +35,17 @@ class GapRecord:
     def from_pair(cls, n: int, p: int, q: int) -> "GapRecord":
         """The record of the pair (p, q), each metric field by its catalog
         entry in METRICS, and kourbatov_margin as lhs - rhs of the
-        Kourbatov bound's terms."""
-        lhs, rhs = bounds.GAP_BOUNDS["kourbatov"].terms(math, n, p, q)
-        return cls(n, p, q, log_p=math.log(p), kourbatov_margin=lhs - rhs,
-                   **{name: metric.value(math, q - p, p, q)
-                      for name, metric in METRICS.items()})
+        Kourbatov bound's terms.  They are evaluated in mpmath, with
+        STRICT_DPS digits beyond the digits of q (at least as many as
+        sqrt(q) - sqrt(p) cancels), and rounded once to binary64."""
+        with mp.workdps(bounds.STRICT_DPS + len(str(q))):
+            lhs, rhs = bounds.GAP_BOUNDS["kourbatov"].terms(mp, n, p, q)
+            values = {name: metric.value(mp, q - p, p, q)
+                      for name, metric in METRICS.items()}
+            values.update(log_p=mp.log(p), kourbatov_margin=lhs - rhs)
+        # the gap is an int, and q / p of two ints Python's rounded float
+        return cls(n, p, q, **{name: float(v) if isinstance(v, mp.mpf) else v
+                               for name, v in values.items()})
 
 
 @dataclass
@@ -210,13 +217,14 @@ def pair_blocks(lo: int, hi: int, gate: Optional[Callable] = None
 
 # Each metric of a pair with gap g is g f + c, where f falls with p.  A run
 # of pairs with p in [p0, p1] and every q <= q1 gives (f_lo, f_hi, c, err):
-# every binary64 value of the metric at gap g, numpy's or GapRecord's, lies
-# within err of [(g f_lo + c)(1 - r), (g f_hi + c)(1 + r)], where r, a few
-# dozen units of u = 2^-53, covers the rounding of the values and of f_lo
-# and f_hi.  A difference of two roots or powers cancels: by the proof at
-# bounds.TERM_REL_ERR, sqrt(x) is within 1.5u of its exact value and x^e
-# within 31u, so their difference is within 63u of the larger term, at
-# most sqrt(q1) or q1^e, and err is TERM_REL_ERR times that term.
+# every value of the metric at gap g, numpy's in binary64 or GapRecord's,
+# its exact value rounded once, lies within err of [(g f_lo + c)(1 - r),
+# (g f_hi + c)(1 + r)], where r, a few dozen units of u = 2^-53, covers the
+# rounding of the values and of f_lo and f_hi.  A difference of two roots
+# or powers cancels: by the proof at bounds.TERM_REL_ERR, sqrt(x) is within
+# 1.5u of its exact value and x^e within 31u, so their difference is within
+# 63u of the larger term, at most sqrt(q1) or q1^e, and err is TERM_REL_ERR
+# times that term.
 @dataclass(frozen=True)
 class Metric:
     """One metric of the pairs (g, p, q) from p = floor on, as above.
@@ -304,12 +312,14 @@ class ExtremeTracker:
     def observe_block(self, blk: PairBlock, gap: np.ndarray) -> None:
         """Observe every pair of `blk`, whose gaps q - p are `gap`.
 
-        For each metric, the pairs tied (to float fuzz) with the block's
-        largest value are observed, so that the winner never depends on how
-        blocks were cut.  The values are computed only where they can
-        matter: by the metric's factors, no pair of a block whose largest
-        gap bounds every value below the record can beat it, and every pair
-        tied with the block's top has a gap of at least `cut`.
+        For each metric, the pairs whose binary64 values lie within float
+        fuzz and 2 err of the block's largest are observed: their exact
+        values may tie with or beat the largest exact value, which the
+        record fields rank, and the winner never depends on how blocks were
+        cut.  The values are computed only where they can matter: by the
+        metric's factors, no pair of a block whose largest gap bounds every
+        value below the record can beat it, and every pair observed has a
+        gap of at least `cut`.
         """
         if not gap.size:
             return
@@ -327,11 +337,11 @@ class ExtremeTracker:
                                      * (1 + CANDIDATE_SLACK) + err < best[0]):
                 continue
             cut = ((top_gap * f_lo + c) * (1 - CANDIDATE_SLACK)
-                   - 2 * err - c) / f_hi
+                   - 4 * err - c) / f_hi
             at = s + np.flatnonzero(gap[s:] >= cut)
             vals = metric.value(np, gap[at], blk.p[at], blk.q[at])
             top = vals.max()
-            near = vals >= top - 1e-12 * abs(top)
+            near = vals >= top - 1e-12 * abs(top) - 2 * err
             for j, value in zip(at[near].tolist(), vals[near].tolist()):
                 if j not in records:
                     records[j] = GapRecord.from_pair(

@@ -754,15 +754,16 @@ class TestGatedScans:
 
 def test_far_window_makes_no_strict_evaluation(monkeypatch):
     # at 1e11 a heuristic window sent every Firoozbakht margin to mpmath;
-    # the integer gap against each block's threshold decides every pair
+    # the integer gap against each block's threshold decides every pair.
+    # Each margin escalated to mpmath is counted (record fields are
+    # computed in mpmath too, and are not margins)
     entries = []
-    workdps = mp.workdps
+    settle = bounds.settle
 
-    def counted(*args, **kwargs):
-        entries.append(args)
-        return workdps(*args, **kwargs)
+    def counted(lhs, rhs, strict):
+        return settle(lhs, rhs, lambda i: entries.append(i) or strict(i))
 
-    monkeypatch.setattr(mp, "workdps", counted)
+    monkeypatch.setattr(bounds, "settle", counted)
     r = cj.check_gap_bounds(10**11 + 10**6, start=10**11)
     assert r.status is ReportStatus.ALL_HOLD and r.checked_count > 10**5
     assert entries == []

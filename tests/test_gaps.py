@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -53,10 +52,34 @@ def test_record_113_127():
 
 def test_record_7_11_metrics():
     (rec,) = records(7, 8)
-    assert rec.andrica == math.sqrt(11) - math.sqrt(7)
+    with mp.workdps(50):
+        assert rec.andrica == float(mp.sqrt(11) - mp.sqrt(7))
+        assert rec.cramer_ratio == float(4 / mp.log(7) ** 2)
     assert abs(rec.andrica - 0.670873) < 1e-6
-    assert rec.cramer_ratio == 4 / math.log(7) ** 2
     assert rec.ratio == 11 / 7
+
+
+@given(st.one_of(st.integers(2, 10**6), st.integers(2, 2**62)),
+       st.integers(1, 2000))
+@settings(max_examples=300, deadline=None)
+@example(p=2**62, g=2)
+@example(p=2**53 + 1, g=2)
+@example(p=3, g=2)
+def test_record_fields_are_correctly_rounded(p, g):
+    # each float field is its 50-digit value rounded once to binary64; the
+    # Andrica difference is written without cancellation, g / (sqrt(q) +
+    # sqrt(p)), and q/p is the exact fraction
+    q = p + g
+    rec = gaps.GapRecord.from_pair(1, p, q)
+    with mp.workdps(50):
+        lp = mp.log(p)
+        want = {"log_p": lp, "andrica": g / (mp.sqrt(q) + mp.sqrt(p)),
+                "cramer_ratio": g / lp**2,
+                "kourbatov_margin": lp**2 - lp - 1 - g,
+                "ratio": Fraction(q, p)}
+        want = {name: float(v) for name, v in want.items()}
+    assert {name: getattr(rec, name) for name in want} == want
+    assert rec.gap == g and type(rec.gap) is int
 
 
 def test_indices_are_sequential():
@@ -155,6 +178,9 @@ def power_metric(e):
 @example(start=2**62, steps=[1] * 40, size=7, floor=2)
 # the binary64 q/p of both pairs tie, and the exact q/p of the second wins
 @example(start=2**62, steps=[998912, 10**6], size=1, floor=2)
+# the binary64 Andrica difference of the second pair is the largest, by
+# 8e-8 relative; the exact one falls with p, and the first pair wins
+@example(start=514241081, steps=[2] * 8, size=64, floor=2)
 def test_tracker_finds_the_record_of_every_metric(start, steps, size, floor):
     # an ascending run cut into blocks of `size` pairs; the tracker computes
     # the metrics of a few candidate pairs only, yet finds every record
