@@ -58,11 +58,8 @@ VERIFY = {
     "legendre": (lambda a: conjectures.check_legendre(a.limit), ("limit",)),
     "oppermann": (lambda a: conjectures.check_oppermann(a.limit), ("limit",)),
     "brocard": (lambda a: conjectures.check_brocard(a.limit), ("limit",)),
-    "andrica": (_gap_check, ("limit", "start")),
-    "kourbatov": (_gap_check, ("limit", "start")),
-    "firoozbakht": (_gap_check, ("limit", "start")),
-    "cramer": (_gap_check, ("limit", "start")),
-    "gap-bounds": (_gap_check, ("limit", "start")),
+    **{name: (_gap_check, ("limit", "start"))
+       for name in (*conjectures.GAP_BOUNDS, "gap-bounds")},
     "smarandache-ratio": (
         lambda a: conjectures.check_smarandache_ratio(a.limit), ("limit",)),
     "smarandache-b": (

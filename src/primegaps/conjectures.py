@@ -317,8 +317,9 @@ def check_smarandache_B(limit: int, a: float) -> ConjectureReport:
     """q^a - p^a < 1 for every pair with p < limit, for a fixed exponent a."""
     if limit < 3:
         raise ValueError("limit must be >= 3")
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"exponent must lie in (0, 1), got {a}")
+    # from 2^-959 up, a p^(a-1) >= 2^-1022 is normal for every p < 2^63
+    if not 2.0**-959 <= a < 1.0:
+        raise ValueError(f"exponent must lie in [2^-959, 1), got {a}")
     a = float(a)  # a numpy float would print as np.float64(...)
     t0 = time.perf_counter()
     report = _pair_report("smarandache-b", f"pairs with p < {limit}, a={a!r}")
@@ -331,8 +332,8 @@ def check_smarandache_C(limit: int, k: int) -> ConjectureReport:
     """q^(1/k) - p^(1/k) < 2/k for every pair with p < limit, integer k >= 2."""
     if limit < 3:
         raise ValueError("limit must be >= 3")
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    if not 2 <= k <= 2**959:  # 1/k as smarandache-b's least exponent
+        raise ValueError(f"k must lie in [2, 2^959], got {k}")
     t0 = time.perf_counter()
     report = _pair_report("smarandache-c", f"pairs with p < {limit}, k={k}")
     _scan_power_gap(report, limit, lambda m: num(m, 1) / k,
@@ -354,33 +355,31 @@ class DWitness:
 D_SCAN_CAP = 10**7  # prime-index cap for the counterexample scan
 
 
-def find_smarandache_D_counterexample(
-    a: float, n_start: int = 1, cap: int = D_SCAN_CAP
-) -> Optional[DWitness]:
+def find_smarandache_D_counterexample(a: float, n_start: int = 1
+                                      ) -> Optional[DWitness]:
     """Least index n >= n_start with q^a - p^a >= 1/n, or None.
 
-    Each block of one dense stream from 2, cut to the n in [n_start, cap],
-    is decided against the bound 1/n by `bounds.GapBound.settle_block`.
-    None means no witness up to the cap, or an uncertain pair before the
-    first failure, where the least n is unknown.
+    Each block of one dense stream from 2, cut to the n in
+    [n_start, D_SCAN_CAP], is decided against the bound 1/n by
+    `bounds.GapBound.settle_block`.  None means no witness up to the cap,
+    or an uncertain pair before the first failure, where the least n is
+    unknown.
     """
     if not 0.0 < a < 1.0:
         raise ValueError(f"exponent must lie in (0, 1), got {a}")
     if n_start < 1:
         raise ValueError("n_start must be >= 1")
-    if n_start > cap:
+    if n_start > D_SCAN_CAP:
         return None
-
-    def exponent(m):
-        return num(m, a)
-
-    bound = bounds.power_gap_bound(exponent, lambda m, n: num(m, 1) / n)
+    power = gaps.power_metric(lambda m: num(m, a))
+    bound = bounds.power_gap_bound(lambda m: num(m, a),
+                                   lambda m, n: num(m, 1) / n)
     # one lazy stream up to a bound past p_cap: segments are sieved only
     # as the scan reaches them, so a small witness stays cheap
-    for blk in gaps.pair_blocks(2, sieve._nth_prime_bound(cap) + 1):
-        if blk.n0 > cap:
+    for blk in gaps.pair_blocks(2, sieve._nth_prime_bound(D_SCAN_CAP) + 1):
+        if blk.n0 > D_SCAN_CAP:
             return None
-        s, e = max(n_start - blk.n0, 0), cap + 1 - blk.n0
+        s, e = max(n_start - blk.n0, 0), D_SCAN_CAP + 1 - blk.n0
         blk = gaps.PairBlock(blk.n0 + s, blk.p[s:e], blk.q[s:e])
         fails, uncertain = bound.settle_block(blk, blk.q - blk.p)
         if uncertain.size and not (fails.size and fails[0] < uncertain[0]):
@@ -389,7 +388,7 @@ def find_smarandache_D_counterexample(
             i = int(fails[0])
             n, pn, qn = blk.n0 + i, int(blk.p[i]), int(blk.q[i])
             with mp.workdps(STRICT_DPS):
-                value = gaps.power_metric(exponent).value(mp, qn - pn, pn, qn)
+                value = power.value(mp, qn - pn, pn, qn)
             return DWitness(n, pn, qn, float(value), 1.0 / n)
     return None
 

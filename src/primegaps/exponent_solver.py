@@ -18,7 +18,7 @@ import mpmath as mp
 import numpy as np
 
 from . import bounds, gaps
-from .bounds import STRICT_DPS
+from .bounds import STRICT_DPS, num
 
 X_TOL = 1e-13
 INITIAL_LO = 1e-3
@@ -109,14 +109,13 @@ def min_exponent(limit: int) -> Tuple[ExponentSolution, int]:
     best = solve_exponent(2, 3)
     count = 0
     for blk in gaps.pair_blocks(2, limit, lambda p0, n1: bounds.power_gap_bound(
-            lambda m: bounds.num(m, best.x + PRUNE_MARGIN),
-            lambda m, n: bounds.num(m, 1)).threshold(p0, n1)):
+            lambda m: num(m, best.x + PRUNE_MARGIN),
+            lambda m, n: num(m, 1)).threshold(p0, n1)):
         count += blk.count
         p, q = blk.p, blk.q
         while True:
             t = best.x + PRUNE_MARGIN
-            d = gaps.power_metric(lambda m: bounds.num(m, t)).value(
-                np, q - p, p, q)
+            d = gaps.power_metric(lambda m: num(m, t)).value(np, q - p, p, q)
             keep = d >= 1.0
             p, q, d = p[keep], q[keep], d[keep]
             if not p.size:

@@ -33,17 +33,14 @@ class GapRecord:
 
     @classmethod
     def from_pair(cls, n: int, p: int, q: int) -> "GapRecord":
-        """The record of the pair (p, q), each metric field by its catalog
-        entry in METRICS, and kourbatov_margin as lhs - rhs of the
-        Kourbatov bound's terms.  They are evaluated in mpmath, with
-        STRICT_DPS digits beyond the digits of q (at least as many as
-        sqrt(q) - sqrt(p) cancels), and rounded once to binary64."""
+        """Each metric of METRICS and the Kourbatov bound's lhs - rhs at
+        (p, q) in mpmath, at STRICT_DPS digits past the digits of q (about
+        those sqrt(q) - sqrt(p) cancels), rounded once to binary64; the gap
+        stays an int, and q / p is Python's rounded quotient of ints."""
         with mp.workdps(bounds.STRICT_DPS + len(str(q))):
             lhs, rhs = bounds.GAP_BOUNDS["kourbatov"].terms(mp, n, p, q)
-            values = {name: metric.value(mp, q - p, p, q)
-                      for name, metric in METRICS.items()}
+            values = {k: f.value(mp, q - p, p, q) for k, f in METRICS.items()}
             values.update(log_p=mp.log(p), kourbatov_margin=lhs - rhs)
-        # the gap is an int, and q / p of two ints Python's rounded float
         return cls(n, p, q, **{name: float(v) if isinstance(v, mp.mpf) else v
                                for name, v in values.items()})
 
@@ -230,10 +227,10 @@ class Metric:
     """One metric of the pairs (g, p, q) from p = floor on, as above.
 
     factors(p0, p1, q1) gives (f_lo, f_hi, c, err) for a run of pairs, and
-    value(m, g, p, q) states the metric once, in module m's arithmetic:
-    with m = numpy at arrays of pairs, the binary64 values the tracker
-    compares.  beats(a, b) breaks ties: whether the record a
-    displaces the record b, each a (value, GapRecord) pair.
+    value(m, g, p, q) states the metric once in module m's arithmetic, for
+    numpy the binary64 values at arrays of pairs that the tracker compares.
+    beats(a, b) breaks ties: whether the record a displaces the record b,
+    each a (value, GapRecord) pair.
     """
 
     factors: Callable
@@ -269,10 +266,9 @@ METRICS = {
 
 
 def power_metric(e: Callable) -> Metric:
-    """q^e - p^e for an exponent e(m) in (0, 1) in module m's arithmetic,
-    ranked by its numpy binary64 value.  By the mean value theorem it is
-    e x^(e-1) g for some x in (p, q), and that value lies within
-    TERM_REL_ERR q^e of it."""
+    """q^e - p^e for an exponent e(m) in (0, 1), ranked by its numpy
+    binary64 value.  By the mean value theorem it is e x^(e-1) g for some x
+    in (p, q), and that value lies within TERM_REL_ERR q^e of it."""
     x = e(math)
     return Metric(
         lambda p0, p1, q1: (x * q1 ** (x - 1), x * p0 ** (x - 1), 0.0,
@@ -313,13 +309,12 @@ class ExtremeTracker:
         """Observe every pair of `blk`, whose gaps q - p are `gap`.
 
         For each metric, the pairs whose binary64 values lie within float
-        fuzz and 2 err of the block's largest are observed: their exact
-        values may tie with or beat the largest exact value, which the
-        record fields rank, and the winner never depends on how blocks were
-        cut.  The values are computed only where they can matter: by the
-        metric's factors, no pair of a block whose largest gap bounds every
-        value below the record can beat it, and every pair observed has a
-        gap of at least `cut`.
+        fuzz and 2 err of the block's largest are observed, so that the
+        largest exact value, which the record fields rank, is among them
+        however blocks were cut.  The values are computed only where they
+        can matter: by the metric's factors, no pair of a block whose
+        largest gap bounds every value below the record can beat it, and
+        every pair observed has a gap of at least `cut`.
         """
         if not gap.size:
             return

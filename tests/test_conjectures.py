@@ -429,17 +429,20 @@ class TestSmarandacheD:
 
         monkeypatch.setattr(gaps, "pair_blocks", spy)
         monkeypatch.setattr(sieve, "SEGMENT_ODDS", 1024)
+        monkeypatch.setattr(cj, "D_SCAN_CAP", 10**4)
         # no witness below the cap: every pair up to p_cap is scanned
-        assert cj.find_smarandache_D_counterexample(0.01, 1, 10**4) is None
+        assert cj.find_smarandache_D_counterexample(0.01, 1) is None
         assert calls == [(2, sieve._nth_prime_bound(10**4) + 1)]
         calls.clear()
-        w = cj.find_smarandache_D_counterexample(0.1, 1, 10**4)
+        w = cj.find_smarandache_D_counterexample(0.1, 1)
         assert (w.n, w.p, w.q) == (217, 1327, 1361)
         assert len(calls) == 1
         # the cap is inclusive: the witness at n = 217 is found at cap 217
-        w = cj.find_smarandache_D_counterexample(0.1, 200, 217)
+        monkeypatch.setattr(cj, "D_SCAN_CAP", 217)
+        w = cj.find_smarandache_D_counterexample(0.1, 200)
         assert w.n == 217
-        assert cj.find_smarandache_D_counterexample(0.1, 200, 216) is None
+        monkeypatch.setattr(cj, "D_SCAN_CAP", 216)
+        assert cj.find_smarandache_D_counterexample(0.1, 200) is None
 
     @staticmethod
     def least_witness(primes, a, n_start, cap):
@@ -476,8 +479,9 @@ class TestSmarandacheD:
                 m.setattr(gaps, "pair_blocks", spy)
                 m.setattr(sieve, "nth_prime", None)
                 m.setattr(sieve, "prime_count", None)
+                m.setattr(cj, "D_SCAN_CAP", cap)
                 for n_start in starts:
-                    w = cj.find_smarandache_D_counterexample(a, n_start, cap)
+                    w = cj.find_smarandache_D_counterexample(a, n_start)
                     n = self.least_witness(primes, a, n_start, cap)
                     assert (w and (w.n, w.p, w.q)) == (
                         n and (n, primes[n - 1], primes[n])), n_start
@@ -487,8 +491,8 @@ class TestSmarandacheD:
     def test_n_start_past_the_cap_does_no_work(self, monkeypatch):
         monkeypatch.setattr(sieve, "nth_prime", None)
         monkeypatch.setattr(gaps, "pair_blocks", None)
-        assert cj.find_smarandache_D_counterexample(0.4, 10**5 + 1,
-                                                    10**5) is None
+        monkeypatch.setattr(cj, "D_SCAN_CAP", 10**5)
+        assert cj.find_smarandache_D_counterexample(0.4, 10**5 + 1) is None
 
 
 class TestSmarandacheRatio:

@@ -219,6 +219,35 @@ def exact_factors(metric, p0, p1, q1):
         return e * q1 ** (e - 1), e * p0 ** (e - 1), 0
 
 
+@given(st.one_of(st.integers(2, 10**6), st.integers(2, 2**62)),
+       st.integers(1, 2000), st.floats(2.0**-959, 1.0, exclude_max=True))
+@settings(max_examples=300, deadline=None)
+@example(p=113, g=14, a=0.5671481)
+@example(p=2**62, g=2, a=1 / 3)
+def test_metric_values_at_50_digits(p, g, a):
+    # each catalog metric's value in mpmath, at mpf arguments, against the
+    # metric written out from its definition at 70 digits: q^a - p^a at
+    # the decimal a that bounds.num reads, q/p as the exact fraction.  A
+    # difference is held to the size of its larger term.
+    q = p + g
+    catalog = {**gaps.METRICS, "power": power_metric(a)}
+    with mp.workdps(70):
+        decimal = Fraction(repr(a))
+        e = mp.mpf(decimal.numerator) / decimal.denominator
+        qe, pe = mp.power(q, e), mp.power(p, e)
+        want = {"andrica": (mp.sqrt(q) - mp.sqrt(p), mp.sqrt(q)),
+                "cramer_ratio": (g / mp.log(p) ** 2, 0),
+                "gap": (g, 0),
+                "ratio": (Fraction(q, p), 0),
+                "power": (qe - pe, qe)}
+    assert want.keys() == catalog.keys()
+    with mp.workdps(50):
+        for name, metric in catalog.items():
+            got = metric.value(mp, mp.mpf(g), mp.mpf(p), mp.mpf(q))
+            value, size = want[name]
+            assert abs(got - value) <= 1e-40 * max(abs(value), size), name
+
+
 # the relative rounding r of the values that do not cancel, a few dozen u
 VALUE_REL_ERR = 32 * 2.0**-53
 

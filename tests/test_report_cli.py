@@ -265,6 +265,25 @@ class TestCliExitCodes:
         assert "Traceback" not in err
         assert cli.main(["verify", name, "--limit", "3"]) == 0  # pair (2, 3)
 
+    @pytest.mark.parametrize("option, value, want", [
+        ("--a", "5e-324", "error: exponent must lie in [2^-959, 1), got "
+                          "5e-324\n"),
+        ("--k", str(10**400), f"error: k must lie in [2, 2^959], got "
+                              f"{10**400}\n")])
+    def test_power_gap_tiny_exponent_refused(self, capsys, option, value,
+                                             want):
+        # below 2^-959, e p^(e-1) can underflow the tracker's block bound
+        name = "smarandache-b" if option == "--a" else "smarandache-c"
+        assert cli.main(["verify", name, "--limit", "100", option, value,
+                         "--no-timing"]) == 2
+        assert capsys.readouterr().err == want
+
+    def test_power_gap_least_exponent_holds(self, capsys):
+        assert cli.main(["verify", "smarandache-b", "--limit", "100", "--a",
+                         repr(2.0**-959), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["extremes"] == {
+            "max_value": 0.0, "max_value_pair": [1, 2, 3]}
+
     @pytest.mark.parametrize("argv", [
         ["verify", "shanks-trend"], ["solve", "a0"], ["solve", "max"]])
     def test_pair_scan_limit_below_three_refused(self, capsys, argv):
